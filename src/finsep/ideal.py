@@ -11,7 +11,9 @@ certificate that re-multiplies exactly.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
 for some monic phi of bounded degree, by solving an integer-linear system
-over an echelonized lattice of shifted basis elements.
+over an echelonized lattice of shifted basis elements.  It starts at the
+algebraic degree (the lowest basis degree): no nonzero member of V lies
+below it.
 """
 
 from __future__ import annotations
@@ -69,9 +71,15 @@ class MembershipCertificate:
     claim: IntPoly
 
     def verify(self, presentation: Presentation) -> bool:
-        """Re-multiply the combination; uses only polynomial arithmetic."""
+        """Re-multiply the combination; uses only polynomial arithmetic.
+
+        A cofactor list whose length differs from the relator count is
+        rejected, never padded or truncated.
+        """
+        if len(self.cofactors) != len(presentation.relators):
+            return False
         total = IntPoly()
-        for c, r in zip(self.cofactors, presentation.relators, strict=True):
+        for c, r in zip(self.cofactors, presentation.relators):
             total = total + c * r
         return total == self.claim
 
@@ -245,7 +253,7 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
     for d in sorted(kept):
         t = kept[d]
         assert t.poly.constant == 0, "ideal member grew a constant term"
-        assert _check_combination(t.poly, t.cof, relators)
+        assert MembershipCertificate(t.cof, t.poly).verify(presentation)
         elements.append(t.poly)
         cofactors.append(t.cof)
 
@@ -261,13 +269,6 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
         assert nf.is_zero(), "relator failed to reduce against its own basis"
         back.append(quotients)
     return replace(basis, relator_quotients=tuple(back))
-
-
-def _check_combination(claim: IntPoly, cofactors, relators) -> bool:
-    total = IntPoly()
-    for c, r in zip(cofactors, relators, strict=True):
-        total = total + c * r
-    return total == claim
 
 
 def reduce_with_quotients(
@@ -400,6 +401,20 @@ class _Echelon:
         return out
 
 
+def shift_lattice(basis: CanonicalBasis, dim: int, tail_dim: int = 0) -> _Echelon:
+    """Echelon of every shift x^s * e of a basis element e with deg <= dim.
+
+    Coordinate i holds the coefficient of x^(i+1), for degrees 1 .. dim;
+    rows carry ``tail_dim`` zero bookkeeping coordinates.  Elements are
+    inserted by ascending degree, then ascending shift.
+    """
+    lattice = _Echelon(dim, tail_dim)
+    for element in basis.elements:
+        for shift in range(dim - element.degree + 1):
+            lattice.add([0] * shift + list(element.coeffs[1:]))
+    return lattice
+
+
 def monic_multiple_search(
     presentation: Presentation, k: int, degree_bound: int
 ) -> IntPoly | None:
@@ -410,6 +425,11 @@ def monic_multiple_search(
     by echelonizing the lattice spanned by k*x^i (i < n) and all shifted
     basis elements of degree <= n, then solving for k*x^n.  A None result
     is a proof that no such phi of degree <= degree_bound exists.
+
+    The degrees start at the algebraic degree m = basis.degrees[0]: the
+    basis is a strong basis, so every nonzero member of V reduces by some
+    element and has degree >= m, while k*phi is nonzero of degree n.
+    Below m the lattice holds only the k*x^i, whose span misses k*x^n.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
@@ -418,7 +438,7 @@ def monic_multiple_search(
     basis = canonical_basis(presentation)
     if basis.is_empty():
         return None
-    for n in range(1, degree_bound + 1):
+    for n in range(basis.degrees[0], degree_bound + 1):
         phi = _monic_multiple_at_degree(basis, k, n)
         if phi is not None:
             member, _ = membership(phi.scale(k), presentation)
@@ -431,15 +451,7 @@ def _monic_multiple_at_degree(
     basis: CanonicalBasis, k: int, n: int
 ) -> IntPoly | None:
     # coordinates are degrees 1..n; tails track the free lower coefficients
-    lattice = _Echelon(dim=n, tail_dim=n - 1)
-    for element in basis.elements:
-        d = element.degree
-        for shift in range(n - d + 1):
-            vec = [0] * n
-            for j, c in enumerate(element.coeffs):
-                if j + shift >= 1:
-                    vec[j + shift - 1] = c
-            lattice.add(vec)
+    lattice = shift_lattice(basis, n, tail_dim=n - 1)
     for i in range(1, n):
         vec = [0] * n
         vec[i - 1] = k

@@ -5,11 +5,12 @@ integer torsion (least k such that k times some monic polynomial in the
 generator vanishes) and torsion exponent (least degree of such a monic
 polynomial over all admissible k), together with certified witnesses.
 
-The torsion search space: any successful k is a multiple of the least one,
-and the minimal polynomial's content d always works when its primitive part
-is monic, so the least k divides d and it suffices to try divisors of d in
-ascending order.  Degree bounds are recorded in every answer; an infinite
-verdict is always bound-relative, never a claim about all degrees.
+The torsion search space: within a degree bound, the multipliers k with a
+monic multiple form the set tau*Z+ of multiples of the least one, and the
+minimal polynomial's content d always works when its primitive part is
+monic, so tau divides d and is found by stripping prime factors from d.
+Degree bounds are recorded in every answer; an infinite verdict is always
+bound-relative, never a claim about all degrees.
 """
 
 from __future__ import annotations
@@ -93,54 +94,30 @@ def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
     return basis.elements[0]
 
 
-# contents up to this get the exact ascending-divisor scan; larger ones use
-# prime-exponent descent (divisor enumeration would explode)
-_DIVISOR_SCAN_LIMIT = 10**6
-
-
-def _divisors_ascending(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 def _least_successful_multiplier(
     presentation: Presentation, d: int, bound: int
 ) -> tuple[int, IntPoly] | None:
-    """Least k dividing d with a monic multiple within the degree bound.
+    """Least k with a monic multiple within the degree bound, by descent from d.
 
-    Small contents are scanned divisor by divisor in ascending order.  For
-    huge contents the bounded-successful divisors are walked from d down by
-    stripping prime factors while the search keeps succeeding: d itself
-    succeeds whenever anything does (the minimal polynomial is d times a
-    monic), success is inherited upward along divisibility, and the result
-    still has no successful proper divisor.
+    The successful k form tau*Z+.  They are closed under multiples, and
+    under gcd: shift k1*phi1 and k2*phi2 to a common degree and combine
+    them with Bezout, u*k1 + v*k2 = g; the lead becomes g while every lower
+    coefficient stays divisible by g, so g times a monic lies in V.  If
+    anything succeeds the primitive part of the minimal polynomial is monic
+    (Gauss), so d succeeds and tau divides d.  Hence k | d succeeds exactly
+    when tau | k, and stripping each prime of d while the search still
+    succeeds lands on tau in one pass.
     """
-    if d <= _DIVISOR_SCAN_LIMIT:
-        for k in _divisors_ascending(d):
-            phi = monic_multiple_search(presentation, k, bound)
-            if phi is not None:
-                return k, phi
-        return None
-    phi = monic_multiple_search(presentation, 1, bound)
-    if phi is not None:
-        return 1, phi
     phi = monic_multiple_search(presentation, d, bound)
     if phi is None:
         return None
     tau = d
-    primes = [p for p, _ in factorize(d)]
-    changed = True
-    while changed:
-        changed = False
-        for p in primes:
-            while tau % p == 0 and tau // p > 1:
-                cand_phi = monic_multiple_search(presentation, tau // p, bound)
-                if cand_phi is None:
-                    break
-                tau, phi = tau // p, cand_phi
-                changed = True
+    for p, _ in factorize(d):
+        while tau % p == 0:
+            cand_phi = monic_multiple_search(presentation, tau // p, bound)
+            if cand_phi is None:
+                break
+            tau, phi = tau // p, cand_phi
     return tau, phi
 
 
@@ -149,10 +126,11 @@ def torsion_data(
 ) -> TorsionData:
     """Compute (tau, exponent) with certified witnesses.
 
-    The least multiplier always divides the minimal-polynomial content and
-    is located by prime-exponent descent from it; ``strict_scan`` instead
-    tries every integer up to the content in ascending order, as a defence
-    against that divisibility assumption (use only for small contents).
+    The least multiplier divides the minimal-polynomial content and is
+    located by prime descent from it, which is exact (see
+    ``_least_successful_multiplier``).  ``strict_scan`` instead tries every
+    integer up to the content in ascending order; it is kept as an
+    independent oracle for tests and is practical only for small contents.
     The degree bound covers both the algebraic degree and twice the largest
     relator degree.
     """

@@ -20,9 +20,9 @@ from .poly import IntPoly
 from .ideal import (
     CanonicalBasis,
     Presentation,
-    _Echelon,
     canonical_basis,
     normal_form,
+    shift_lattice,
 )
 
 
@@ -152,14 +152,7 @@ class _SubringSpan:
     def __init__(self, ring: FiniteRing, generators):
         self.ring = ring
         self.dim = len(ring.standard_monomials)
-        self.echelon = _Echelon(self.dim, 0)
-        for element in ring.basis.elements:
-            for shift in range(self.dim - element.degree + 1):
-                vec = [0] * self.dim
-                for j, c in enumerate(element.coeffs):
-                    if j + shift >= 1:
-                        vec[j + shift - 1] = c
-                self.echelon.add(vec)
+        self.echelon = shift_lattice(ring.basis, self.dim)
         members: list[tuple[int, ...]] = []
         work = [ring.image(g) if isinstance(g, IntPoly) else tuple(g)
                 for g in generators]
@@ -234,16 +227,23 @@ class SeparationResult:
 
 
 def modulus_order(bound: int) -> list[int]:
-    """2..bound reordered: primes, then prime powers, then composites."""
-    primes, powers, composites = [], [], []
+    """The moduli worth trying up to bound: primes, then prime powers.
+
+    No other modulus can separate first.  Take coprime a, b with q = ab.
+    Then K/qK is K/aK x K/bK, and the CRT idempotents (1 mod a, 0 mod b
+    and the reverse) are integers, so the image S of a subring splits as
+    S_a x S_b: integer multiples of a subring element stay in the subring.
+    K/qK is finite iff both factors are, and the target's image lies in S
+    iff each component lies in its factor.  So if q separates, a or b
+    does, and by induction some prime-power factor of q does, which is
+    tried before q would be.
+    """
+    primes, powers = [], []
     for q in range(2, bound + 1):
         factors = factorize(q)
         if len(factors) == 1:
-            (p, e), = factors
-            (primes if e == 1 else powers).append(q)
-        else:
-            composites.append(q)
-    return primes + powers + composites
+            (primes if factors[0][1] == 1 else powers).append(q)
+    return primes + powers
 
 
 def separate(
@@ -254,9 +254,12 @@ def separate(
 ) -> SeparationResult:
     """Search for a finite quotient separating target from a subring.
 
-    Tries each modulus (primes first), builds the quotient when finite and
-    tests whether the target's image escapes the closure of the generator
-    images.  The first success is returned as an explicit certificate.
+    Tries the primes up to the bound, then the prime powers (a composite
+    modulus separates only when one of its prime-power factors does; see
+    ``modulus_order``).  Each quotient is built, skipped when infinite,
+    and tested for whether the target's image escapes the closure of the
+    generator images.  The first success is returned as an explicit
+    certificate; the modulus bound is reported when none succeeds.
     """
     subring_generators = list(subring_generators)
     for p in [target, *subring_generators]:

@@ -157,6 +157,7 @@ def test_run_invariants_json(capsys):
         ["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2", "--json"],
         ["nf", "--relator", "x^2 - x", "--poly", "x^3 + x", "--json"],
         ["witness", "--relator", "6x", "--json"],
+        ["decide", "--json"],
     ],
 )
 def test_json_certificates_reverify(argv, tmp_path, capsys):
@@ -180,6 +181,47 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert run(["verify", str(path), "--json"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["all_ok"] is False
+
+
+def test_verify_catches_a_forged_basis(tmp_path, capsys):
+    # x is not in <2x^3 + x, 2x^3 + x^2>; emptied cofactor lists must not
+    # let the claim through by pairing nothing with nothing
+    assert run(["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2",
+                "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["basis"]["elements"] = [{"coeffs": [0, 1], "text": "x"}]
+    doc["basis"]["element_cofactors"] = []
+    doc["basis"]["relator_quotients"] = []
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["all_ok"] is False
+    assert [c["ok"] for c in result["checks"]] == [False, False]
+    # inner lists emptied instead: the cofactor counts no longer match
+    doc["basis"]["element_cofactors"] = [[]]
+    doc["basis"]["relator_quotients"] = [[], []]
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "INVALID" in out
+    # an element with a constant term is a failed check, not an input error
+    doc["basis"]["elements"] = [{"coeffs": [1, 3], "text": "3x + 1"}]
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"] is False
+
+
+def test_verify_rejects_a_document_without_certificates(tmp_path, capsys):
+    assert run(["quotient", "--relator", "x^2 - x", "--modulus", "2",
+                "--json"]) == 0
+    path = tmp_path / "quotient.json"
+    path.write_text(capsys.readouterr().out)
+    assert run(["verify", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["checked"] == 0 and result["all_ok"] is False
+    assert run(["verify", str(path)]) == 0
+    assert "all valid" not in capsys.readouterr().out
 
 
 def test_parser_rejects_missing_subcommand():

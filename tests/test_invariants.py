@@ -126,9 +126,22 @@ def test_torsion_minimality_and_certificates():
         # exhaustive: no smaller multiplier admits a monic multiple
         for k in range(1, data.tau):
             assert monic_multiple_search(p, k, data.bound) is None
-        # strict scan agrees with the divisor-only scan
+        # the exhaustive scan agrees with the prime descent
         assert torsion_data(p, strict_scan=True).tau == data.tau
     assert checked >= 15
+
+
+def test_torsion_descent_from_a_large_content():
+    # content 9699690 = 2*3*...*19; the successful multipliers within the
+    # degree bound are the multiples of 30030 = 2*3*...*13, reached by
+    # shifting the second relation and combining the two by Bezout
+    p = pres(ip(0, -1, 1).scale(9699690).coeffs, ip(0, 0, -1, 1).scale(690690).coeffs)
+    data = torsion_data(p)
+    assert (data.tau, data.exponent) == (30030, 2)
+    assert data.witness.k == 30030 and data.witness.verify(p)
+    assert data.exponent_witness.phi == ip(0, -1, 1)
+    for q in (2, 3, 5, 7, 11, 13):
+        assert monic_multiple_search(p, 30030 // q, data.bound) is None
 
 
 def test_torsion_finite_implies_monic_primitive():

@@ -260,12 +260,41 @@ def test_malcev_crt_coherence():
 
 def test_modulus_order():
     order = modulus_order(16)
-    assert order == [2, 3, 5, 7, 11, 13, 4, 8, 9, 16, 6, 10, 12, 14, 15]
+    assert order == [2, 3, 5, 7, 11, 13, 4, 8, 9, 16]
     assert modulus_order(1) == []
-    # primes come first, then prime powers, then composites
+    # primes come first, then prime powers; composites are never tried
     kinds = []
     for q in order:
         f = factorize(q)
-        kinds.append("p" if len(f) == 1 and f[0][1] == 1
-                     else "pp" if len(f) == 1 else "c")
-    assert kinds == sorted(kinds, key=["p", "pp", "c"].index)
+        assert len(f) == 1
+        kinds.append("p" if f[0][1] == 1 else "pp")
+    assert kinds == sorted(kinds, key=["p", "pp"].index)
+
+
+def test_composite_moduli_separate_only_through_prime_power_factors():
+    # brute force over every composite q <= 30: whenever the quotient by q
+    # separates the target from the subring, so does the quotient by some
+    # prime-power factor of q (the CRT argument of modulus_order)
+    rng = random.Random(47)
+    composites = [q for q in range(2, 31) if len(factorize(q)) > 1]
+
+    def separates(p, target, gens, q):
+        ring = build_quotient(p, q)
+        if isinstance(ring, InfiniteQuotient):
+            return False
+        return ring.image(target) not in subring_closure(ring, gens)
+
+    hits = 0
+    for _ in range(12):
+        # a scaled monic relator leaves some quotients infinite
+        monic = IntPoly([0, rng.randint(-4, 4), 1]).scale(rng.choice((1, 1, 2, 3)))
+        other = random_zero_const_poly(rng, 3, 4).scale(rng.randint(1, 6))
+        p = Presentation([monic, other])
+        target = random_zero_const_poly(rng, 2, 6)
+        gens = [random_zero_const_poly(rng, 2, 6) for _ in range(rng.randint(0, 2))]
+        for q in composites:
+            if separates(p, target, gens, q):
+                hits += 1
+                factors = [pp**e for pp, e in factorize(q)]
+                assert any(separates(p, target, gens, f) for f in factors), (p, q)
+    assert hits >= 40
