@@ -506,13 +506,17 @@ def _cmd_verify(args) -> int:
     presentation = Presentation(relators)
     checks: list[tuple[str, bool]] = []
 
-    if "witness" in doc and doc["witness"]:
-        w = doc["witness"]
+    # invariants documents carry their relation as torsion_witness
+    for key in ("witness", "torsion_witness"):
+        if not doc.get(key):
+            continue
+        w = doc[key]
         phi = _poly_from_json(w["phi"])
         cert = _certificate_from_json(w["certificate"])
-        checks.append(("witness claim is k*phi", cert.claim == phi.scale(w["k"])))
-        checks.append(("witness phi is monic, zero constant", phi.is_monic() and phi.constant == 0))
-        checks.append(("witness certificate", cert.verify(presentation)))
+        name = key.replace("_", " ")
+        checks.append((f"{name} claim is k*phi", cert.claim == phi.scale(w["k"])))
+        checks.append((f"{name} phi is monic, zero constant", phi.is_monic() and phi.constant == 0))
+        checks.append((f"{name} certificate", cert.verify(presentation)))
     if "certificate" in doc and doc["certificate"]:
         cert = _certificate_from_json(doc["certificate"])
         checks.append(("membership certificate", cert.verify(presentation)))

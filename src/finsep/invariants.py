@@ -15,6 +15,8 @@ bound-relative, never a claim about all degrees.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .intarith import factorize
@@ -95,8 +97,8 @@ def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
 
 
 def _least_successful_multiplier(
-    presentation: Presentation, d: int, bound: int
-) -> tuple[int, IntPoly] | None:
+    search: Callable[[int], IntPoly | None], d: int
+) -> int | None:
     """Least k with a monic multiple within the degree bound, by descent from d.
 
     The successful k form tau*Z+.  They are closed under multiples, and
@@ -106,19 +108,18 @@ def _least_successful_multiplier(
     anything succeeds the primitive part of the minimal polynomial is monic
     (Gauss), so d succeeds and tau divides d.  Hence k | d succeeds exactly
     when tau | k, and stripping each prime of d while the search still
-    succeeds lands on tau in one pass.
+    succeeds lands on tau in one pass.  k = 1 is tried first, so a content
+    that need not be stripped is never factored.
     """
-    phi = monic_multiple_search(presentation, d, bound)
-    if phi is None:
+    if search(1) is not None:
+        return 1
+    if search(d) is None:
         return None
     tau = d
     for p, _ in factorize(d):
-        while tau % p == 0:
-            cand_phi = monic_multiple_search(presentation, tau // p, bound)
-            if cand_phi is None:
-                break
-            tau, phi = tau // p, cand_phi
-    return tau, phi
+        while tau % p == 0 and search(tau // p) is not None:
+            tau //= p
+    return tau
 
 
 def torsion_data(
@@ -142,27 +143,26 @@ def torsion_data(
     degree = mp.degree
     bound = max(degree, 2 * presentation.max_degree)
 
-    if strict_scan:
-        found = None
-        for k in range(1, d + 1):
-            phi = monic_multiple_search(presentation, k, bound)
-            if phi is not None:
-                found = (k, phi)
-                break
-    else:
-        found = _least_successful_multiplier(presentation, d, bound)
-    if found is None:
-        return TorsionData(None, None, None, None, bound=bound)
-    tau, tau_phi = found
+    @functools.cache
+    def search(k: int) -> IntPoly | None:
+        return monic_multiple_search(presentation, k, bound)
 
-    # torsion finite forces a monic primitive part, and then the content d
-    # reaches the least possible monic degree, namely the algebraic degree
+    if strict_scan:
+        tau = next((k for k in range(1, d + 1) if search(k) is not None), None)
+    else:
+        tau = _least_successful_multiplier(search, d)
+    if tau is None:
+        return TorsionData(None, None, None, None, bound=bound)
+    tau_phi = search(tau)
+
+    # torsion finite forces a monic primitive part, so d times it is a monic
+    # multiple of the algebraic degree, the least degree search(d) tries
     assert primitive.is_monic()
     witness = certified_relation(presentation, tau, tau_phi)
     if tau_phi.degree == degree:
         exp_witness = witness
     else:
-        phi_e = monic_multiple_search(presentation, d, degree)
+        phi_e = search(d)
         assert phi_e is not None and phi_e.degree == degree
         exp_witness = certified_relation(presentation, d, phi_e)
     return TorsionData(

@@ -157,6 +157,8 @@ def test_run_invariants_json(capsys):
         ["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2", "--json"],
         ["nf", "--relator", "x^2 - x", "--poly", "x^3 + x", "--json"],
         ["witness", "--relator", "6x", "--json"],
+        ["invariants", "--relator", "2x^2 - 2x", "--relator", "x^3 - x^2",
+         "--json"],
         ["decide", "--json"],
     ],
 )

@@ -131,7 +131,16 @@ def test_torsion_minimality_and_certificates():
     assert checked >= 15
 
 
-def test_torsion_descent_from_a_large_content():
+def test_torsion_descent_from_a_large_content(monkeypatch):
+    import finsep.invariants as inv
+
+    calls = []
+
+    def recording_search(presentation, k, bound):
+        calls.append(k)
+        return monic_multiple_search(presentation, k, bound)
+
+    monkeypatch.setattr(inv, "monic_multiple_search", recording_search)
     # content 9699690 = 2*3*...*19; the successful multipliers within the
     # degree bound are the multiples of 30030 = 2*3*...*13, reached by
     # shifting the second relation and combining the two by Bezout
@@ -140,8 +149,31 @@ def test_torsion_descent_from_a_large_content():
     assert (data.tau, data.exponent) == (30030, 2)
     assert data.witness.k == 30030 and data.witness.verify(p)
     assert data.exponent_witness.phi == ip(0, -1, 1)
+    # the exponent witness reuses the content's search instead of repeating it
+    assert data.exponent_witness.k == 9699690
+    assert len(calls) == len(set(calls))
     for q in (2, 3, 5, 7, 11, 13):
         assert monic_multiple_search(p, 30030 // q, data.bound) is None
+
+
+def test_torsion_one_never_factors_the_content(monkeypatch):
+    import finsep.invariants as inv
+
+    # content (10^6 + 3)(10^6 + 33), both prime: trial division to 10^6
+    # leaves it whole; x^2 - x is monic, so tau = 1 needs no factorization
+    d = 1000003 * 1000033
+
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(inv, "factorize", no_factorize)
+    p = pres((0, d), (0, -1, 1))
+    data = torsion_data(p)
+    assert (data.tau, data.exponent) == (1, 1)
+    assert data.witness.k == 1 and data.witness.phi.degree == 2
+    assert data.witness.verify(p)
+    assert data.exponent_witness.k == d and data.exponent_witness.phi == ip(0, 1)
+    assert ring_invariants(p).torsion == 1
 
 
 def test_torsion_finite_implies_monic_primitive():
