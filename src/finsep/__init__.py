@@ -36,6 +36,7 @@ from .ideal import (
     InvalidBoundError,
     MembershipCertificate,
     Presentation,
+    SelfCheckError,
     canonical_basis,
     membership,
     monic_multiple_search,

@@ -655,11 +655,20 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # certificate cofactors can exceed the int <-> str digit limit that
+    # Python sets from 3.10.7 on; lift it for the command, restore it after
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 def main() -> None:

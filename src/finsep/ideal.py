@@ -9,6 +9,14 @@ against such a basis (least-nonnegative residues) gives unique normal forms,
 so membership in V is decidable, and every answer ships a cofactor
 certificate that re-multiplies exactly.
 
+One division, ``_divide``, does all reduction: it returns the normal form
+and the quotients over the elements it divides by.  The completion works
+on rows (poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]);
+reducing a row divides its poly and subtracts the quotients' fold
+(``_fold``) of the table rows' cofactors, and membership folds the same
+quotients over the basis cofactors.  Every certificate is re-checked
+before it is returned, and a failed re-check raises ``SelfCheckError``.
+
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
 for some monic phi of bounded degree, by solving an integer-linear system
 over an echelonized lattice of shifted basis elements.  It starts at the
@@ -19,7 +27,7 @@ below it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .intarith import xgcd
@@ -32,6 +40,13 @@ class ConstantTermError(ValueError):
 
 class InvalidBoundError(ValueError):
     """Raised when a search bound is not a positive integer."""
+
+
+class SelfCheckError(RuntimeError):
+    """Raised when a computed basis or certificate fails its own re-check.
+
+    This is an internal fault, never an input error.
+    """
 
 
 @dataclass(frozen=True)
@@ -84,95 +99,98 @@ class MembershipCertificate:
         return total == self.claim
 
 
-class _Tracked:
-    """A polynomial carried through completion with its relator cofactors."""
+def _divide(g: IntPoly, elements) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
 
-    __slots__ = ("poly", "cof")
-
-    def __init__(self, poly: IntPoly, cof: tuple[IntPoly, ...]):
-        self.poly = poly
-        self.cof = cof
-
-    def combine(self, other: "_Tracked", a: int, b: int) -> "_Tracked":
-        """a*self + b*other, cofactors included."""
-        return _Tracked(
-            self.poly.scale(a) + other.poly.scale(b),
-            tuple(
-                u.scale(a) + v.scale(b) for u, v in zip(self.cof, other.cof)
-            ),
-        )
-
-    def sub_shifted(self, other: "_Tracked", q: int, shift: int) -> "_Tracked":
-        """self - q * x**shift * other, cofactors included."""
-        return _Tracked(
-            self.poly - other.poly.scale(q).shift(shift),
-            tuple(
-                u - v.scale(q).shift(shift) for u, v in zip(self.cof, other.cof)
-            ),
-        )
-
-    def neg(self) -> "_Tracked":
-        return _Tracked(-self.poly, tuple(-c for c in self.cof))
-
-
-def _reduce_tracked(t: _Tracked, table: dict[int, _Tracked]) -> _Tracked:
-    """Full normal form of t against the current table, cofactors tracked."""
-    if not table:
-        return t
-    degrees = sorted(table)
-    d = t.poly.degree
-    while d >= 1:
-        c = t.poly[d]
-        if c:
-            i = bisect_right(degrees, d)
-            if i == 0:
-                d -= 1
-                continue
-            e = degrees[i - 1]
-            q = c // table[e].poly.lead
-            if q:
-                t = t.sub_shifted(table[e], q, d - e)
-        d -= 1
-    return t
-
-
-def _insert_tracked(t: _Tracked, table: dict[int, _Tracked]) -> bool:
-    """Merge a reduced nonzero t into the table; returns True if it changed.
-
-    When the slot is occupied the leading coefficients are combined by
-    extended Euclid, which strictly shrinks the lead; displaced remainders
-    re-enter through reduction recursively.
+    ``elements`` ascend strictly in degree.  Terms are reduced from the top
+    down by the element of largest degree not above them, to the
+    least-nonnegative residue of that element's lead.
     """
-    changed = False
-    while not t.poly.is_zero():
-        if t.poly.lead < 0:
-            t = t.neg()
-        d = t.poly.degree
+    if not elements:
+        return g, ()
+    degrees = [e.degree for e in elements]
+    rem = list(g.coeffs)
+    quotients = [dict() for _ in elements]
+    for d in range(len(rem) - 1, 0, -1):
+        c = rem[d]
+        if not c:
+            continue
+        i = bisect_right(degrees, d)
+        if i == 0:
+            continue
+        i -= 1
+        q, r = divmod(c, elements[i].lead)
+        if not q:
+            continue
+        shift = d - degrees[i]
+        for j, b in enumerate(elements[i].coeffs):
+            rem[shift + j] -= q * b
+        rem[d] = r
+        quotients[i][shift] = quotients[i].get(shift, 0) + q
+    qpolys = tuple(
+        IntPoly(
+            [qd.get(s, 0) for s in range(max(qd, default=-1) + 1)]
+        )
+        for qd in quotients
+    )
+    return IntPoly(rem), qpolys
+
+
+def _fold(quotients, rows) -> tuple[IntPoly, ...]:
+    """Componentwise sum of quotients[i] * rows[i] over rows of one width."""
+    sums = [IntPoly()] * (len(rows[0]) if rows else 0)
+    for q, row in zip(quotients, rows):
+        if q:
+            sums = [s + q * p for s, p in zip(sums, row)]
+    return tuple(sums)
+
+
+# row operations are linear, so a row keeps poly == sum(cof_j * relators[j])
+
+def _combine(a: int, row, b: int, other) -> tuple[IntPoly, ...]:
+    """The row a*row + b*other."""
+    return tuple(p.scale(a) + q.scale(b) for p, q in zip(row, other))
+
+
+def _reduce_row(row, table: dict) -> tuple[IntPoly, ...]:
+    """Full normal form of row[0] against the table, cofactors carried."""
+    if not table:
+        return row
+    held = [table[d] for d in sorted(table)]
+    nf, quotients = _divide(row[0], [h[0] for h in held])
+    folded = _fold(quotients, [h[1:] for h in held])
+    return (nf, *(c - f for c, f in zip(row[1:], folded)))
+
+
+def _insert(row, table: dict) -> None:
+    """Reduce a row against the table and merge what is left into it.
+
+    When the degree slot is occupied the two leads are combined by extended
+    Euclid, which strictly shrinks the lead; the two remainders fall below
+    that degree and re-enter through reduction recursively.
+    """
+    row = _reduce_row(row, table)
+    while not row[0].is_zero():
+        if row[0].lead < 0:
+            row = tuple(-p for p in row)
+        d = row[0].degree
         if d not in table:
-            table[d] = t
-            return True
-        h = table[d]
-        a = h.poly.lead
-        c = t.poly.lead
-        # t is fully reduced, so 0 < c < a and the gcd strictly shrinks a
+            table[d] = row
+            return
+        held = table[d]
+        a = held[0].lead
+        c = row[0].lead
+        # row is fully reduced, so 0 < c < a and the gcd strictly shrinks a
         g, u, v = xgcd(a, c)
-        new = h.combine(t, u, v)
-        assert new.poly.degree == d and new.poly.lead == g and g < a
-        rem_h = h.sub_shifted(new, a // g, 0)
-        rem_t = t.sub_shifted(new, c // g, 0)
-        assert rem_h.poly.degree < d and rem_t.poly.degree < d
+        new = _combine(u, held, v, row)
+        rem_held = _combine(1, held, -(a // g), new)
+        rem_row = _combine(1, row, -(c // g), new)
+        if not (new[0].degree == d and new[0].lead == g < a
+                and rem_held[0].degree < d and rem_row[0].degree < d):
+            raise SelfCheckError(f"Euclid merge at degree {d} kept its lead")
         table[d] = new
-        changed = True
-        _insert_or_drop(rem_h, table)
-        t = _reduce_tracked(rem_t, table)
-    return changed
-
-
-def _insert_or_drop(t: _Tracked, table: dict[int, _Tracked]) -> bool:
-    t = _reduce_tracked(t, table)
-    if t.poly.is_zero():
-        return False
-    return _insert_tracked(t, table)
+        _insert(rem_held, table)
+        row = _reduce_row(rem_row, table)
 
 
 @dataclass(frozen=True)
@@ -207,107 +225,72 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
     """Complete the relators to a strong basis with unique normal forms."""
     relators = presentation.relators
     n = len(relators)
-    unit = lambda i: tuple(
-        IntPoly((1,)) if j == i else IntPoly() for j in range(n)
-    )
-    table: dict[int, _Tracked] = {}
-    work = [_Tracked(r, unit(i)) for i, r in enumerate(relators)]
+    zero, one = IntPoly(), IntPoly((1,))
+    table: dict[int, tuple[IntPoly, ...]] = {}
+    work = [
+        (r, *(one if j == i else zero for j in range(n)))
+        for i, r in enumerate(relators)
+    ]
     while work:
-        for t in work:
-            _insert_or_drop(t, table)
+        for row in work:
+            _insert(row, table)
         # test every shift overlap; any nonzero residue re-enters the table
         work = []
         degs = sorted(table)
         for i, d in enumerate(degs):
             for e in degs[i + 1 :]:
-                s = _Tracked(
-                    table[d].poly.shift(e - d),
-                    tuple(c.shift(e - d) for c in table[d].cof),
-                )
-                r = _reduce_tracked(s, table)
-                if not r.poly.is_zero():
+                r = _reduce_row(tuple(p.shift(e - d) for p in table[d]), table)
+                if not r[0].is_zero():
                     work.append(r)
 
     # drop entries made redundant by an equal lead at lower degree
     degs = sorted(table)
-    kept: dict[int, _Tracked] = {}
+    kept: dict[int, tuple[IntPoly, ...]] = {}
     prev_lead = None
     for d in degs:
-        if prev_lead is not None and table[d].poly.lead == prev_lead:
+        if table[d][0].lead == prev_lead:
             continue
         kept[d] = table[d]
-        prev_lead = table[d].poly.lead
+        prev_lead = table[d][0].lead
+    kept_polys = [kept[d][0] for d in sorted(kept)]
     for d in degs:
-        if d not in kept:
-            assert _reduce_tracked(table[d], kept).poly.is_zero()
+        if d not in kept and not _divide(table[d][0], kept_polys)[0].is_zero():
+            raise SelfCheckError(f"dropped degree-{d} entry is not redundant")
 
     # tail auto-reduction: leads are safe because no other entry divides them
     for d in sorted(kept, reverse=True):
         entry = kept.pop(d)
-        reduced = _reduce_tracked(entry, kept)
-        assert reduced.poly.degree == d and reduced.poly.lead == entry.poly.lead
+        reduced = _reduce_row(entry, kept)
+        if reduced[0].degree != d or reduced[0].lead != entry[0].lead:
+            raise SelfCheckError(f"tail reduction changed the degree-{d} lead")
         kept[d] = reduced
 
-    elements = []
-    cofactors = []
-    for d in sorted(kept):
-        t = kept[d]
-        assert t.poly.constant == 0, "ideal member grew a constant term"
-        assert MembershipCertificate(t.cof, t.poly).verify(presentation)
-        elements.append(t.poly)
-        cofactors.append(t.cof)
-
-    basis = CanonicalBasis(
-        presentation=presentation,
-        elements=tuple(elements),
-        element_cofactors=tuple(cofactors),
-        relator_quotients=(),
-    )
+    rows = [kept[d] for d in sorted(kept)]
+    for row in rows:
+        if row[0].constant != 0 or not MembershipCertificate(
+            row[1:], row[0]
+        ).verify(presentation):
+            raise SelfCheckError(f"degree-{row[0].degree} element fails a check")
+    elements = tuple(row[0] for row in rows)
     back = []
-    for r in relators:
-        nf, quotients = reduce_with_quotients(r, basis)
-        assert nf.is_zero(), "relator failed to reduce against its own basis"
+    for j, r in enumerate(relators):
+        nf, quotients = _divide(r, elements)
+        if not nf.is_zero():
+            raise SelfCheckError(f"relator {j} does not reduce to zero")
         back.append(quotients)
-    return replace(basis, relator_quotients=tuple(back))
+    return CanonicalBasis(
+        presentation=presentation,
+        elements=elements,
+        element_cofactors=tuple(row[1:] for row in rows),
+        relator_quotients=tuple(back),
+    )
 
 
 def reduce_with_quotients(
     g: IntPoly, basis: CanonicalBasis
 ) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
-
-    Term residues follow the least-nonnegative convention, so the result
-    is the unique normal form of g modulo the ideal.
-    """
-    if basis.is_empty():
-        return g, ()
-    degrees = basis.degrees
-    elements = basis.elements
-    rem = list(g.coeffs)
-    quotients = [dict() for _ in elements]
-    for d in range(len(rem) - 1, 0, -1):
-        c = rem[d]
-        if not c:
-            continue
-        i = bisect_right(degrees, d)
-        if i == 0:
-            continue
-        i -= 1
-        q, r = divmod(c, elements[i].lead)
-        if not q:
-            continue
-        shift = d - degrees[i]
-        for j, b in enumerate(elements[i].coeffs):
-            rem[shift + j] -= q * b
-        rem[d] = r
-        quotients[i][shift] = quotients[i].get(shift, 0) + q
-    qpolys = tuple(
-        IntPoly(
-            [qd.get(s, 0) for s in range(max(qd, default=-1) + 1)]
-        )
-        for qd in quotients
-    )
-    return IntPoly(rem), qpolys
+    """Unique normal form of g plus quotients over the basis elements."""
+    return _divide(g, basis.elements)
 
 
 def normal_form(g: IntPoly, basis: CanonicalBasis) -> IntPoly:
@@ -324,15 +307,11 @@ def membership(
     nf, quotients = reduce_with_quotients(g, basis)
     if not nf.is_zero():
         return False, None
-    n = len(presentation.relators)
-    cof = [IntPoly() for _ in range(n)]
-    for q, element_cof in zip(quotients, basis.element_cofactors):
-        if q.is_zero():
-            continue
-        for i in range(n):
-            cof[i] = cof[i] + q * element_cof[i]
-    cert = MembershipCertificate(cofactors=tuple(cof), claim=g)
-    assert cert.verify(presentation)
+    cert = MembershipCertificate(
+        cofactors=_fold(quotients, basis.element_cofactors), claim=g
+    )
+    if not cert.verify(presentation):
+        raise SelfCheckError("membership certificate fails to re-multiply")
     return True, cert
 
 
@@ -442,7 +421,8 @@ def monic_multiple_search(
         phi = _monic_multiple_at_degree(basis, k, n)
         if phi is not None:
             member, _ = membership(phi.scale(k), presentation)
-            assert member and phi.is_monic() and phi.constant == 0
+            if not (member and phi.is_monic() and phi.constant == 0):
+                raise SelfCheckError(f"degree-{n} solution for k={k} fails")
             return phi
     return None
 

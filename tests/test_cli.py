@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,14 @@ from finsep.cli import PolySyntaxError, build_parser, parse_poly, run
 
 def ip(*ascending):
     return IntPoly(ascending)
+
+
+# a separable pair whose certificate cofactors exceed 4300 decimal digits,
+# Python's default limit for int <-> str conversion
+DIGIT_LIMIT_PAIR = (
+    (0, 1650, -2862, 3114, -1596, 3768, 2484, 5580, 4338, 3090, -5166),
+    (0, 0, -282, 3252, 9120, 2646, -966, -3390, -294, 996, -8688, -1728, 2886),
+)
 
 
 def test_parse_examples():
@@ -160,6 +169,8 @@ def test_run_invariants_json(capsys):
         ["invariants", "--relator", "2x^2 - 2x", "--relator", "x^3 - x^2",
          "--json"],
         ["decide", "--json"],
+        ["decide", "--relator", format_poly(IntPoly(DIGIT_LIMIT_PAIR[0])),
+         "--relator", format_poly(IntPoly(DIGIT_LIMIT_PAIR[1])), "--json"],
     ],
 )
 def test_json_certificates_reverify(argv, tmp_path, capsys):
@@ -171,6 +182,14 @@ def test_json_certificates_reverify(argv, tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["all_ok"] is True
     assert result["checked"] >= 1
+
+
+def test_run_restores_the_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run(["decide", "--relator", format_poly(IntPoly(DIGIT_LIMIT_PAIR[0])),
+                "--relator", format_poly(IntPoly(DIGIT_LIMIT_PAIR[1]))]) == 0
+    assert "separable" in capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_verify_catches_tampering(tmp_path, capsys):

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import finsep
 from finsep.poly import IntPoly
 from finsep.ideal import (
     ConstantTermError,
@@ -354,3 +360,99 @@ def test_reduce_with_quotients_reconstruction():
         for q, e in zip(quotients, basis.elements):
             total = total + q * e
         assert total == g
+
+
+# exact bases and certificates pinned as computed before the completion and
+# the normal-form division shared one reducer; coefficients ascend by degree
+GOLDEN_BASES = [
+    (
+        [[0, 1, 0, 2], [0, 0, 1, 2]],  # 2x^3 + x, 2x^3 + x^2
+        [[0, 3], [0, 2, 1]],
+        [[[3, 2], [-2, -2]], [[2, 2], [-1, -2]]],
+        [[[3], [-4, 2]], [[2], [-3, 2]]],
+    ),
+    (
+        [[0, -6, 6], [0, 0, 0, 4]],  # 6(x^2 - x), 4x^3
+        [[0, 12], [0, 6, 6], [0, 6, 0, 2]],
+        [[[-2, -2], [3]], [[-1, -2], [3]], [[-1, -1], [2]]],
+        [[[-1], [1], []], [[-1], [], [2]]],
+    ),
+    (
+        # random.Random(6), coefficients in [-9, 9]
+        [[0, 9, -7, 6, -1, -8, -9], [0, -5, 9, 6, 2, 1, -9]],
+        [[0, 1659911664], [0, 1637652073, 1]],
+        [
+            [
+                [4782617746547015551, -8608711943285665456,
+                 -5739141295600738682, -1913047098627621458,
+                 -956523549403950081, 8608711943386095558, -355158],
+                [8608711943452645659, -6695664844865257406,
+                 5739141295760732132, -956523549028818913,
+                 -7652188393981987629, -8608711943385740400, 355158],
+            ],
+            [
+                [33071801715841650628247, -59529243088515843063435,
+                 -39686162059007272935438, -13228720686335031903540,
+                 -6614360343167877723141, 59529243088514850783570,
+                 -2455917570],
+                [59529243088514643600430, -46300522402180469912955,
+                 39686162059011796236114, -6614360343169690348899,
+                 -52914882745345881541509, -59529243088512394866000,
+                 2455917570],
+            ],
+        ],
+        [
+            [[63865413585857358189679068552132288655],
+             [-64733496623094186563078475281446413807,
+              39528235386720135494298290600, -24137138796709559378,
+              14738868649, -9]],
+            [[63865413624855515771789002652044861429],
+             [-64733496662622421963208132335113038957,
+              39528235410857274299196110342, -24137138811448428032,
+              14738868658, -9]],
+        ],
+    ),
+]
+
+
+def _coeffs(polys):
+    return [list(p.coeffs) for p in polys]
+
+
+@pytest.mark.parametrize("relators,elements,cofactors,quotients", GOLDEN_BASES)
+def test_golden_bases(relators, elements, cofactors, quotients):
+    basis = canonical_basis(pres(*relators))
+    assert _coeffs(basis.elements) == elements
+    assert [_coeffs(row) for row in basis.element_cofactors] == cofactors
+    assert [_coeffs(row) for row in basis.relator_quotients] == quotients
+
+
+def test_golden_membership_certificate():
+    p = pres((0, 1, 0, 2), (0, 0, 1, 2))
+    g = ip(0, 3) * ip(0, 0, 1) + ip(0, 1, 0, 2) * ip(0, 5)
+    member, cert = membership(g, p)
+    assert member
+    assert _coeffs(cert.cofactors) == [[0, -8, -14, 20], [13, -9, 24, -20]]
+
+
+def test_self_checks_survive_optimize():
+    # python -O strips assert statements; the certificate re-check must stay
+    script = textwrap.dedent("""
+        import sys
+        from finsep import ideal
+        from finsep.poly import IntPoly
+        ideal.MembershipCertificate.verify = lambda self, presentation: False
+        try:
+            ideal.canonical_basis(ideal.Presentation([IntPoly((0, -1, 1))]))
+        except ideal.SelfCheckError as exc:
+            print(sys.flags.optimize, isinstance(exc, RuntimeError),
+                  isinstance(exc, ValueError))
+    """)
+    src = str(Path(finsep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.split() == ["1", "True", "False"], proc.stderr
