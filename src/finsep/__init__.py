@@ -11,6 +11,7 @@ and explicit finite quotients with separating homomorphisms.
 from .intarith import (
     AllZeroError,
     NonPositiveError,
+    SelfCheckError,
     SquarefreeWitness,
     bezout,
     gcd_list,
@@ -36,7 +37,7 @@ from .ideal import (
     InvalidBoundError,
     MembershipCertificate,
     Presentation,
-    SelfCheckError,
+    basis_elements,
     canonical_basis,
     membership,
     monic_multiple_search,

@@ -4,8 +4,9 @@ Polynomials are written with integer literals, the single variable x, '^'
 for powers and +/- separators, e.g. "2x^3 - 4x".  Defining relations (and
 separation targets) must have zero constant term, matching the rings this
 tool works with.  Every subcommand exits 0 when the computation succeeds,
-whatever the verdict; nonzero exits are reserved for input and usage
-errors.  With --json the output follows a stable schema whose certificates
+whatever the verdict.  Exit 2 is for input and usage errors only; exit 3
+reports an internal fault (a result that failed its own re-check, a
+``SelfCheckError``), with ``internal error:`` on stderr.  With --json the output follows a stable schema whose certificates
 can be fed back to the ``verify`` subcommand.
 """
 
@@ -17,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .intarith import SelfCheckError
 from .poly import IntPoly, RatPoly, format_poly
 from .ideal import (
     CanonicalBasis,
@@ -666,6 +668,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)

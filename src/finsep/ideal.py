@@ -10,12 +10,17 @@ so membership in V is decidable, and every answer ships a cofactor
 certificate that re-multiplies exactly.
 
 One division, ``_divide``, does all reduction: it returns the normal form
-and the quotients over the elements it divides by.  The completion works
-on rows (poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]);
-reducing a row divides its poly and subtracts the quotients' fold
-(``_fold``) of the table rows' cofactors, and membership folds the same
-quotients over the basis cofactors.  Every certificate is re-checked
-before it is returned, and a failed re-check raises ``SelfCheckError``.
+and, when asked, the quotients over the elements it divides by.  One
+completion, ``_complete``, builds every basis.  It works on rows
+(poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]), or on
+bare rows (poly,) when no certificate is wanted; reducing a row divides
+its poly and subtracts the quotients' fold (``_fold``) of the table rows'
+cofactors.  ``canonical_basis`` runs it with cofactors and is cached;
+membership folds the division's quotients over its basis cofactors, and
+every certificate is re-checked before it is returned.
+``basis_elements`` runs it on bare rows, uncached, for callers that need
+only the elements (the finite quotients of the separation search).  A
+failed re-check raises ``SelfCheckError``.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
 for some monic phi of bounded degree, by solving an integer-linear system
@@ -30,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .intarith import xgcd
+from .intarith import SelfCheckError, xgcd
 from .poly import IntPoly
 
 
@@ -40,13 +45,6 @@ class ConstantTermError(ValueError):
 
 class InvalidBoundError(ValueError):
     """Raised when a search bound is not a positive integer."""
-
-
-class SelfCheckError(RuntimeError):
-    """Raised when a computed basis or certificate fails its own re-check.
-
-    This is an internal fault, never an input error.
-    """
 
 
 @dataclass(frozen=True)
@@ -99,18 +97,21 @@ class MembershipCertificate:
         return total == self.claim
 
 
-def _divide(g: IntPoly, elements) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+def _divide(
+    g: IntPoly, elements, quotients: bool = True
+) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
 
     ``elements`` ascend strictly in degree.  Terms are reduced from the top
     down by the element of largest degree not above them, to the
-    least-nonnegative residue of that element's lead.
+    least-nonnegative residue of that element's lead.  With ``quotients``
+    false the quotients are not built and () is returned in their place.
     """
     if not elements:
         return g, ()
     degrees = [e.degree for e in elements]
     rem = list(g.coeffs)
-    quotients = [dict() for _ in elements]
+    qs = [dict() for _ in elements] if quotients else None
     for d in range(len(rem) - 1, 0, -1):
         c = rem[d]
         if not c:
@@ -126,12 +127,13 @@ def _divide(g: IntPoly, elements) -> tuple[IntPoly, tuple[IntPoly, ...]]:
         for j, b in enumerate(elements[i].coeffs):
             rem[shift + j] -= q * b
         rem[d] = r
-        quotients[i][shift] = quotients[i].get(shift, 0) + q
+        if qs is not None:
+            qs[i][shift] = qs[i].get(shift, 0) + q
+    if qs is None:
+        return IntPoly(rem), ()
     qpolys = tuple(
-        IntPoly(
-            [qd.get(s, 0) for s in range(max(qd, default=-1) + 1)]
-        )
-        for qd in quotients
+        IntPoly([qd.get(s, 0) for s in range(max(qd, default=-1) + 1)])
+        for qd in qs
     )
     return IntPoly(rem), qpolys
 
@@ -157,7 +159,7 @@ def _reduce_row(row, table: dict) -> tuple[IntPoly, ...]:
     if not table:
         return row
     held = [table[d] for d in sorted(table)]
-    nf, quotients = _divide(row[0], [h[0] for h in held])
+    nf, quotients = _divide(row[0], [h[0] for h in held], len(row) > 1)
     folded = _fold(quotients, [h[1:] for h in held])
     return (nf, *(c - f for c, f in zip(row[1:], folded)))
 
@@ -220,17 +222,14 @@ class CanonicalBasis:
         return not self.elements
 
 
-@lru_cache(maxsize=256)
-def canonical_basis(presentation: Presentation) -> CanonicalBasis:
-    """Complete the relators to a strong basis with unique normal forms."""
-    relators = presentation.relators
-    n = len(relators)
-    zero, one = IntPoly(), IntPoly((1,))
+def _complete(rows) -> list[tuple[IntPoly, ...]]:
+    """Complete relator rows to the rows of the strong basis, ascending.
+
+    Rows are (poly,) or (poly, cof_1, ..., cof_n); every decision reads
+    the poly alone, so both widths give the same polys.
+    """
     table: dict[int, tuple[IntPoly, ...]] = {}
-    work = [
-        (r, *(one if j == i else zero for j in range(n)))
-        for i, r in enumerate(relators)
-    ]
+    work = list(rows)
     while work:
         for row in work:
             _insert(row, table)
@@ -254,7 +253,9 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
         prev_lead = table[d][0].lead
     kept_polys = [kept[d][0] for d in sorted(kept)]
     for d in degs:
-        if d not in kept and not _divide(table[d][0], kept_polys)[0].is_zero():
+        if d not in kept and not _divide(
+            table[d][0], kept_polys, False
+        )[0].is_zero():
             raise SelfCheckError(f"dropped degree-{d} entry is not redundant")
 
     # tail auto-reduction: leads are safe because no other entry divides them
@@ -264,8 +265,33 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
         if reduced[0].degree != d or reduced[0].lead != entry[0].lead:
             raise SelfCheckError(f"tail reduction changed the degree-{d} lead")
         kept[d] = reduced
+    return [kept[d] for d in sorted(kept)]
 
-    rows = [kept[d] for d in sorted(kept)]
+
+def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
+    """The elements of ``canonical_basis(presentation)``, without cofactors.
+
+    The completion runs on bare polys and is not cached.  It keeps the
+    lead, Euclid and redundancy checks, and every relator must reduce to
+    zero; there is no certificate to re-multiply.
+    """
+    elements = tuple(row[0] for row in _complete((r,) for r in presentation.relators))
+    for j, r in enumerate(presentation.relators):
+        if not _divide(r, elements, False)[0].is_zero():
+            raise SelfCheckError(f"relator {j} does not reduce to zero")
+    return elements
+
+
+@lru_cache(maxsize=256)
+def canonical_basis(presentation: Presentation) -> CanonicalBasis:
+    """Complete the relators to a strong basis with unique normal forms."""
+    relators = presentation.relators
+    n = len(relators)
+    zero, one = IntPoly(), IntPoly((1,))
+    rows = _complete(
+        (r, *(one if j == i else zero for j in range(n)))
+        for i, r in enumerate(relators)
+    )
     for row in rows:
         if row[0].constant != 0 or not MembershipCertificate(
             row[1:], row[0]
@@ -295,8 +321,7 @@ def reduce_with_quotients(
 
 def normal_form(g: IntPoly, basis: CanonicalBasis) -> IntPoly:
     """Unique normal form of g against the basis."""
-    nf, _ = reduce_with_quotients(g, basis)
-    return nf
+    return _divide(g, basis.elements, False)[0]
 
 
 def membership(
@@ -380,7 +405,7 @@ class _Echelon:
         return out
 
 
-def shift_lattice(basis: CanonicalBasis, dim: int, tail_dim: int = 0) -> _Echelon:
+def shift_lattice(elements, dim: int, tail_dim: int = 0) -> _Echelon:
     """Echelon of every shift x^s * e of a basis element e with deg <= dim.
 
     Coordinate i holds the coefficient of x^(i+1), for degrees 1 .. dim;
@@ -388,7 +413,7 @@ def shift_lattice(basis: CanonicalBasis, dim: int, tail_dim: int = 0) -> _Echelo
     inserted by ascending degree, then ascending shift.
     """
     lattice = _Echelon(dim, tail_dim)
-    for element in basis.elements:
+    for element in elements:
         for shift in range(dim - element.degree + 1):
             lattice.add([0] * shift + list(element.coeffs[1:]))
     return lattice
@@ -431,7 +456,7 @@ def _monic_multiple_at_degree(
     basis: CanonicalBasis, k: int, n: int
 ) -> IntPoly | None:
     # coordinates are degrees 1..n; tails track the free lower coefficients
-    lattice = shift_lattice(basis, n, tail_dim=n - 1)
+    lattice = shift_lattice(basis.elements, n, tail_dim=n - 1)
     for i in range(1, n):
         vec = [0] * n
         vec[i - 1] = k

@@ -20,6 +20,14 @@ class NonPositiveError(ValueError):
     """Raised when a positive integer was required."""
 
 
+class SelfCheckError(RuntimeError):
+    """Raised when a computed result or certificate fails its own re-check.
+
+    This is an internal fault, never an input error.  The checks that raise
+    it are explicit, so they also run under ``python -O``.
+    """
+
+
 TRIAL_DIVISION_BOUND = 10**6
 
 
@@ -52,7 +60,8 @@ def bezout(values) -> tuple[int, list[int]]:
         d, x, y = xgcd(g, v)
         cofactors = [c * x for c in cofactors] + [y]
         g = d
-    assert sum(c * v for c, v in zip(cofactors, values)) == g
+    if sum(c * v for c, v in zip(cofactors, values)) != g:
+        raise SelfCheckError("bezout cofactors do not recombine to the gcd")
     return g, cofactors
 
 
@@ -92,10 +101,11 @@ class SquarefreeWitness:
     factorization: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        assert self.is_squarefree == all(e == 1 for _, e in self.factorization)
-        assert (self.offending_prime is not None) == any(
-            e >= 2 for _, e in self.factorization
-        )
+        if self.is_squarefree != all(e == 1 for _, e in self.factorization) or (
+            (self.offending_prime is not None)
+            != any(e >= 2 for _, e in self.factorization)
+        ):
+            raise SelfCheckError("squarefree verdict disagrees with its factorization")
 
 
 def squarefree(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> SquarefreeWitness:
@@ -104,8 +114,8 @@ def squarefree(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> SquarefreeWit
         raise NonPositiveError(f"squarefree needs n >= 1, got {n}")
     factors = factorize(n, trial_bound=trial_bound)
     offending = next((p for p, e in factors if e >= 2), None)
-    if offending is not None:
-        assert n % (offending * offending) == 0
+    if offending is not None and n % (offending * offending):
+        raise SelfCheckError(f"{offending}^2 does not divide {n}")
     return SquarefreeWitness(
         is_squarefree=offending is None,
         offending_prime=offending,

@@ -19,7 +19,7 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .intarith import factorize
+from .intarith import SelfCheckError, factorize
 from .poly import IntPoly, content_split
 from .ideal import (
     MembershipCertificate,
@@ -157,13 +157,15 @@ def torsion_data(
 
     # torsion finite forces a monic primitive part, so d times it is a monic
     # multiple of the algebraic degree, the least degree search(d) tries
-    assert primitive.is_monic()
+    if not primitive.is_monic():
+        raise SelfCheckError("finite torsion with a non-monic primitive part")
     witness = certified_relation(presentation, tau, tau_phi)
     if tau_phi.degree == degree:
         exp_witness = witness
     else:
         phi_e = search(d)
-        assert phi_e is not None and phi_e.degree == degree
+        if phi_e is None or phi_e.degree != degree:
+            raise SelfCheckError(f"no degree-{degree} monic multiple for k={d}")
         exp_witness = certified_relation(presentation, d, phi_e)
     return TorsionData(
         tau=tau,
@@ -179,7 +181,8 @@ def certified_relation(
 ) -> MonicRelation:
     """Package k * phi in V with its membership certificate attached."""
     member, cert = membership(phi.scale(k), presentation)
-    assert member
+    if not member:
+        raise SelfCheckError(f"k={k} times phi is not in the relator ideal")
     return MonicRelation(k=k, phi=phi, certificate=cert)
 
 
@@ -234,5 +237,6 @@ def extract_monic_relation(
         )
     k = content_split(g).content
     phi = monic_multiple_search(presentation, k, g.degree)
-    assert phi is not None, "extraction is guaranteed under the hypotheses"
+    if phi is None:
+        raise SelfCheckError("extraction is guaranteed under the hypotheses")
     return certified_relation(presentation, k, phi)

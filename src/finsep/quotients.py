@@ -8,6 +8,14 @@ monomials x^1 .. x^(n-1) whose coefficients are bounded by the ladder's
 per-degree leading coefficients.  The canonical map (generator to the image
 of x) is a ring homomorphism, which makes every successful separation an
 explicit, checkable certificate.
+
+The search builds each quotient from ``basis_elements``: the same ladder as
+the canonical basis, completed without cofactors and not cached.  Only the
+quotient that ``separate`` returns gets the certified ``canonical_basis``
+(``FiniteRing.basis``), built and checked against that ladder before the
+result is returned.  Products in the quotient reduce the high half of the
+convolution through a table of the normal forms of x^n .. x^(2n-2), then
+divide once below degree n.
 """
 
 from __future__ import annotations
@@ -15,13 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .intarith import factorize
+from .intarith import SelfCheckError
 from .poly import IntPoly
 from .ideal import (
     CanonicalBasis,
     Presentation,
+    _divide,
+    basis_elements,
     canonical_basis,
-    normal_form,
     shift_lattice,
 )
 
@@ -44,6 +53,33 @@ class InfiniteQuotient:
     obstruction: tuple[tuple[int, int], ...]
 
 
+def _extended(presentation: Presentation, q: int) -> Presentation:
+    """The relators together with q*x."""
+    return Presentation(presentation.relators + (IntPoly((0, q)),))
+
+
+class _OnDemandBasis:
+    """The ``basis`` field of FiniteRing: as passed, or built on first read.
+
+    Its own instance is the field's default, which means "not built yet";
+    the built basis is kept in the ring's ``__dict__``.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, ring, owner=None):
+        if ring is None:
+            return self
+        if self.name not in ring.__dict__:
+            ring.__dict__[self.name] = ring._certified_basis()
+        return ring.__dict__[self.name]
+
+    def __set__(self, ring, basis):
+        if basis is not self:
+            ring.__dict__[self.name] = basis
+
+
 @dataclass(frozen=True)
 class FiniteRing:
     """The quotient ring with carrier enumerable from its normal forms.
@@ -53,6 +89,13 @@ class FiniteRing:
     modulus divides q.  For prime q every retained position carries the
     full Z/q, so the carrier has q**len(standard_monomials) elements; in
     general it has the product of the position moduli.
+
+    ``ladder`` holds the elements of the extended ideal's canonical basis;
+    ``power_forms[i]`` holds the normal form of x^(n+i), n the monic
+    degree, as coefficients of degrees 0 .. n-1.  ``basis`` is the
+    certified canonical basis of the relators plus q*x; unless one is
+    passed in, it is built on first read and must have the ladder as its
+    elements.
     """
 
     presentation: Presentation
@@ -60,7 +103,17 @@ class FiniteRing:
     standard_monomials: tuple[int, ...]
     position_moduli: tuple[int, ...]
     monic_degree: int
-    basis: CanonicalBasis = field(repr=False)
+    ladder: tuple[IntPoly, ...] = field(repr=False)
+    power_forms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    basis: CanonicalBasis = field(
+        default=_OnDemandBasis(), repr=False, compare=False
+    )
+
+    def _certified_basis(self) -> CanonicalBasis:
+        basis = canonical_basis(_extended(self.presentation, self.modulus))
+        if basis.elements != self.ladder:
+            raise SelfCheckError(f"mod-{self.modulus} basis differs from its ladder")
+        return basis
 
     @property
     def carrier_size(self) -> int:
@@ -72,13 +125,17 @@ class FiniteRing:
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.standard_monomials)
 
+    def _reduce(self, p: IntPoly) -> tuple[int, ...]:
+        nf, _ = _divide(p, self.ladder, False)
+        if not (nf.degree < self.monic_degree and nf.constant == 0):
+            raise SelfCheckError(f"normal form {nf!r} leaves the standard monomials")
+        return tuple(nf[d] for d in self.standard_monomials)
+
     def image(self, p: IntPoly) -> tuple[int, ...]:
         """Image of an integer polynomial (zero constant term) in the quotient."""
         if p.constant != 0:
             raise ValueError("quotient elements come from zero-constant polynomials")
-        nf = normal_form(p, self.basis)
-        assert nf.degree < self.monic_degree and nf.constant == 0
-        return tuple(nf[d] for d in self.standard_monomials)
+        return self._reduce(p)
 
     def to_poly(self, u: tuple[int, ...]) -> IntPoly:
         coeffs = [0] * (self.monic_degree)
@@ -96,7 +153,18 @@ class FiniteRing:
         return self.image(-self.to_poly(u))
 
     def mul(self, u, v) -> tuple[int, ...]:
-        return self.image(self.to_poly(u) * self.to_poly(v))
+        n = self.monic_degree
+        product = [0] * (2 * n - 1)
+        for i, a in zip(self.standard_monomials, u):
+            if a:
+                for j, b in zip(self.standard_monomials, v):
+                    product[i + j] += a * b
+        low = product[:n]
+        for c, form in zip(product[n:], self.power_forms):
+            if c:
+                for d, t in enumerate(form):
+                    low[d] += c * t
+        return self._reduce(IntPoly(low))
 
     def int_scale(self, k: int, u) -> tuple[int, ...]:
         return self.image(self.to_poly(u).scale(k))
@@ -107,35 +175,52 @@ class FiniteRing:
             yield combo
 
 
+def _power_forms(ladder, n: int) -> tuple[tuple[int, ...], ...]:
+    """Normal forms of x^n .. x^(2n-2), each padded to degrees 0 .. n-1."""
+    forms = []
+    power = IntPoly.term(1, n - 1)
+    for _ in range(n - 1):
+        power, _ = _divide(power.shift(1), ladder, False)
+        forms.append(power.coeffs + (0,) * (n - len(power.coeffs)))
+    return tuple(forms)
+
+
 def build_quotient(
     presentation: Presentation, q: int
 ) -> FiniteRing | InfiniteQuotient:
-    """Quotient by the relators together with q times everything."""
+    """Quotient by the relators together with q times everything.
+
+    The ladder comes from ``basis_elements`` and nothing is cached; the
+    certified basis is built only when ``FiniteRing.basis`` is read.
+    """
     if q < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {q}")
-    extended = Presentation(presentation.relators + (IntPoly((0, q)),))
-    basis = canonical_basis(extended)
-    assert all(q % lead == 0 for lead in basis.leads)
-    if basis.leads[-1] != 1:
+    ladder = basis_elements(_extended(presentation, q))
+    degrees = [e.degree for e in ladder]
+    leads = [e.lead for e in ladder]
+    if any(q % lead for lead in leads):
+        raise SelfCheckError(f"a mod-{q} ladder lead does not divide {q}")
+    if leads[-1] != 1:
         return InfiniteQuotient(
             presentation=presentation,
             modulus=q,
-            obstruction=tuple(zip(basis.degrees, basis.leads)),
+            obstruction=tuple(zip(degrees, leads)),
         )
-    n = basis.degrees[-1]
+    n = degrees[-1]
     moduli = []
-    degrees = basis.degrees
     for d in range(1, n):
         i = max((j for j, e in enumerate(degrees) if e <= d), default=None)
-        moduli.append(q if i is None else basis.leads[i])
-    assert all(m > 1 for m in moduli)
+        moduli.append(q if i is None else leads[i])
+    if not all(m > 1 for m in moduli):
+        raise SelfCheckError(f"a mod-{q} position modulus is 1")
     return FiniteRing(
         presentation=presentation,
         modulus=q,
         standard_monomials=tuple(range(1, n)),
         position_moduli=tuple(moduli),
         monic_degree=n,
-        basis=basis,
+        ladder=ladder,
+        power_forms=_power_forms(ladder, n),
     )
 
 
@@ -146,13 +231,14 @@ class _SubringSpan:
     of in-window relation vectors, so the subring closure is the additive
     span of the generators and their pairwise products, iterated to a
     fixpoint.  Products of span elements reduce bilinearly to products of
-    the inserted generators, so only those pairs are ever multiplied.
+    the inserted generators, so only those pairs are ever multiplied, and
+    each pair once: the ring is commutative.
     """
 
     def __init__(self, ring: FiniteRing, generators):
         self.ring = ring
         self.dim = len(ring.standard_monomials)
-        self.echelon = shift_lattice(ring.basis, self.dim)
+        self.echelon = shift_lattice(ring.ladder, self.dim)
         members: list[tuple[int, ...]] = []
         work = [ring.image(g) if isinstance(g, IntPoly) else tuple(g)
                 for g in generators]
@@ -163,7 +249,6 @@ class _SubringSpan:
             self.echelon.add(list(u))
             for v in [*members, u]:
                 work.append(ring.mul(u, v))
-                work.append(ring.mul(v, u))
             members.append(u)
 
     def contains(self, u: tuple[int, ...]) -> bool:
@@ -196,7 +281,8 @@ class _SubringSpan:
             poly = IntPoly([0] + vec)
             out.append(ring.image(poly))
         closure = frozenset(out)
-        assert len(closure) == self.size()
+        if len(closure) != self.size():
+            raise SelfCheckError("subring closure size disagrees with its lattice")
         return closure
 
 
@@ -238,11 +324,22 @@ def modulus_order(bound: int) -> list[int]:
     does, and by induction some prime-power factor of q does, which is
     tried before q would be.
     """
+    # smallest prime factor of every q <= bound, by one sieve
+    spf = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if p * p > bound:
+            break
+        if spf[p] == p:
+            for m in range(p * p, bound + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
     primes, powers = [], []
     for q in range(2, bound + 1):
-        factors = factorize(q)
-        if len(factors) == 1:
-            (primes if factors[0][1] == 1 else powers).append(q)
+        p, rest = spf[q], q
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            (primes if q == p else powers).append(q)
     return primes + powers
 
 
@@ -259,7 +356,9 @@ def separate(
     ``modulus_order``).  Each quotient is built, skipped when infinite,
     and tested for whether the target's image escapes the closure of the
     generator images.  The first success is returned as an explicit
-    certificate; the modulus bound is reported when none succeeds.
+    certificate: its quotient's certified basis is built and checked
+    before the result is returned, and no other modulus gets one.  The
+    modulus bound is reported when none succeeds.
     """
     subring_generators = list(subring_generators)
     for p in [target, *subring_generators]:
@@ -273,7 +372,9 @@ def separate(
         span = _SubringSpan(ring, subring_generators)
         if not span.contains(img):
             closure = span.materialize()
-            assert img not in closure
+            if img in closure:
+                raise SelfCheckError(f"mod-{q} target image lies in the closure")
+            ring.basis  # certify the returned quotient now, not on first read
             return SeparationResult(
                 found=True,
                 quotient=ring,

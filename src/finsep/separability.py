@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intarith import SquarefreeWitness, bezout, factorize, gcd_list, squarefree
+from .intarith import (
+    SelfCheckError,
+    SquarefreeWitness,
+    bezout,
+    factorize,
+    gcd_list,
+    squarefree,
+)
 from .poly import IntPoly, RationalGcd, gcd_q
 from .ideal import Presentation, membership, monic_multiple_search
 from .invariants import (
@@ -129,7 +136,8 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
         )
 
     witness = _positive_witness(presentation, k)
-    assert witness.k == k and witness.verify(presentation)
+    if not (witness.k == k and witness.verify(presentation)):
+        raise SelfCheckError(f"positive witness for k={k} fails its re-check")
     return SeparabilityVerdict(
         presentation=presentation,
         separable=True,
@@ -150,7 +158,8 @@ def _positive_witness(presentation: Presentation, k: int) -> MonicRelation:
     if phi is not None:
         return certified_relation(presentation, k, phi)
     g = combined_relator(presentation)
-    assert g.content == k
+    if g.content != k:
+        raise SelfCheckError(f"combined relator has content {g.content}, not {k}")
     return extract_monic_relation(presentation, g)
 
 
@@ -201,7 +210,7 @@ def torsion_split(k: int) -> TorsionSplit:
     primes = [p for p, _ in factors]
     parts = tuple((p, k // p) for p in primes)
     g, z = bezout([ki for _, ki in parts])
-    assert g == 1
     split = TorsionSplit(k=k, parts=parts, bezout_coefficients=tuple(z))
-    assert split.verify()
+    if g != 1 or not split.verify():
+        raise SelfCheckError(f"torsion split of {k} fails its Bezout identity")
     return split

@@ -92,6 +92,22 @@ def test_run_exit_codes(capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_run_internal_fault_exits_3(capsys, monkeypatch):
+    # a certificate that fails its own re-check is an internal fault, not
+    # an input error
+    from finsep import ideal
+
+    monkeypatch.setattr(ideal.MembershipCertificate, "verify",
+                        lambda self, presentation: False)
+    ideal.canonical_basis.cache_clear()
+    try:
+        assert run(["basis", "--relator", "x^2 - x"]) == 3
+    finally:
+        ideal.canonical_basis.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+
+
 def test_run_nf_and_member(capsys):
     assert run(["nf", "--relator", "x^2 - x", "--poly", "x^3 + x"]) == 0
     assert capsys.readouterr().out.strip() == "2x"

@@ -13,6 +13,7 @@ from finsep.ideal import (
     ConstantTermError,
     InvalidBoundError,
     Presentation,
+    basis_elements,
     canonical_basis,
     membership,
     monic_multiple_search,
@@ -349,6 +350,23 @@ def test_monic_multiple_bad_arguments():
         monic_multiple_search(pres((0, 2)), 0, 3)
 
 
+def test_basis_elements_match_canonical_basis():
+    # the cofactor-free completion returns the tracked completion's elements
+    rng = random.Random(28)
+    for _ in range(150):
+        p = random_presentation(rng)
+        assert basis_elements(p) == canonical_basis(p).elements
+    assert basis_elements(pres()) == ()
+
+
+def test_normal_form_matches_reduce_with_quotients():
+    rng = random.Random(29)
+    for _ in range(100):
+        basis = canonical_basis(random_presentation(rng))
+        g = random_zero_const_poly(rng, max_degree=8)
+        assert normal_form(g, basis) == reduce_with_quotients(g, basis)[0]
+
+
 def test_reduce_with_quotients_reconstruction():
     rng = random.Random(27)
     for _ in range(200):
@@ -441,12 +459,20 @@ def test_self_checks_survive_optimize():
         import sys
         from finsep import ideal
         from finsep.poly import IntPoly
+        from finsep import quotients
         ideal.MembershipCertificate.verify = lambda self, presentation: False
         try:
             ideal.canonical_basis(ideal.Presentation([IntPoly((0, -1, 1))]))
         except ideal.SelfCheckError as exc:
             print(sys.flags.optimize, isinstance(exc, RuntimeError),
                   isinstance(exc, ValueError))
+        # a corrupted closure size is caught by the quotient layer
+        quotients._SubringSpan.size = lambda self: 0
+        ring = quotients.build_quotient(ideal.Presentation([IntPoly((0, -1, 1))]), 3)
+        try:
+            quotients.subring_closure(ring, [IntPoly((0, 1))])
+        except ideal.SelfCheckError:
+            print("closure")
     """)
     src = str(Path(finsep.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -455,4 +481,4 @@ def test_self_checks_survive_optimize():
         capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout.split() == ["1", "True", "False"], proc.stderr
+    assert proc.stdout.split() == ["1", "True", "False", "closure"], proc.stderr

@@ -5,7 +5,8 @@ import pytest
 
 from finsep.poly import IntPoly, evaluate_in_ring
 from finsep.intarith import factorize
-from finsep.ideal import Presentation
+from finsep.intarith import SelfCheckError
+from finsep.ideal import Presentation, canonical_basis
 from finsep.separability import decide, torsion_split
 from finsep.quotients import (
     FiniteRing,
@@ -116,22 +117,46 @@ def test_prime_modulus_gives_full_positions():
             assert ring.carrier_size == q ** len(ring.standard_monomials)
 
 
+SMALL_CARRIERS = [
+    (pres((0, -1, 1)), 2),
+    (pres((0, -1, 1)), 6),
+    (pres((0, 0, 2), (0, 0, 0, 1)), 2),
+    (pres((0, 0, 2), (0, 0, 0, 1)), 4),
+    (pres((0, -1, 0, 1), (0, -6, 6)), 3),
+    (pres((0, -1, 0, 1), (0, -6, 6)), 4),
+    (pres((0, -6, 6)), 5),
+    (pres((0, 1, 2)), 2),
+]
+
+# prime powers whose ladders have leads strictly between 1 and q
+PRIME_POWER_CARRIERS = [
+    (pres((0, -1, 0, 1), (0, 0, 4)), 8),
+    (pres((0, 1, 1, 1)), 9),
+    (pres((0, 2, 0, 0, 1)), 4),
+    (pres((0, 3, 0, 1), (0, 0, 9)), 27),
+]
+
+
 def test_ring_axioms_exhaustive_small_carriers():
-    cases = [
-        (pres((0, -1, 1)), 2),
-        (pres((0, -1, 1)), 6),
-        (pres((0, 0, 2), (0, 0, 0, 1)), 2),
-        (pres((0, 0, 2), (0, 0, 0, 1)), 4),
-        (pres((0, -1, 0, 1), (0, -6, 6)), 3),
-        (pres((0, -1, 0, 1), (0, -6, 6)), 4),
-        (pres((0, -6, 6)), 5),
-        (pres((0, 1, 2)), 2),
-    ]
-    for p, q in cases:
+    for p, q in SMALL_CARRIERS:
         ring = build_quotient(p, q)
         assert isinstance(ring, FiniteRing)
         assert ring.carrier_size <= 512
         exhaustive_ring_axioms(ring)
+
+
+def test_table_mul_matches_image_of_the_product():
+    # the power-table product against the plain polynomial product, on
+    # every pair of every small carrier
+    for p, q in SMALL_CARRIERS + PRIME_POWER_CARRIERS:
+        ring = build_quotient(p, q)
+        assert ring.carrier_size <= 512
+        elements = list(ring.elements())
+        for u, v in itertools.product(elements, repeat=2):
+            want = ring.image(ring.to_poly(u) * ring.to_poly(v))
+            assert ring.mul(u, v) == want, (p, q, u, v)
+    assert any(len(set(build_quotient(p, q).position_moduli)) > 1
+               for p, q in PRIME_POWER_CARRIERS)
 
 
 def test_torsion_only_presentations_have_no_useful_finite_quotient():
@@ -208,6 +233,53 @@ def test_separate_examples():
     assert res.found and res.modulus in (3, 4)
 
 
+def test_separate_completes_only_the_returned_quotient():
+    # exhausting the bound runs no tracked completion; a success runs
+    # exactly one, for the modulus it returns
+    canonical_basis.cache_clear()
+    res = separate(pres((0, -1, 1)), ip(0, 1), [ip(0, 1)], 12)
+    assert not res.found
+    assert canonical_basis.cache_info().misses == 0
+
+    p = pres((0, -1, 0, 1), (0, -6, 6))
+    res = separate(p, ip(0, 2), [ip(0, 4)], 12)
+    assert res.found
+    assert canonical_basis.cache_info().misses == 1
+    extended = Presentation(p.relators + (ip(0, res.modulus),))
+    canonical_basis(extended)
+    assert canonical_basis.cache_info().misses == 1
+    assert "basis" in vars(res.quotient)  # certified before separate returned
+
+
+def test_returned_basis_equals_a_fresh_canonical_basis():
+    rng = random.Random(54)
+    found = 0
+    for _ in range(30):
+        p = Presentation([random_zero_const_poly(rng, 3, 5)
+                          for _ in range(rng.randint(1, 2))])
+        res = separate(p, random_zero_const_poly(rng, 4, 7),
+                       [random_zero_const_poly(rng, 4, 7)], 24)
+        if not res.found:
+            continue
+        found += 1
+        canonical_basis.cache_clear()
+        fresh = canonical_basis(Presentation(p.relators + (ip(0, res.modulus),)))
+        basis = res.quotient.basis
+        assert basis is not fresh
+        assert repr(basis) == repr(fresh) and basis == fresh
+        assert basis.elements == res.quotient.ladder
+    assert found >= 5
+
+
+def test_basis_must_match_the_ladder():
+    ring = build_quotient(pres((0, -1, 0, 1), (0, -6, 6)), 4)
+    forged = FiniteRing(ring.presentation, ring.modulus, ring.standard_monomials,
+                        ring.position_moduli, ring.monic_degree, ring.ladder[1:],
+                        ring.power_forms)
+    with pytest.raises(SelfCheckError):
+        forged.basis
+
+
 def test_separate_rejects_constant_terms():
     with pytest.raises(ValueError):
         separate(pres((0, 2)), ip(1, 1), [], 8)
@@ -269,6 +341,16 @@ def test_modulus_order():
         assert len(f) == 1
         kinds.append("p" if f[0][1] == 1 else "pp")
     assert kinds == sorted(kinds, key=["p", "pp"].index)
+
+
+def test_modulus_order_matches_factorize_definition():
+    for bound in range(1, 301):
+        primes, powers = [], []
+        for q in range(2, bound + 1):
+            f = factorize(q)
+            if len(f) == 1:
+                (primes if f[0][1] == 1 else powers).append(q)
+        assert modulus_order(bound) == primes + powers, bound
 
 
 def test_composite_moduli_separate_only_through_prime_power_factors():
