@@ -6,8 +6,9 @@ separation targets) must have zero constant term, matching the rings this
 tool works with.  Every subcommand exits 0 when the computation succeeds,
 whatever the verdict.  Exit 2 is for input and usage errors only; exit 3
 reports an internal fault (a result that failed its own re-check, a
-``SelfCheckError``), with ``internal error:`` on stderr.  With --json the output follows a stable schema whose certificates
-can be fed back to the ``verify`` subcommand.
+``SelfCheckError``), with ``internal error:`` on stderr.  With --json the
+output follows a stable schema whose certificates can be fed back to the
+``verify`` subcommand.
 """
 
 from __future__ import annotations

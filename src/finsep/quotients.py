@@ -104,10 +104,20 @@ class FiniteRing:
     position_moduli: tuple[int, ...]
     monic_degree: int
     ladder: tuple[IntPoly, ...] = field(repr=False)
-    power_forms: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     basis: CanonicalBasis = field(
         default=_OnDemandBasis(), repr=False, compare=False
     )
+    power_forms: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        n = self.monic_degree
+        forms, power = [], IntPoly.term(1, n - 1)
+        for _ in range(n - 1):
+            power, _ = _divide(power.shift(1), self.ladder, False)
+            forms.append(power.coeffs + (0,) * (n - len(power.coeffs)))
+        object.__setattr__(self, "power_forms", tuple(forms))
 
     def _certified_basis(self) -> CanonicalBasis:
         basis = canonical_basis(_extended(self.presentation, self.modulus))
@@ -125,17 +135,14 @@ class FiniteRing:
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.standard_monomials)
 
-    def _reduce(self, p: IntPoly) -> tuple[int, ...]:
-        nf, _ = _divide(p, self.ladder, False)
-        if not (nf.degree < self.monic_degree and nf.constant == 0):
-            raise SelfCheckError(f"normal form {nf!r} leaves the standard monomials")
-        return tuple(nf[d] for d in self.standard_monomials)
-
     def image(self, p: IntPoly) -> tuple[int, ...]:
         """Image of an integer polynomial (zero constant term) in the quotient."""
         if p.constant != 0:
             raise ValueError("quotient elements come from zero-constant polynomials")
-        return self._reduce(p)
+        nf, _ = _divide(p, self.ladder, False)
+        if not (nf.degree < self.monic_degree and nf.constant == 0):
+            raise SelfCheckError(f"normal form {nf!r} leaves the standard monomials")
+        return tuple(nf[d] for d in self.standard_monomials)
 
     def to_poly(self, u: tuple[int, ...]) -> IntPoly:
         coeffs = [0] * (self.monic_degree)
@@ -164,7 +171,7 @@ class FiniteRing:
             if c:
                 for d, t in enumerate(form):
                     low[d] += c * t
-        return self._reduce(IntPoly(low))
+        return self.image(IntPoly(low))
 
     def int_scale(self, k: int, u) -> tuple[int, ...]:
         return self.image(self.to_poly(u).scale(k))
@@ -173,16 +180,6 @@ class FiniteRing:
         """Iterate the whole carrier (use only when it is small)."""
         for combo in itertools.product(*(range(m) for m in self.position_moduli)):
             yield combo
-
-
-def _power_forms(ladder, n: int) -> tuple[tuple[int, ...], ...]:
-    """Normal forms of x^n .. x^(2n-2), each padded to degrees 0 .. n-1."""
-    forms = []
-    power = IntPoly.term(1, n - 1)
-    for _ in range(n - 1):
-        power, _ = _divide(power.shift(1), ladder, False)
-        forms.append(power.coeffs + (0,) * (n - len(power.coeffs)))
-    return tuple(forms)
 
 
 def build_quotient(
@@ -220,7 +217,6 @@ def build_quotient(
         position_moduli=tuple(moduli),
         monic_degree=n,
         ladder=ladder,
-        power_forms=_power_forms(ladder, n),
     )
 
 

@@ -128,7 +128,8 @@ SMALL_CARRIERS = [
     (pres((0, 1, 2)), 2),
 ]
 
-# prime powers whose ladders have leads strictly between 1 and q
+# prime-power moduli; the first and last ladders have a lead strictly
+# between 1 and q
 PRIME_POWER_CARRIERS = [
     (pres((0, -1, 0, 1), (0, 0, 4)), 8),
     (pres((0, 1, 1, 1)), 9),
@@ -274,8 +275,7 @@ def test_returned_basis_equals_a_fresh_canonical_basis():
 def test_basis_must_match_the_ladder():
     ring = build_quotient(pres((0, -1, 0, 1), (0, -6, 6)), 4)
     forged = FiniteRing(ring.presentation, ring.modulus, ring.standard_monomials,
-                        ring.position_moduli, ring.monic_degree, ring.ladder[1:],
-                        ring.power_forms)
+                        ring.position_moduli, ring.monic_degree, ring.ladder[1:])
     with pytest.raises(SelfCheckError):
         forged.basis
 
