@@ -10,6 +10,7 @@ and explicit finite quotients with separating homomorphisms.
 
 from .intarith import (
     AllZeroError,
+    FactoringBudgetError,
     NonPositiveError,
     SelfCheckError,
     SquarefreeWitness,

@@ -6,9 +6,11 @@ separation targets) must have zero constant term, matching the rings this
 tool works with.  Every subcommand exits 0 when the computation succeeds,
 whatever the verdict.  Exit 2 is for input and usage errors only; exit 3
 reports an internal fault (a result that failed its own re-check, a
-``SelfCheckError``), with ``internal error:`` on stderr.  With --json the
-output follows a stable schema whose certificates can be fed back to the
-``verify`` subcommand.
+``SelfCheckError``), with ``internal error:`` on stderr; exit 4 means the
+answer needs an integer factored beyond the Pollard-rho effort budget
+(``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr.
+With --json the output follows a stable schema whose certificates can be
+fed back to the ``verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
-from .intarith import SelfCheckError
+from .intarith import FactoringBudgetError, SelfCheckError
 from .poly import IntPoly, RatPoly, format_poly
 from .ideal import (
     CanonicalBasis,
@@ -600,7 +603,9 @@ def _add_presentation_args(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="finsep",
         description="Decide finite separability of a monogenic ring "
@@ -672,6 +677,9 @@ def run(argv=None) -> int:
     except SelfCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except FactoringBudgetError as exc:
+        print(f"factoring budget exceeded: {exc}", file=sys.stderr)
+        return 4
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)

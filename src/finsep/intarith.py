@@ -3,7 +3,11 @@
 All values are plain Python ints (arbitrary precision).  Everything here
 is pure and deterministic; the factorization routine uses trial division
 up to a configurable bound with a Pollard-rho fallback, which is plenty
-for the coefficient sizes this library meets in practice.
+for the coefficient sizes this library meets in practice.  Each Pollard
+rho call runs under a fixed effort budget of ``RHO_STEP_BUDGET`` steps: a
+cofactor it cannot split within the budget (one with two prime factors
+above about 10^10, say) raises ``FactoringBudgetError`` instead of
+running on without end.
 """
 
 from __future__ import annotations
@@ -28,7 +32,19 @@ class SelfCheckError(RuntimeError):
     """
 
 
+class FactoringBudgetError(ArithmeticError):
+    """Raised when Pollard rho cannot split a cofactor within its budget.
+
+    The input is valid; the answer needs more factoring effort than this
+    library spends.  It is neither an input error nor an internal fault.
+    """
+
+
 TRIAL_DIVISION_BOUND = 10**6
+
+# Pollard-rho steps allowed per call, about 0.3 s on a 134-bit cofactor;
+# rho needs about sqrt(p) steps to split off a prime p
+RHO_STEP_BUDGET = 100_000
 
 
 def gcd_list(values) -> int:
@@ -162,19 +178,27 @@ def _factor_generic(n: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
+    """A proper factor of the composite n, within ``RHO_STEP_BUDGET`` steps."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, n):
         x = y = 2
         d = 1
         while d == 1:
+            if steps == RHO_STEP_BUDGET:
+                raise FactoringBudgetError(
+                    f"Pollard rho did not split a {n.bit_length()}-bit "
+                    f"cofactor within {RHO_STEP_BUDGET} steps"
+                )
+            steps += 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise FactoringBudgetError(f"Pollard rho found no factor of {n}")
 
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.

@@ -1,7 +1,14 @@
+import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import finsep
 
 from finsep.poly import IntPoly, format_poly
 from finsep.ideal import ConstantTermError
@@ -106,6 +113,58 @@ def test_run_internal_fault_exits_3(capsys, monkeypatch):
         ideal.canonical_basis.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
+
+
+# relators whose torsion needs a 134-bit composite factored: two primes
+# too large for Pollard rho within its budget
+RHO_STALL_PAIR = (
+    "-40914x^8 - 3030x^7 + 30360x^6 - 16986x^5 - 14610x^4 + 7962x^3"
+    " - 14178x^2 + 48696x",
+    "49914x^10 + 88374x^9 + 43866x^8 - 30828x^7 - 37962x^6 - 25182x^5"
+    " - 63798x^4 + 9054x^3 + 49398x^2",
+)
+
+
+def test_run_factoring_budget_exits_4(capsys):
+    start = time.perf_counter()
+    assert run(["invariants", "--relator", RHO_STALL_PAIR[0],
+                "--relator", RHO_STALL_PAIR[1]]) == 4
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("factoring budget exceeded:")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _fresh_run(argv, stdin_text=""):
+    src = str(Path(finsep.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finsep.cli", *argv], input=stdin_text,
+        capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_consecutive_runs_share_no_state(capsys, monkeypatch):
+    # each run on the one cached parser answers as a fresh process does
+    two = ["decide", "--relator", "x^3 - x", "--relator", "6x^2 - 6x", "--json"]
+    one = ["decide", "--relator", "2x^2 - 2x", "--json"]
+    assert run(two) == 0
+    doc_two = capsys.readouterr().out
+    assert run(one) == 0
+    doc_one = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc_one))
+    assert run(["verify", "-"]) == 0
+    report = capsys.readouterr().out
+    assert json.loads(doc_one)["relators"] != json.loads(doc_two)["relators"]
+    assert _fresh_run(two) == (0, doc_two)
+    assert _fresh_run(one) == (0, doc_one)
+    assert _fresh_run(["verify", "-"], doc_one) == (0, report)
 
 
 def test_run_nf_and_member(capsys):

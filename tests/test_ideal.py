@@ -380,6 +380,39 @@ def test_reduce_with_quotients_reconstruction():
         assert total == g
 
 
+def test_completion_closes_every_shift_overlap():
+    # the completion tests only the overlaps of consecutive degrees; the
+    # strong-basis property that this relies on covers every pair of
+    # elements and every shift
+    rng = random.Random(41)
+    for _ in range(220):
+        p = random_presentation(rng, max_degree=rng.choice((5, 8)), max_coeff=30)
+        basis = canonical_basis(p)
+        elements = basis.elements
+        for i, e in enumerate(elements):
+            for s in range(4):
+                assert normal_form(e.shift(s), basis).is_zero()
+            for later in elements[i + 1 :]:
+                shifted = e.shift(later.degree - e.degree)
+                assert normal_form(shifted, basis).is_zero()
+
+
+def test_cofactors_stay_small_at_degree_16():
+    # 6f, 6(x^2 + x)g with coefficients up to 100; testing every pair of
+    # overlaps gave element cofactors of about 25,000 bits here
+    rng = random.Random(1)
+
+    def draw(degree):
+        lead = rng.choice((-1, 1)) * rng.randint(1, 100)
+        return IntPoly([0] + [rng.randint(-100, 100) for _ in range(degree - 1)] + [lead])
+
+    f, g = draw(16), draw(14)
+    basis = canonical_basis(Presentation([f.scale(6), (ip(0, 1, 1) * g).scale(6)]))
+    bits = max(abs(c).bit_length()
+               for row in basis.element_cofactors for p in row for c in p.coeffs)
+    assert bits < 1000
+
+
 # exact bases and certificates pinned as computed before the completion and
 # the normal-form division shared one reducer; coefficients ascend by degree
 GOLDEN_BASES = [
@@ -399,24 +432,16 @@ GOLDEN_BASES = [
         # random.Random(6), coefficients in [-9, 9]
         [[0, 9, -7, 6, -1, -8, -9], [0, -5, 9, 6, 2, 1, -9]],
         [[0, 1659911664], [0, 1637652073, 1]],
+        # element cofactors are not unique; re-pinned when the completion
+        # moved to consecutive overlaps (63/76-bit entries before, 28 now)
         [
             [
-                [4782617746547015551, -8608711943285665456,
-                 -5739141295600738682, -1913047098627621458,
-                 -956523549403950081, 8608711943386095558, -355158],
-                [8608711943452645659, -6695664844865257406,
-                 5739141295760732132, -956523549028818913,
-                 -7652188393981987629, -8608711943385740400, 355158],
+                [221428831, 100587950, -10389776, -97623542, -138911661],
+                [66589563, -9080840, 169751834, 236535203, 138911661],
             ],
             [
-                [33071801715841650628247, -59529243088515843063435,
-                 -39686162059007272935438, -13228720686335031903540,
-                 -6614360343167877723141, 59529243088514850783570,
-                 -2455917570],
-                [59529243088514643600430, -46300522402180469912955,
-                 39686162059011796236114, -6614360343169690348899,
-                 -52914882745345881541509, -59529243088512394866000,
-                 2455917570],
+                [218459447, 99239055, -10250448, -96314400, -137048841],
+                [65696590, -8959065, 167475444, 233363241, 137048841],
             ],
         ],
         [

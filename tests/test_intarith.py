@@ -4,7 +4,9 @@ import pytest
 
 from finsep.intarith import (
     AllZeroError,
+    FactoringBudgetError,
     NonPositiveError,
+    RHO_STEP_BUDGET,
     bezout,
     factorize,
     gcd_list,
@@ -123,6 +125,18 @@ def test_factorize_beyond_trial_bound_uses_rho():
     assert factorize(n, trial_bound=100) == ((10007, 1), (10037, 1))
     w = squarefree(10007 * 10007, trial_bound=100)
     assert not w.is_squarefree and w.offending_prime == 10007
+
+
+def test_rho_gives_up_past_its_budget():
+    # two primes near 10^12 need about 10^6 rho steps, past the budget
+    p = next(n for n in range(10**12 + 1, 10**12 + 1000, 2) if is_probable_prime(n))
+    q = next(n for n in range(p + 2, p + 1000, 2) if is_probable_prime(n))
+    assert RHO_STEP_BUDGET < 10**6
+    with pytest.raises(FactoringBudgetError) as e:
+        factorize(p * q)
+    assert not isinstance(e.value, ValueError)
+    with pytest.raises(FactoringBudgetError):
+        squarefree(p * q * 10007, trial_bound=100)
 
 
 def test_lcm_list():
