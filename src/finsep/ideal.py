@@ -24,9 +24,12 @@ failed re-check raises ``SelfCheckError``.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
 for some monic phi of bounded degree, by solving an integer-linear system
-over an echelonized lattice of shifted basis elements.  It starts at the
-algebraic degree (the lowest basis degree): no nonzero member of V lies
-below it.
+over one lattice that grows with the degree.  The strong basis already
+holds V in echelon form, one staircase row x^(n-d) * t_d per degree n, so
+each degree adds its staircase row and, when k*x^n is not yet reached,
+k*x^n itself; the staircase rows of degree <= n span the members of V of
+degree <= n.  It starts at the algebraic degree (the lowest basis degree):
+no nonzero member of V lies below it.
 """
 
 from __future__ import annotations
@@ -364,79 +367,87 @@ def membership(
     return True, cert
 
 
-class _Echelon:
-    """Integer row echelon over coordinates indexed high-to-low degree.
+def _trimmed(vec: list[int]) -> list[int]:
+    """Drop trailing zeros in place, so the last entry is the pivot."""
+    while vec and not vec[-1]:
+        vec.pop()
+    return vec
 
-    Rows optionally carry a tail of bookkeeping coordinates that follows
-    every row operation, so reducing a vector to zero also yields its
-    expression over the tracked generators.
+
+def _lin(a: int, s: dict, b: int, t: dict) -> dict:
+    """The sparse vector a*s + b*t."""
+    out = {}
+    for i in s.keys() | t.keys():
+        c = a * s.get(i, 0) + b * t.get(i, 0)
+        if c:
+            out[i] = c
+    return out
+
+
+class _Echelon:
+    """Integer row echelon; a row's pivot is its highest nonzero coordinate.
+
+    A row with pivot j stores coordinates 0..j only, so the echelon grows
+    with its input and has no fixed dimension.  Rows optionally carry a
+    sparse tail {index: coefficient} of bookkeeping coordinates that
+    follows every row operation, so reducing a vector to zero also yields
+    its expression over the tracked generators.
     """
 
-    def __init__(self, dim: int, tail_dim: int):
-        self.dim = dim
-        self.tail_dim = tail_dim
+    def __init__(self):
         self.rows: dict[int, list[int]] = {}
-        self.tails: dict[int, list[int]] = {}
+        self.tails: dict[int, dict[int, int]] = {}
 
-    def _pivot(self, vec) -> int:
-        for j in range(self.dim - 1, -1, -1):
-            if vec[j]:
-                return j
-        return -1
-
-    def add(self, vec, tail=None):
-        vec = list(vec) + [0] * (self.dim - len(vec))
-        tail = list(tail) if tail is not None else [0] * self.tail_dim
-        while True:
-            j = self._pivot(vec)
-            if j < 0:
-                return
-            if j not in self.rows:
+    def add(self, vec, tail=None) -> None:
+        vec = _trimmed(list(vec))
+        tail = dict(tail) if tail else {}
+        while vec:
+            j = len(vec) - 1
+            row = self.rows.get(j)
+            if row is None:
                 if vec[j] < 0:
                     vec = [-x for x in vec]
-                    tail = [-x for x in tail]
+                    tail = {i: -c for i, c in tail.items()}
                 self.rows[j] = vec
                 self.tails[j] = tail
                 return
-            row, rtail = self.rows[j], self.tails[j]
+            rtail = self.tails[j]
             a, b = row[j], vec[j]
             if b % a == 0:
                 q = b // a
                 vec = [x - q * y for x, y in zip(vec, row)]
-                tail = [x - q * y for x, y in zip(tail, rtail)]
+                tail = _lin(1, tail, -q, rtail)
             else:
                 g, u, v = xgcd(a, b)
-                new = [u * x + v * y for x, y in zip(row, vec)]
-                ntail = [u * x + v * y for x, y in zip(rtail, tail)]
+                self.rows[j] = [u * x + v * y for x, y in zip(row, vec)]
+                self.tails[j] = _lin(u, rtail, v, tail)
                 vec = [(a // g) * y - (b // g) * x for x, y in zip(row, vec)]
-                tail = [(a // g) * y - (b // g) * x for x, y in zip(rtail, tail)]
-                self.rows[j] = new
-                self.tails[j] = ntail
+                tail = _lin(-(b // g), rtail, a // g, tail)
+            _trimmed(vec)
 
-    def solve(self, vec) -> list[int] | None:
-        """If vec is in the row span, return its accumulated tail coordinates."""
-        vec = list(vec) + [0] * (self.dim - len(vec))
-        out = [0] * self.tail_dim
-        for j in range(self.dim - 1, -1, -1):
-            if not vec[j]:
-                continue
+    def solve(self, vec) -> dict[int, int] | None:
+        """If vec is in the row span, return its accumulated sparse tail."""
+        vec = _trimmed(list(vec))
+        out: dict[int, int] = {}
+        while vec:
+            j = len(vec) - 1
             row = self.rows.get(j)
             if row is None or vec[j] % row[j]:
                 return None
             q = vec[j] // row[j]
-            vec = [x - q * y for x, y in zip(vec, row)]
-            out = [x + q * y for x, y in zip(out, self.tails[j])]
+            vec = _trimmed([x - q * y for x, y in zip(vec, row)])
+            if self.tails[j]:
+                out = _lin(1, out, q, self.tails[j])
         return out
 
 
-def shift_lattice(elements, dim: int, tail_dim: int = 0) -> _Echelon:
+def shift_lattice(elements, dim: int) -> _Echelon:
     """Echelon of every shift x^s * e of a basis element e with deg <= dim.
 
-    Coordinate i holds the coefficient of x^(i+1), for degrees 1 .. dim;
-    rows carry ``tail_dim`` zero bookkeeping coordinates.  Elements are
-    inserted by ascending degree, then ascending shift.
+    Coordinate i holds the coefficient of x^(i+1), for degrees 1 .. dim.
+    Elements are inserted by ascending degree, then ascending shift.
     """
-    lattice = _Echelon(dim, tail_dim)
+    lattice = _Echelon()
     for element in elements:
         for shift in range(dim - element.degree + 1):
             lattice.add([0] * shift + list(element.coeffs[1:]))
@@ -448,16 +459,27 @@ def monic_multiple_search(
 ) -> IntPoly | None:
     """Search for monic phi (zero constant term) with k*phi in V.
 
-    Candidate degrees are tried ascending, so a hit has least degree.  Per
-    degree n the existence of integer lower coefficients is decided exactly
-    by echelonizing the lattice spanned by k*x^i (i < n) and all shifted
-    basis elements of degree <= n, then solving for k*x^n.  A None result
-    is a proof that no such phi of degree <= degree_bound exists.
+    Candidate degrees are tried ascending, so a hit has least degree.  At
+    degree n, integer lower coefficients exist exactly when k*x^n lies in
+    the lattice L_n spanned by k*x^i (i < n) and V_{<=n}, the members of V
+    of degree <= n; coordinate i - 1 holds the coefficient of x^i, and
+    each k*x^i carries the tail {i: 1}, so solving for k*x^n reads off the
+    lower coefficients.  A None result is a proof that no such phi of
+    degree <= degree_bound exists.
 
-    The degrees start at the algebraic degree m = basis.degrees[0]: the
-    basis is a strong basis, so every nonzero member of V reduces by some
-    element and has degree >= m, while k*phi is nonzero of degree n.
-    Below m the lattice holds only the k*x^i, whose span misses k*x^n.
+    One echelon grows across the degrees.  It starts with k*x^i for
+    i < m, where m = basis.degrees[0] is the algebraic degree: the basis
+    is a strong basis, so every nonzero member of V reduces by some
+    element and has degree >= m, while k*phi is nonzero of degree n.  At
+    each n >= m it gains the staircase row of degree n, x^(n-d) * t_d with
+    d the largest basis degree <= n, then solves for k*x^n, and on failure
+    gains k*x^n before moving to n + 1.  The lattice at degree n is then
+    L_n: the shifts of the basis elements of degree <= n span V_{<=n},
+    and the staircase rows of degree <= n, which are among those shifts,
+    span it too, because every member of V reduces to zero against them
+    from the top down (see ``_complete``).  Each staircase row brings a
+    new pivot, so a degree costs one merge and one solve, and a row ends
+    at its pivot, so it costs no more than its degree.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
@@ -466,32 +488,22 @@ def monic_multiple_search(
     basis = canonical_basis(presentation)
     if basis.is_empty():
         return None
-    for n in range(basis.degrees[0], degree_bound + 1):
-        phi = _monic_multiple_at_degree(basis, k, n)
-        if phi is not None:
-            member, _ = membership(phi.scale(k), presentation)
-            if not (member and phi.is_monic() and phi.constant == 0):
-                raise SelfCheckError(f"degree-{n} solution for k={k} fails")
-            return phi
+    degrees = basis.degrees
+    lattice = _Echelon()
+    for i in range(1, degrees[0]):
+        lattice.add([0] * (i - 1) + [k], {i: 1})
+    for n in range(degrees[0], degree_bound + 1):
+        t = basis.elements[bisect_right(degrees, n) - 1]
+        lattice.add([0] * (n - t.degree) + list(t.coeffs[1:]))
+        target = [0] * (n - 1) + [k]
+        coords = lattice.solve(target)
+        if coords is None:
+            lattice.add(target, {n: 1})
+            continue
+        # k*x^n = sum(coords[i] * k*x^i) + (member of V)
+        phi = IntPoly([0] + [-coords.get(i, 0) for i in range(1, n)] + [1])
+        member, _ = membership(phi.scale(k), presentation)
+        if not (member and phi.is_monic() and phi.constant == 0):
+            raise SelfCheckError(f"degree-{n} solution for k={k} fails")
+        return phi
     return None
-
-
-def _monic_multiple_at_degree(
-    basis: CanonicalBasis, k: int, n: int
-) -> IntPoly | None:
-    # coordinates are degrees 1..n; tails track the free lower coefficients
-    lattice = shift_lattice(basis.elements, n, tail_dim=n - 1)
-    for i in range(1, n):
-        vec = [0] * n
-        vec[i - 1] = k
-        tail = [0] * (n - 1)
-        tail[i - 1] = 1
-        lattice.add(vec, tail)
-    target = [0] * n
-    target[n - 1] = k
-    coords = lattice.solve(target)
-    if coords is None:
-        return None
-    # k*x^n = sum(coords[i-1] * k*x^i) + (ideal member)
-    phi = [0] + [-coords[i - 1] for i in range(1, n)] + [1]
-    return IntPoly(phi)

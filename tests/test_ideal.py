@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import finsep
+import finsep.ideal as ideal_module
 from finsep.poly import IntPoly
 from finsep.ideal import (
     ConstantTermError,
@@ -19,6 +21,7 @@ from finsep.ideal import (
     monic_multiple_search,
     normal_form,
     reduce_with_quotients,
+    shift_lattice,
 )
 
 
@@ -348,6 +351,60 @@ def test_monic_multiple_bad_arguments():
         monic_multiple_search(pres((0, 2)), 1, 0)
     with pytest.raises(InvalidBoundError):
         monic_multiple_search(pres((0, 2)), 0, 3)
+
+
+def _fresh_lattice_search(p, k, degree_bound):
+    """Oracle: at each degree n a fresh echelon of every shift of every basis
+    element of degree <= n plus k*x^i (i < n, tail {i: 1}), solved for k*x^n."""
+    elements = canonical_basis(p).elements
+    for n in range(1, degree_bound + 1):
+        lattice = shift_lattice(elements, n)
+        for i in range(1, n):
+            lattice.add([0] * (i - 1) + [k], {i: 1})
+        coords = lattice.solve([0] * (n - 1) + [k])
+        if coords is not None:
+            return IntPoly([0] + [-coords.get(i, 0) for i in range(1, n)] + [1])
+    return None
+
+
+def test_monic_multiple_search_matches_fresh_lattice_oracle():
+    # the search grows one staircase lattice; rebuilding the full shift
+    # lattice at every degree must give the same phi, or None, each time
+    rng = random.Random(43)
+    found = 0
+    for _ in range(320):
+        content = rng.choice((1, 1, 2, 3, 6, 10, 12, rng.randint(1, 30)))
+        p = Presentation(
+            [random_zero_const_poly(rng, rng.randint(1, 5), 12).scale(content)
+             for _ in range(rng.randint(1, 3))]
+        )
+        if not p.relators:
+            continue
+        bound = 2 * p.max_degree
+        gcd = math.gcd(*(c for r in p.relators for c in r.coeffs))
+        for k in sorted({1, 2, 3, 6, gcd}):
+            phi = monic_multiple_search(p, k, bound)
+            assert phi == _fresh_lattice_search(p, k, bound)
+            found += phi is not None
+    assert found >= 300
+
+
+def test_monic_multiple_search_grows_one_lattice(monkeypatch):
+    # one staircase row, one failed target and the k*x^i below the
+    # algebraic degree per degree: rebuilding the lattice per degree made
+    # thousands of insertions here
+    calls = 0
+    add = ideal_module._Echelon.add
+
+    def counting_add(self, *args):
+        nonlocal calls
+        calls += 1
+        return add(self, *args)
+
+    monkeypatch.setattr(ideal_module._Echelon, "add", counting_add)
+    p = Presentation([IntPoly([0, -1] + [0] * 38 + [1]).scale(4)])
+    assert monic_multiple_search(p, 1, 80) is None
+    assert 0 < calls <= 2 * 80
 
 
 def test_basis_elements_match_canonical_basis():

@@ -2,8 +2,12 @@
 
 Replacing a relator r1 by r1 + h*r2 (unimodular mixing) or appending a
 member of the ideal leaves the ideal V unchanged, so the canonical basis
-elements, which depend on V alone, and the separability verdict must not
-move either.
+elements, which depend on V alone, the separability verdict and the
+torsion invariants (tau and the exponent) must not move either.
+
+The substitution x -> -x maps V onto an isomorphic ideal, and k*phi in V
+with phi monic of degree n gives k*(-1)^n*phi(-x) in the image, again
+monic of degree n, so the verdict, tau and the exponent carry over.
 """
 
 import pytest
@@ -12,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from finsep.ideal import Presentation, basis_elements
+from finsep.invariants import torsion_data
 from finsep.poly import IntPoly
 from finsep.separability import decide
 
@@ -28,14 +33,29 @@ SETTINGS = settings(
 )
 
 
-def _verdict(presentation):
+def _verdict(presentation, *, exact=True):
     v = decide(presentation)
-    return v.separable, v.coefficient_gcd, v.failure_reason
+    reason = v.failure_reason
+    if reason is not None and not exact:
+        # under x -> -x an offending gamma coefficient may change sign
+        reason = (reason.kind, reason.prime, reason.coefficient_index,
+                  None if reason.coefficient is None else abs(reason.coefficient))
+    return v.separable, v.coefficient_gcd, reason
+
+
+def _torsion(presentation):
+    data = torsion_data(presentation)
+    return data.tau, data.exponent
 
 
 def _same_ideal(before, after):
     assert basis_elements(after) == basis_elements(before)
     assert _verdict(after) == _verdict(before)
+    assert _torsion(after) == _torsion(before)
+
+
+def _negated(r):
+    return IntPoly([(-1) ** i * c for i, c in enumerate(r.coeffs)])
 
 
 @SETTINGS
@@ -53,3 +73,11 @@ def test_appending_an_ideal_member_keeps_basis_and_verdict(rs, hs):
     for h, r in zip(hs, rs):
         member = member + h * r
     _same_ideal(Presentation(rs), Presentation([*rs, member]))
+
+
+@SETTINGS
+@given(st.lists(relators, min_size=1, max_size=3))
+def test_negating_the_generator_keeps_verdict_and_torsion(rs):
+    before, after = Presentation(rs), Presentation([_negated(r) for r in rs])
+    assert _verdict(after, exact=False) == _verdict(before, exact=False)
+    assert _torsion(after) == _torsion(before)
