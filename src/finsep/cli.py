@@ -9,7 +9,8 @@ reports an internal fault (a result that failed its own re-check, a
 ``SelfCheckError``), with ``internal error:`` on stderr; exit 4 means the
 answer needs an integer factored beyond the Pollard-rho effort budget
 (``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr.
-With --json the output follows a stable schema whose certificates can be
+A degree above ``MAX_DEGREE`` or a modulus bound above
+``quotients.MAX_MODULUS_BOUND`` is an input error.  With --json the output follows a stable schema whose certificates can be
 fed back to the ``verify`` subcommand.
 """
 
@@ -23,7 +24,7 @@ from functools import cache
 from fractions import Fraction
 
 from .intarith import FactoringBudgetError, SelfCheckError
-from .poly import IntPoly, RatPoly, format_poly
+from .poly import IntPoly, RatPoly, divrem_q, format_poly
 from .ideal import (
     CanonicalBasis,
     ConstantTermError,
@@ -46,6 +47,10 @@ from .quotients import InfiniteQuotient, build_quotient, separate
 
 SCHEMA = "finsep/1"
 
+# the largest degree a parsed polynomial may have; its coefficient list is
+# allocated whole, so the cap keeps the input from sizing that allocation
+MAX_DEGREE = 100_000
+
 
 class PolySyntaxError(ValueError):
     """Input text is not a polynomial; carries the offending position."""
@@ -55,6 +60,10 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
+class DegreeLimitError(ValueError):
+    """Raised when a parsed polynomial's degree exceeds ``MAX_DEGREE``."""
+
+
 @dataclass(frozen=True)
 class PolyExpr:
     """A parsed polynomial as a term list, degrees distinct, descending."""
@@ -62,7 +71,12 @@ class PolyExpr:
     terms: tuple[tuple[int, int], ...]
 
     def to_poly(self) -> IntPoly:
-        coeffs = [0] * (max((d for _, d in self.terms), default=-1) + 1)
+        degree = max((d for _, d in self.terms), default=-1)
+        if degree > MAX_DEGREE:
+            raise DegreeLimitError(
+                f"degree {degree} exceeds the limit of {MAX_DEGREE}"
+            )
+        coeffs = [0] * (degree + 1)
         for c, d in self.terms:
             coeffs[d] = c
         return IntPoly(coeffs)
@@ -556,6 +570,14 @@ def _cmd_verify(args) -> int:
             total = total + c * r.to_rational()
         ok = len(cofs) == len(relators) and total == gamma
         checks.append(("gamma bezout identity", ok))
+        # a monic common divisor that is also a combination of the
+        # relators is their monic gcd over Q
+        monic = gamma.is_monic()
+        checks.append(("gamma is monic", monic))
+        ok = monic and all(
+            divrem_q(r.to_rational(), gamma)[1].is_zero() for r in relators
+        )
+        checks.append(("gamma divides every relator", ok))
     if doc.get("failure_reason"):
         fr = doc["failure_reason"]
         if fr["kind"] == NO_RELATORS:

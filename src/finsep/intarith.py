@@ -2,12 +2,12 @@
 
 All values are plain Python ints (arbitrary precision).  Everything here
 is pure and deterministic; the factorization routine uses trial division
-up to a configurable bound with a Pollard-rho fallback, which is plenty
-for the coefficient sizes this library meets in practice.  Each Pollard
-rho call runs under a fixed effort budget of ``RHO_STEP_BUDGET`` steps: a
-cofactor it cannot split within the budget (one with two prime factors
-above about 10^10, say) raises ``FactoringBudgetError`` instead of
-running on without end.
+up to the fixed ``TRIAL_DIVISION_BOUND`` with a Pollard-rho fallback,
+which is plenty for the coefficient sizes this library meets in practice.
+Each Pollard rho call runs under a fixed effort budget of
+``RHO_STEP_BUDGET`` steps: a cofactor it cannot split within the budget
+(one with two prime factors above about 10^10, say) raises
+``FactoringBudgetError`` instead of running on without end.
 """
 
 from __future__ import annotations
@@ -124,11 +124,11 @@ class SquarefreeWitness:
             raise SelfCheckError("squarefree verdict disagrees with its factorization")
 
 
-def squarefree(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> SquarefreeWitness:
+def squarefree(n: int) -> SquarefreeWitness:
     """Test whether n >= 1 is squarefree (a product of distinct primes, or 1)."""
     if n < 1:
         raise NonPositiveError(f"squarefree needs n >= 1, got {n}")
-    factors = factorize(n, trial_bound=trial_bound)
+    factors = factorize(n)
     offending = next((p for p, e in factors if e >= 2), None)
     if offending is not None and n % (offending * offending):
         raise SelfCheckError(f"{offending}^2 does not divide {n}")
@@ -139,12 +139,12 @@ def squarefree(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> SquarefreeWit
     )
 
 
-def factorize(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending."""
     if n < 1:
         raise NonPositiveError(f"factorize needs n >= 1, got {n}")
     factors: dict[int, int] = {}
-    for p in _small_trial_primes(n, trial_bound):
+    for p in _small_trial_primes(n):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -156,12 +156,12 @@ def factorize(n: int, trial_bound: int = TRIAL_DIVISION_BOUND) -> tuple[tuple[in
     return tuple(sorted(factors.items()))
 
 
-def _small_trial_primes(n: int, bound: int):
+def _small_trial_primes(n: int):
     yield 2
     yield 3
     p = 5
-    # 6k +/- 1 wheel; stop once p*p exceeds n or the configured bound
-    while p <= bound and p * p <= n:
+    # 6k +/- 1 wheel; stop once p*p exceeds n or the trial bound
+    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
         yield p
         yield p + 2
         p += 6
@@ -209,7 +209,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic below 3.3e24, overwhelmingly reliable above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

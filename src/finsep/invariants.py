@@ -27,6 +27,7 @@ from .ideal import (
     canonical_basis,
     membership,
     monic_multiple_search,
+    normal_form,
 )
 
 
@@ -122,16 +123,13 @@ def _least_successful_multiplier(
     return tau
 
 
-def torsion_data(
-    presentation: Presentation, *, strict_scan: bool = False
-) -> TorsionData:
+def torsion_data(presentation: Presentation) -> TorsionData:
     """Compute (tau, exponent) with certified witnesses.
 
     The least multiplier divides the minimal-polynomial content and is
     located by prime descent from it, which is exact (see
-    ``_least_successful_multiplier``).  ``strict_scan`` instead tries every
-    integer up to the content in ascending order; it is kept as an
-    independent oracle for tests and is practical only for small contents.
+    ``_least_successful_multiplier``).  The descent reads search hits
+    only; the one or two relations it returns are certified, once each.
     The degree bound covers both the algebraic degree and twice the largest
     relator degree.
     """
@@ -147,10 +145,7 @@ def torsion_data(
     def search(k: int) -> IntPoly | None:
         return monic_multiple_search(presentation, k, bound)
 
-    if strict_scan:
-        tau = next((k for k in range(1, d + 1) if search(k) is not None), None)
-    else:
-        tau = _least_successful_multiplier(search, d)
+    tau = _least_successful_multiplier(search, d)
     if tau is None:
         return TorsionData(None, None, None, None, bound=bound)
     tau_phi = search(tau)
@@ -179,16 +174,20 @@ def torsion_data(
 def certified_relation(
     presentation: Presentation, k: int, phi: IntPoly
 ) -> MonicRelation:
-    """Package k * phi in V with its membership certificate attached."""
+    """Certify a search hit: k * phi in V, phi monic with zero constant term.
+
+    This is the one place a monic relation is checked and its membership
+    certificate built; a hit that fails raises ``SelfCheckError``.
+    """
+    if not (phi.is_monic() and phi.constant == 0):
+        raise SelfCheckError(f"phi for k={k} is not monic with zero constant")
     member, cert = membership(phi.scale(k), presentation)
     if not member:
         raise SelfCheckError(f"k={k} times phi is not in the relator ideal")
     return MonicRelation(k=k, phi=phi, certificate=cert)
 
 
-def ring_invariants(
-    presentation: Presentation, *, strict_scan: bool = False
-) -> RingInvariants:
+def ring_invariants(presentation: Presentation) -> RingInvariants:
     """Aggregate every invariant of the presentation's generator."""
     mp = minimal_polynomial(presentation)
     if mp is None:
@@ -203,7 +202,7 @@ def ring_invariants(
             search_bound=0,
         )
     split = content_split(mp)
-    data = torsion_data(presentation, strict_scan=strict_scan)
+    data = torsion_data(presentation)
     return RingInvariants(
         algebraic_degree=mp.degree,
         minimal_polynomial=mp,
@@ -221,14 +220,15 @@ def extract_monic_relation(
 ) -> MonicRelation:
     """From a nonzero ideal member g, build k * phi in V with phi monic.
 
-    Here k is the content of g and phi has degree at most deg g; this is
-    guaranteed to succeed whenever the minimal polynomial's primitive part
-    is monic (i.e. some monic torsion relation exists).
+    Here k is the content of g and phi is the least-degree monic phi with
+    k * phi in V, of degree at most deg g; this is guaranteed to succeed
+    whenever the minimal polynomial's primitive part is monic (i.e. some
+    monic torsion relation exists).  Membership of g is read off its
+    normal form; only the returned relation gets a certificate.
     """
     if g.is_zero():
         raise NotMemberError("the zero polynomial carries no relation")
-    member, _ = membership(g, presentation)
-    if not member:
+    if not normal_form(g, canonical_basis(presentation)).is_zero():
         raise NotMemberError(f"{g!r} is not in the relator ideal")
     mp = minimal_polynomial(presentation)
     if mp is None or not content_split(mp).primitive.is_monic():

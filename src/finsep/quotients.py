@@ -35,8 +35,13 @@ from .ideal import (
 )
 
 
+# the largest modulus bound ``separate`` accepts; its sieve holds one int
+# per modulus up to the bound
+MAX_MODULUS_BOUND = 10**6
+
+
 class InvalidModulusError(ValueError):
-    """Raised for moduli below 2."""
+    """Raised for moduli below 2 and modulus bounds above the limit."""
 
 
 @dataclass(frozen=True)
@@ -320,6 +325,10 @@ def modulus_order(bound: int) -> list[int]:
     does, and by induction some prime-power factor of q does, which is
     tried before q would be.
     """
+    if bound > MAX_MODULUS_BOUND:
+        raise InvalidModulusError(
+            f"modulus bound {bound} exceeds the limit of {MAX_MODULUS_BOUND}"
+        )
     # smallest prime factor of every q <= bound, by one sieve
     spf = list(range(bound + 1))
     for p in range(2, bound + 1):
@@ -354,7 +363,8 @@ def separate(
     generator images.  The first success is returned as an explicit
     certificate: its quotient's certified basis is built and checked
     before the result is returned, and no other modulus gets one.  The
-    modulus bound is reported when none succeeds.
+    modulus bound is reported when none succeeds; a bound above
+    ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any work.
     """
     subring_generators = list(subring_generators)
     for p in [target, *subring_generators]:

@@ -9,6 +9,7 @@ pin the offending prime or the non-integer gcd coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,13 +22,8 @@ from .intarith import (
     squarefree,
 )
 from .poly import IntPoly, RationalGcd, gcd_q
-from .ideal import Presentation, membership, monic_multiple_search
-from .invariants import (
-    MonicRelation,
-    certified_relation,
-    extract_monic_relation,
-    minimal_polynomial,
-)
+from .ideal import Presentation
+from .invariants import MonicRelation, extract_monic_relation
 
 
 class NotSeparableError(ValueError):
@@ -69,8 +65,8 @@ class SeparabilityVerdict:
     coefficient_gcd: int
     squarefree_witness: SquarefreeWitness | None
     rational_gcd: RationalGcd | None
-    failure_reason: FailureReason | None
-    positive_witness: MonicRelation | None
+    failure_reason: FailureReason | None = None
+    positive_witness: MonicRelation | None = None
 
 
 def combined_relator(presentation: Presentation) -> IntPoly:
@@ -92,75 +88,39 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
     if not presentation.relators:
         # the free monogenic ring has a transcendental generator
         return SeparabilityVerdict(
-            presentation=presentation,
-            separable=False,
-            coefficient_gcd=0,
-            squarefree_witness=None,
-            rational_gcd=None,
-            failure_reason=FailureReason(kind=NO_RELATORS),
-            positive_witness=None,
+            presentation, False, 0, None, None, FailureReason(kind=NO_RELATORS)
         )
     k = gcd_list(c for f in presentation.relators for c in f.coeffs)
     sf = squarefree(k)
     rational = gcd_q(presentation.relators)
-
+    verdict = functools.partial(
+        SeparabilityVerdict,
+        presentation,
+        coefficient_gcd=k,
+        squarefree_witness=sf,
+        rational_gcd=rational,
+    )
     if not sf.is_squarefree:
-        return SeparabilityVerdict(
-            presentation=presentation,
-            separable=False,
-            coefficient_gcd=k,
-            squarefree_witness=sf,
-            rational_gcd=rational,
-            failure_reason=FailureReason(
-                kind=NON_SQUAREFREE_GCD, prime=sf.offending_prime
-            ),
-            positive_witness=None,
-        )
+        reason = FailureReason(kind=NON_SQUAREFREE_GCD, prime=sf.offending_prime)
+        return verdict(separable=False, failure_reason=reason)
     gamma = rational.gamma
     bad = next(
         (i for i, c in enumerate(gamma.coeffs) if c.denominator != 1), None
     )
     if bad is not None:
-        return SeparabilityVerdict(
-            presentation=presentation,
-            separable=False,
-            coefficient_gcd=k,
-            squarefree_witness=sf,
-            rational_gcd=rational,
-            failure_reason=FailureReason(
-                kind=NON_INTEGER_GAMMA,
-                coefficient_index=bad,
-                coefficient=gamma.coeffs[bad],
-            ),
-            positive_witness=None,
+        reason = FailureReason(
+            kind=NON_INTEGER_GAMMA,
+            coefficient_index=bad,
+            coefficient=gamma.coeffs[bad],
         )
+        return verdict(separable=False, failure_reason=reason)
 
-    witness = _positive_witness(presentation, k)
-    if not (witness.k == k and witness.verify(presentation)):
-        raise SelfCheckError(f"positive witness for k={k} fails its re-check")
-    return SeparabilityVerdict(
-        presentation=presentation,
-        separable=True,
-        coefficient_gcd=k,
-        squarefree_witness=sf,
-        rational_gcd=rational,
-        failure_reason=None,
-        positive_witness=witness,
-    )
-
-
-def _positive_witness(presentation: Presentation, k: int) -> MonicRelation:
-    # smallest-degree phi first; the concatenated-relator extraction is the
-    # guaranteed fallback (its content is exactly k)
-    mp = minimal_polynomial(presentation)
-    bound = max(mp.degree, 2 * presentation.max_degree)
-    phi = monic_multiple_search(presentation, k, bound)
-    if phi is not None:
-        return certified_relation(presentation, k, phi)
-    g = combined_relator(presentation)
-    if g.content != k:
-        raise SelfCheckError(f"combined relator has content {g.content}, not {k}")
-    return extract_monic_relation(presentation, g)
+    # the combined relator has content exactly k, and its degree bounds the
+    # least-degree monic phi; extraction certifies that phi once
+    witness = extract_monic_relation(presentation, combined_relator(presentation))
+    if witness.k != k:
+        raise SelfCheckError(f"positive witness has k={witness.k}, not {k}")
+    return verdict(separable=True, positive_witness=witness)
 
 
 def witness_theorem_part1(verdict: SeparabilityVerdict) -> tuple[int, tuple[int, ...]]:

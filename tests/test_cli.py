@@ -12,7 +12,8 @@ import finsep
 
 from finsep.poly import IntPoly, format_poly
 from finsep.ideal import ConstantTermError
-from finsep.cli import PolySyntaxError, build_parser, parse_poly, run
+from finsep.cli import MAX_DEGREE, PolySyntaxError, build_parser, parse_poly, run
+from finsep.quotients import MAX_MODULUS_BOUND
 
 
 def ip(*ascending):
@@ -97,6 +98,17 @@ def test_run_exit_codes(capsys):
     assert "constant" in capsys.readouterr().err
     assert run(["decide", "--relator", "x + y"]) == 2
     assert "position" in capsys.readouterr().err
+
+
+def test_run_rejects_oversized_inputs_before_allocating(capsys):
+    # one past each cap: the degree sizes a coefficient list, the modulus
+    # bound a sieve; both are input errors, raised before either is built
+    assert run(["decide", "--relator", f"x^{MAX_DEGREE + 1}"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert run(["separate", "--relator", "x^2 - x", "--target", "x",
+                "--bound", str(MAX_MODULUS_BOUND + 1)]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert parse_poly(f"x^{MAX_DEGREE}").to_poly().degree == MAX_DEGREE
 
 
 def test_run_internal_fault_exits_3(capsys, monkeypatch):
@@ -277,6 +289,40 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert run(["verify", str(path), "--json"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["all_ok"] is False
+
+
+def test_verify_catches_a_forged_gamma(tmp_path, capsys):
+    # x^2 - x, x^3 - x is separable; this gamma satisfies its Bezout
+    # identity, (x + 1/2)(x^2 - x) = x^3 - (1/2)x^2 - (1/2)x, and has a
+    # non-integer coefficient, but it divides neither relator
+    assert run(["decide", "--relator", "x^2 - x", "--relator", "x^3 - x",
+                "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["witness"]
+    doc["separable"] = False
+    doc["gamma"] = {"coeffs": ["0", "-1/2", "-1/2", "1"], "text": ""}
+    doc["gamma_cofactors"] = [{"coeffs": ["1/2", "1"], "text": ""},
+                              {"coeffs": [], "text": ""}]
+    doc["denominator_lcm"] = 2
+    doc["failure_reason"] = {"kind": "non_integer_gamma", "prime": None,
+                             "coefficient_index": 1, "coefficient": "-1/2"}
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["all_ok"] is False
+    failed = [c["name"] for c in result["checks"] if not c["ok"]]
+    assert failed == ["gamma divides every relator"]
+    assert run(["verify", str(path)]) == 0
+    assert "INVALID" in capsys.readouterr().out
+    # a gamma that is not monic fails on its own check
+    doc["gamma"]["coeffs"] = ["0", "-2", "2"]
+    doc["gamma_cofactors"][0]["coeffs"] = ["2"]
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in result["checks"] if not c["ok"]]
+    assert "gamma is monic" in failed and result["all_ok"] is False
 
 
 def test_verify_catches_a_forged_basis(tmp_path, capsys):

@@ -23,6 +23,7 @@ from finsep.ideal import (
     reduce_with_quotients,
     shift_lattice,
 )
+from finsep.invariants import certified_relation
 
 
 def ip(*ascending):
@@ -385,7 +386,11 @@ def test_monic_multiple_search_matches_fresh_lattice_oracle():
         for k in sorted({1, 2, 3, 6, gcd}):
             phi = monic_multiple_search(p, k, bound)
             assert phi == _fresh_lattice_search(p, k, bound)
-            found += phi is not None
+            if phi is not None:
+                # the search certifies nothing; the hit must pass the gate
+                relation = certified_relation(p, k, phi)
+                assert relation.verify(p)
+                found += 1
     assert found >= 300
 
 
@@ -542,6 +547,7 @@ def test_self_checks_survive_optimize():
         from finsep import ideal
         from finsep.poly import IntPoly
         from finsep import quotients
+        real_verify = ideal.MembershipCertificate.verify
         ideal.MembershipCertificate.verify = lambda self, presentation: False
         try:
             ideal.canonical_basis(ideal.Presentation([IntPoly((0, -1, 1))]))
@@ -555,6 +561,15 @@ def test_self_checks_survive_optimize():
             quotients.subring_closure(ring, [IntPoly((0, 1))])
         except ideal.SelfCheckError:
             print("closure")
+        # a search hit that is not monic is stopped where relations are
+        # certified, whatever path hands it out
+        from finsep import invariants, separability
+        ideal.MembershipCertificate.verify = real_verify
+        invariants.monic_multiple_search = lambda p, k, bound: IntPoly((0, -1, 2))
+        try:
+            separability.decide(ideal.Presentation([IntPoly((0, -1, 1))]))
+        except ideal.SelfCheckError as exc:
+            print("monic" if "monic" in str(exc) else exc)
     """)
     src = str(Path(finsep.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -563,4 +578,4 @@ def test_self_checks_survive_optimize():
         capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout.split() == ["1", "True", "False", "closure"], proc.stderr
+    assert proc.stdout.split() == ["1", "True", "False", "closure", "monic"], proc.stderr

@@ -7,6 +7,7 @@ from finsep.intarith import (
     FactoringBudgetError,
     NonPositiveError,
     RHO_STEP_BUDGET,
+    TRIAL_DIVISION_BOUND,
     bezout,
     factorize,
     gcd_list,
@@ -120,11 +121,13 @@ def test_factorization_multiplies_back():
 
 
 def test_factorize_beyond_trial_bound_uses_rho():
-    # both factors exceed the forced trial bound
-    n = 10007 * 10037
-    assert factorize(n, trial_bound=100) == ((10007, 1), (10037, 1))
-    w = squarefree(10007 * 10007, trial_bound=100)
-    assert not w.is_squarefree and w.offending_prime == 10007
+    # both factors exceed the trial-division bound of 10^6
+    p, q = 10**6 + 3, 10**6 + 33
+    assert p > TRIAL_DIVISION_BOUND and q > TRIAL_DIVISION_BOUND
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    w = squarefree(p * p)
+    assert not w.is_squarefree and w.offending_prime == p
+    assert factorize(6 * p * q) == ((2, 1), (3, 1), (p, 1), (q, 1))
 
 
 def test_rho_gives_up_past_its_budget():
@@ -136,7 +139,7 @@ def test_rho_gives_up_past_its_budget():
         factorize(p * q)
     assert not isinstance(e.value, ValueError)
     with pytest.raises(FactoringBudgetError):
-        squarefree(p * q * 10007, trial_bound=100)
+        squarefree(p * q * 10007)
 
 
 def test_lcm_list():

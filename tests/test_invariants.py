@@ -126,8 +126,6 @@ def test_torsion_minimality_and_certificates():
         # exhaustive: no smaller multiplier admits a monic multiple
         for k in range(1, data.tau):
             assert monic_multiple_search(p, k, data.bound) is None
-        # the exhaustive scan agrees with the prime descent
-        assert torsion_data(p, strict_scan=True).tau == data.tau
     assert checked >= 15
 
 
@@ -154,6 +152,36 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
     assert len(calls) == len(set(calls))
     for q in (2, 3, 5, 7, 11, 13):
         assert monic_multiple_search(p, 30030 // q, data.bound) is None
+
+
+def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
+    # the descent reads search hits only; each relation it returns gets one
+    # membership certificate, and a shared witness gets one in all
+    import finsep.ideal as ideal_module
+    import finsep.invariants as inv
+
+    claims = []
+    real = ideal_module.membership
+
+    def counting(g, presentation):
+        claims.append(g)
+        return real(g, presentation)
+
+    monkeypatch.setattr(ideal_module, "membership", counting)
+    monkeypatch.setattr(inv, "membership", counting)
+    cases = [
+        ((0, -1, 1),),
+        ((0, 0, 2), (0, 0, 0, 1)),
+        (ip(0, -1, 1).scale(9699690).coeffs, ip(0, 0, -1, 1).scale(690690).coeffs),
+    ]
+    for relators in cases:
+        claims.clear()
+        data = torsion_data(pres(*relators))
+        returned = [data.witness]
+        if data.exponent_witness is not data.witness:
+            returned.append(data.exponent_witness)
+        assert claims == [w.phi.scale(w.k) for w in returned]
+    assert len(returned) == 2
 
 
 def test_torsion_one_never_factors_the_content(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from finsep.poly import IntPoly, RatPoly
-from finsep.ideal import Presentation, membership
+from finsep.ideal import Presentation, canonical_basis, membership
 from finsep.invariants import torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
@@ -193,6 +193,37 @@ def test_torsion_consistency_on_separable_instances():
         # torsion exponent equals the algebraic degree here
         from finsep.invariants import minimal_polynomial
         assert data.exponent == minimal_polynomial(p).degree
+
+
+def test_separable_decide_builds_one_certificate(monkeypatch):
+    # the witness is certified once: one membership call and one
+    # re-multiplication, none in the search or after it
+    import finsep.ideal as ideal_module
+    import finsep.invariants as inv
+
+    calls = {"membership": 0, "verify": 0}
+    real_membership = ideal_module.membership
+    real_verify = ideal_module.MembershipCertificate.verify
+
+    def counting_membership(g, presentation):
+        calls["membership"] += 1
+        return real_membership(g, presentation)
+
+    def counting_verify(self, presentation):
+        calls["verify"] += 1
+        return real_verify(self, presentation)
+
+    monkeypatch.setattr(ideal_module, "membership", counting_membership)
+    monkeypatch.setattr(inv, "membership", counting_membership)
+    monkeypatch.setattr(ideal_module.MembershipCertificate, "verify", counting_verify)
+    for relators in [((0, -1, 1),), ((0, 2, 4), (0, 0, 6, 6)),
+                     ((0, -3, 3), (0, 0, 5, 5), (0, -1, 0, 1))]:
+        p = pres(*relators)
+        canonical_basis(p)  # the basis checks its own rows; count decide only
+        calls.update(membership=0, verify=0)
+        v = decide(p)
+        assert v.separable
+        assert calls == {"membership": 1, "verify": 1}
 
 
 def test_torsion_split_examples():
