@@ -8,9 +8,11 @@ whatever the verdict.  Exit 2 is for input and usage errors only; exit 3
 reports an internal fault (a result that failed its own re-check, a
 ``SelfCheckError``), with ``internal error:`` on stderr; exit 4 means the
 answer needs an integer factored beyond the Pollard-rho effort budget
-(``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr.
-A degree above ``MAX_DEGREE`` or a modulus bound above
-``quotients.MAX_MODULUS_BOUND`` is an input error.  With --json the output follows a stable schema whose certificates can be
+(``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr;
+exit 141 (128 + SIGPIPE) means the reader of stdout went away, as with
+``| head``, and prints nothing more.  A degree above ``MAX_DEGREE`` or a
+modulus bound above ``quotients.MAX_MODULUS_BOUND`` is an input error.
+With --json the output follows a stable schema whose certificates can be
 fed back to the ``verify`` subcommand.
 """
 
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 
 from .intarith import FactoringBudgetError, SelfCheckError
-from .poly import IntPoly, RatPoly, divrem_q, format_poly
+from .poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
 from .ideal import (
     CanonicalBasis,
     ConstantTermError,
@@ -565,17 +568,22 @@ def _cmd_verify(args) -> int:
     if "gamma" in doc and doc["gamma"]:
         gamma = _ratpoly_from_json(doc["gamma"])
         cofs = [_ratpoly_from_json(c) for c in doc["gamma_cofactors"]]
-        total = RatPoly()
-        for c, r in zip(cofs, relators):
-            total = total + c * r.to_rational()
-        ok = len(cofs) == len(relators) and total == gamma
+        # one common denominator l carries the identity over to Z:
+        # sum((l*c_j) * r_j) == l*gamma
+        _, (l_gamma, *l_cofs) = clear_denominators([gamma, *cofs])
+        total = IntPoly()
+        for c, r in zip(l_cofs, relators):
+            total = total + c * r
+        ok = len(cofs) == len(relators) and total == l_gamma
         checks.append(("gamma bezout identity", ok))
         # a monic common divisor that is also a combination of the
         # relators is their monic gcd over Q
         monic = gamma.is_monic()
         checks.append(("gamma is monic", monic))
+        # by Gauss's lemma, gamma divides r over Q exactly when the
+        # primitive part of l*gamma divides r over Z
         ok = monic and all(
-            divrem_q(r.to_rational(), gamma)[1].is_zero() for r in relators
+            map(content_split(l_gamma).primitive.divides, relators)
         )
         checks.append(("gamma divides every relator", ok))
     if doc.get("failure_reason"):
@@ -682,6 +690,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quiet_stdout() -> None:
+    """Point stdout at the null device, so that the interpreter's last flush
+    of what is still buffered for a closed pipe cannot fail."""
+    devnull = open(os.devnull, "w")
+    try:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (OSError, ValueError):  # stdout is no file descriptor
+        sys.stdout = devnull
+    else:
+        devnull.close()
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -692,7 +712,13 @@ def run(argv=None) -> int:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe surfaces here rather than in the exit-time flush
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        _quiet_stdout()
+        return 141
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,22 @@
 Coefficients are stored ascending by degree with no trailing zeros, so the
 zero polynomial is the empty coefficient tuple.  ``IntPoly`` holds plain
 ints, ``RatPoly`` holds ``fractions.Fraction``; both are immutable values.
+
+The rational gcd (``xgcd_q``, ``gcd_q``) runs on integers only.  Its
+Euclid is the primitive polynomial remainder sequence (Collins 1967,
+Brown 1971): each step takes a pseudo-remainder and divides the whole
+row (remainder, cofactor of a, cofactor of b) by the gcd of all its
+coefficients.  Every integer row is then a nonzero scalar multiple of the
+row the Euclid over Q reaches at the same step, so one division by the
+lead of the last remainder gives exactly the Q result; ``Fraction``
+enters only there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .intarith import gcd_list, lcm_list
 
@@ -26,6 +36,27 @@ def _trim(coeffs):
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _intpoly(coeffs: list) -> "IntPoly":
+    """An IntPoly over a fresh list of ints, which is trimmed in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = object.__new__(IntPoly)
+    object.__setattr__(p, "coeffs", tuple(coeffs))
+    return p
+
+
+def _mul(a, b) -> list:
+    """Product of two ascending coefficient sequences, as a list."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 class IntPoly:
@@ -88,27 +119,19 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _intpoly(out)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return _intpoly([-c for c in self.coeffs])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
+        return _intpoly(_mul(self.coeffs, other.coeffs))
 
     def scale(self, k: int) -> "IntPoly":
-        return IntPoly(k * c for c in self.coeffs)
+        return _intpoly([k * c for c in self.coeffs])
 
     def shift(self, degrees: int) -> "IntPoly":
         """Multiply by x**degrees."""
@@ -131,11 +154,26 @@ class IntPoly:
         return out
 
     def divides(self, other: "IntPoly") -> bool:
-        """Exact divisibility in Z[x]."""
-        if self.is_zero():
-            return other.is_zero()
-        q, r = divrem_q(other.to_rational(), self.to_rational())
-        return r.is_zero() and all(c.denominator == 1 for c in q.coeffs)
+        """Exact divisibility in Z[x]: other == self * q for some q in Z[x].
+
+        Long division over Z, which stops at the first leading coefficient
+        that the divisor's lead does not divide.
+        """
+        d = self.coeffs
+        if not d:
+            return not other.coeffs
+        n, lead = len(d) - 1, d[-1]
+        rem = list(other.coeffs)
+        for i in range(len(rem) - 1, n - 1, -1):
+            c = rem[i]
+            if c:
+                q, left = divmod(c, lead)
+                if left:
+                    return False
+                # rem[i] cancels exactly and is not read again
+                for j in range(n):
+                    rem[i - n + j] -= q * d[j]
+        return not any(rem[:n])
 
     def to_rational(self) -> "RatPoly":
         return RatPoly(Fraction(c) for c in self.coeffs)
@@ -267,20 +305,102 @@ def divrem_q(num: RatPoly, den: RatPoly) -> tuple[RatPoly, RatPoly]:
     return RatPoly(q), RatPoly(rem)
 
 
-def xgcd_q(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g, g monic or 0."""
-    r0, r1 = a, b
-    s0, s1 = RatPoly((1,)), RatPoly()
-    t0, t1 = RatPoly(), RatPoly((1,))
-    while not r1.is_zero():
-        q, r = divrem_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0.is_zero() and r0.lead != 1:
-        inv = 1 / r0.lead
-        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
+def _pseudo_divide(num, den) -> tuple[int, list, list]:
+    """(c, q, r) with c*num == q*den + r over Z, c != 0 and deg r < deg den.
+
+    A step multiplies by lead(den) / gcd(lead(den), x) for the leading
+    coefficient x it cancels, not by lead(den), and skips a zero x, so c
+    is often far below the classical lead(den)^(deg num - deg den + 1).
+    """
+    rem = list(num)
+    n, lead = len(den) - 1, den[-1]
+    q = [0] * max(len(rem) - n, 0)
+    c = 1
+    for i in range(len(rem) - 1, n - 1, -1):
+        x = rem[i]
+        if not x:
+            continue
+        g = gcd(x, lead) if lead > 0 else -gcd(x, lead)
+        m, x = lead // g, x // g
+        if m != 1:
+            rem[:i] = [m * v for v in rem[:i]]
+            q = [m * v for v in q]
+            c *= m
+        k = i - n
+        q[k] = x
+        for j in range(n):
+            rem[k + j] -= x * den[j]
+    del rem[n:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return c, q, rem
+
+
+def _comb(c: int, u, q, v) -> list:
+    """c*u - q*v on ascending integer coefficient sequences, trimmed."""
+    out = [c * x for x in u]
+    prod = _mul(q, v)
+    out.extend([0] * (len(prod) - len(out)))
+    for i, x in enumerate(prod):
+        out[i] -= x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _euclid_z(a, b) -> tuple[list, list, list]:
+    """Extended Euclid over Z: (r, s, t) with s*a + t*b == r.
+
+    r is the last nonzero remainder of the primitive remainder sequence of
+    a and b (zero when both are).  The rows start as (a, 1, 0) and
+    (b, 0, 1); a step replaces (r0, s0, t0) by c*(r0, s0, t0) - q*(r1, s1,
+    t1), the pseudo-remainder row, and divides it by the gcd of all its
+    coefficients.  Each row stays a nonzero scalar multiple of the row of
+    the Euclid over Q, so (r, s, t) / lead(r) is that Euclid's answer.
+    """
+    r0, s0, t0 = list(a), [1], []
+    r1, s1, t1 = list(b), [], [1]
+    while r1:
+        c, q, r = _pseudo_divide(r0, r1)
+        s, t = _comb(c, s0, q, s1), _comb(c, t0, q, t1)
+        g = gcd(*r, *s, *t)
+        if g != 1:
+            r, s, t = ([x // g for x in row] for row in (r, s, t))
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
     return r0, s0, t0
+
+
+def clear_denominators(polys) -> tuple[int, tuple[IntPoly, ...]]:
+    """(l, l * polys) for the least positive l that makes every one integral."""
+    polys = list(polys)
+    l = lcm_list(c.denominator for p in polys for c in p.coeffs)
+    return l, tuple(
+        _intpoly([c.numerator * (l // c.denominator) for c in p.coeffs])
+        for p in polys
+    )
+
+
+def xgcd_q(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
+    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g, g monic or 0.
+
+    The Euclid runs on integers (``_euclid_z``), on la*a and lb*b, the
+    inputs with their denominators cleared, and returns (r, u, v) with
+    u*(la*a) + v*(lb*b) == r.  Read as cofactors of a and b, its first
+    rows are la*(a, 1, 0) and lb*(b, 0, 1), scalar multiples of the Q
+    Euclid's first rows, so every later row is a scalar multiple of the Q
+    row of the same step.  The Q Euclid's answer is its last row divided
+    by the lead, hence g, s, t are r, la*u and lb*v divided by lead(r).
+    For a = b = 0 this is (0, 1, 0).
+    """
+    la, (ia,) = clear_denominators([a])
+    lb, (ib,) = clear_denominators([b])
+    r, u, v = _euclid_z(ia.coeffs, ib.coeffs)
+    lead = r[-1] if r else 1
+    return (
+        RatPoly(Fraction(x, lead) for x in r),
+        RatPoly(Fraction(x * la, lead) for x in u),
+        RatPoly(Fraction(x * lb, lead) for x in v),
+    )
 
 
 @dataclass(frozen=True)
@@ -298,28 +418,40 @@ class RationalGcd:
 
 
 def gcd_q(polys) -> RationalGcd:
-    """Monic rational gcd of integer polynomials with Bezout cofactors."""
+    """Monic rational gcd of integer polynomials with Bezout cofactors.
+
+    The inputs are folded in one at a time, on integers: the state is g
+    and cofactors c_i over Z with sum(c_i * p_i) == g.  Folding in p takes
+    (r, u, v) = _euclid_z(g, p); every c_i becomes u*c_i, p's own cofactor
+    gains v, and g becomes r.  The state starts as lead(p)*(p/lead(p),
+    1/lead(p)) and, as in ``xgcd_q``, each fold keeps it a scalar multiple
+    of the state of the same fold over Q, whose gcd is monic.  So dividing
+    g and every c_i by lead(g), the one common denominator, gives exactly
+    the Q fold's gamma and cofactors.
+    """
     polys = list(polys)
     if not any(not p.is_zero() for p in polys):
         raise ZeroPolynomialError("gcd_q needs at least one nonzero polynomial")
-    gamma = RatPoly()
-    cofactors = [RatPoly() for _ in polys]
+    g = IntPoly()
+    cofactors = [IntPoly() for _ in polys]
     for i, p in enumerate(polys):
         if p.is_zero():
             continue
-        pq = p.to_rational()
-        if gamma.is_zero():
-            inv = 1 / pq.lead
-            gamma = pq.scale(inv)
-            cofactors[i] = RatPoly((inv,))
+        if g.is_zero():
+            g, cofactors[i] = p, IntPoly((1,))
             continue
-        g, s, t = xgcd_q(gamma, pq)
-        cofactors = [s * c for c in cofactors]
-        cofactors[i] = cofactors[i] + t
-        gamma = g
-    denoms = [c.denominator for cof in cofactors for c in cof.coeffs]
-    l = lcm_list(denoms) if denoms else 1
-    return RationalGcd(gamma, tuple(cofactors), l)
+        g, u, v = (_intpoly(row) for row in _euclid_z(g.coeffs, p.coeffs))
+        cofactors = [u * c for c in cofactors]
+        cofactors[i] = cofactors[i] + v
+        common = gcd(*g.coeffs, *(x for c in cofactors for x in c.coeffs))
+        if common != 1:
+            g = _intpoly([x // common for x in g.coeffs])
+            cofactors = [_intpoly([x // common for x in c.coeffs]) for c in cofactors]
+    lead = g.lead
+    gamma = RatPoly(Fraction(x, lead) for x in g.coeffs)
+    cofactors = tuple(RatPoly(Fraction(x, lead) for x in c.coeffs) for c in cofactors)
+    l = lcm_list(c.denominator for cof in cofactors for c in cof.coeffs)
+    return RationalGcd(gamma, cofactors, l)
 
 
 def compose(outer: IntPoly, inner: IntPoly) -> IntPoly:

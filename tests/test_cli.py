@@ -147,17 +147,59 @@ def test_run_factoring_budget_exits_4(capsys):
     assert captured.err.startswith("factoring budget exceeded:")
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_is_not_an_input_error(capsys, monkeypatch):
+    closed = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", closed)
+    rc = run(["decide", "--relator", "x^40 - x", "--relator", "6x^30 - 6x",
+              "--json"])
+    quiet = sys.stdout
+    assert quiet is not closed and quiet.name == os.devnull
+    quiet.close()
+    assert rc == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly():
+    # a real pipe with no reader, and stdout buffered, so that the output
+    # meets the closed pipe only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsep.cli", "decide",
+             "--relator", "x^2 - x", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, check=False,
+            env={**env, "PYTHONPATH": _src_path()},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-def _fresh_run(argv, stdin_text=""):
+def _src_path() -> str:
+    """PYTHONPATH for a subprocess that imports this checkout's finsep."""
     src = str(Path(finsep.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
+def _fresh_run(argv, stdin_text=""):
     proc = subprocess.run(
         [sys.executable, "-m", "finsep.cli", *argv], input=stdin_text,
         capture_output=True, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _src_path()},
     )
     return proc.returncode, proc.stdout
 

@@ -14,6 +14,7 @@ from finsep.poly import (
     evaluate_in_ring,
     format_poly,
     gcd_q,
+    xgcd_q,
 )
 
 
@@ -102,6 +103,54 @@ def _euclid_gcd_oracle(a: RatPoly, b: RatPoly) -> RatPoly:
     if not a.is_zero() and a.lead != 1:
         a = a.scale(1 / a.lead)
     return a
+
+
+def test_intpoly_divides_in_z():
+    assert not ip(0, 2).divides(ip(0, 1))                 # 2x does not divide x over Z
+    assert ip(1, 1).divides(ip(0, 1, 1))                  # x + 1 | x^2 + x
+    assert ip(1, -1).divides(ip(0, 1, -1))                # -x + 1 | -x^2 + x
+    assert ip(1, -1).divides(ip(0, -1, 1))                # negative lead, negative quotient
+    assert not ip(1, -2).divides(ip(1, 0, -2))            # -2x + 1 vs -2x^2 + 1
+    assert ip(0, 2, 4).divides(ip(0, 0, 4, 8))            # non-primitive 2x(2x + 1) divides
+    assert not ip(0, 2, 4).divides(ip(0, 0, 1, 2))        # 4x^2(2x + 1), not x^2(2x + 1)
+    assert ip(5).divides(ip(0, 10, -15))                  # constant divisor: its content
+    assert not ip(5).divides(ip(0, 10, -14))
+    assert IntPoly().divides(IntPoly())                   # zero divisor: only zero
+    assert not IntPoly().divides(ip(0, 1))
+    assert ip(0, 3).divides(IntPoly())                    # everything divides zero
+    assert not ip(0, 0, 1).divides(ip(0, 1))              # deg divisor > deg dividend
+
+
+def test_intpoly_divides_products_random():
+    rng = random.Random(16)
+    for _ in range(200):
+        d = random_intpoly(rng, max_degree=3, max_coeff=6, nonzero=True)
+        q = random_intpoly(rng, max_degree=3, max_coeff=6)
+        assert d.divides(d * q)
+        r = random_intpoly(rng, max_degree=d.degree - 1, max_coeff=6) if d.degree else None
+        if r is not None and not r.is_zero():
+            assert not d.divides(d * q + r)               # a nonzero lower remainder
+
+
+def test_xgcd_q_bezout_and_edge_cases():
+    rng = random.Random(17)
+    zero, one = RatPoly(), RatPoly((1,))
+    assert xgcd_q(zero, zero) == (zero, one, zero)
+    b = RatPoly((0, Fraction(2, 3), 4))
+    assert xgcd_q(zero, b) == (RatPoly((0, Fraction(1, 6), 1)), zero, RatPoly((Fraction(1, 4),)))
+    assert xgcd_q(b, zero) == (RatPoly((0, Fraction(1, 6), 1)), RatPoly((Fraction(1, 4),)), zero)
+    for _ in range(100):
+        common = random_intpoly(rng, max_degree=2, max_coeff=5, nonzero=True)
+        a = (common * random_intpoly(rng, max_degree=4, max_coeff=5)).to_rational()
+        b = (common * random_intpoly(rng, max_degree=4, max_coeff=5)).to_rational()
+        a = a.scale(Fraction(1, rng.choice((1, 2, 7))))
+        g, s, t = xgcd_q(a, b)
+        assert s * a + t * b == g
+        if a.is_zero() and b.is_zero():
+            continue
+        assert g.is_monic()
+        assert divrem_q(a, g)[1].is_zero() and divrem_q(b, g)[1].is_zero()
+        assert g == _euclid_gcd_oracle(a, b)
 
 
 def test_gcd_q_examples():

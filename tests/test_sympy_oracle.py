@@ -1,8 +1,11 @@
 """Differential tests against sympy, an independent implementation.
 
 The rational gcd is compared with ``sympy.gcd`` over QQ (monic there too),
-and integer factorization and the squarefree test with ``factorint``.
-sympy is a test-only dependency; without it these tests are skipped.
+the extended Euclid ``xgcd_q`` with ``sympy.gcdex`` (the monic gcd and its
+least-degree Bezout cofactors are unique, so all three must agree), exact
+division in Z[x] with ``sympy.div`` over ZZ, and integer factorization and
+the squarefree test with ``factorint``.  sympy is a test-only dependency;
+without it these tests are skipped.
 """
 
 import random
@@ -12,8 +15,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from finsep.ideal import Presentation
 from finsep.intarith import factorize, squarefree
-from finsep.poly import IntPoly, gcd_q
+from finsep.poly import IntPoly, RatPoly, gcd_q, xgcd_q
+from finsep.separability import decide
 
 X = sympy.Symbol("x")
 
@@ -27,6 +32,83 @@ def _sympy_gcd(polys):
     for p in polys:
         g = g.gcd(sympy.Poly(list(reversed(p.coeffs)), X, domain=sympy.QQ))
     return g.monic()
+
+
+def _sympy_poly(p, domain=sympy.QQ):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], X, domain=domain)
+
+
+def _fractions(poly):
+    """A sympy polynomial's coefficients, ascending, as Fractions."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _rational(rng, degree):
+    den = rng.choice((1, 2, 3, 12, 35))
+    return RatPoly(Fraction(rng.randint(-9, 9), den) for _ in range(degree + 1))
+
+
+def test_xgcd_q_matches_sympy_gcdex():
+    rng = random.Random(53)
+    nonzero = lambda p: p if not p.is_zero() else RatPoly((0, 1))
+    a = _rational(rng, 4)
+    pairs = [
+        (RatPoly(), nonzero(_rational(rng, 3))),            # a = 0
+        (nonzero(_rational(rng, 2)), _rational(rng, 6)),    # deg a < deg b
+        (a, a),                                             # a = b
+        (RatPoly((0, 1)), RatPoly((1, 1))),                 # x, x + 1: coprime
+        (RatPoly((-1, 0, 1)), RatPoly((0, 1, 1))),          # x^2 - 1, x^2 + x
+    ]
+    for _ in range(200):
+        common = _rational(rng, rng.randint(0, 3))
+        pairs.append((common * _rational(rng, rng.randint(0, 5)),
+                      common * _rational(rng, rng.randint(0, 5))))
+    coprime = 0
+    for a, b in pairs:
+        if b.is_zero():
+            continue  # sympy's gcdex divides by b
+        g, s, t = xgcd_q(a, b)
+        want_s, want_t, want_g = _sympy_poly(a).gcdex(_sympy_poly(b))
+        assert list(g.coeffs) == _fractions(want_g)
+        assert list(s.coeffs) == _fractions(want_s)
+        assert list(t.coeffs) == _fractions(want_t)
+        coprime += g.degree == 0
+    assert coprime >= 10
+
+
+def test_decide_gamma_matches_sympy_gcd():
+    rng = random.Random(54)
+    for _ in range(150):
+        common = _random_poly(rng, rng.randint(0, 2), bound=6) * IntPoly((0, 1))
+        relators = [common * _random_poly(rng, rng.randint(0, 3), bound=6)
+                    * IntPoly((rng.choice((1, 2, 3, 6, 12)),))
+                    for _ in range(rng.randint(1, 4))]
+        p = Presentation(relators)
+        if not p.relators:
+            continue
+        gamma = decide(p).rational_gcd.gamma
+        assert list(gamma.coeffs) == _fractions(_sympy_gcd(p.relators))
+
+
+def test_intpoly_divides_matches_sympy_div_over_zz():
+    rng = random.Random(55)
+    divisible = 0
+    for _ in range(300):
+        d = _random_poly(rng, rng.randint(0, 3), bound=6)
+        if d.is_zero():
+            continue
+        if rng.random() < 0.5:
+            p = d * _random_poly(rng, rng.randint(0, 3), bound=6)
+        else:
+            p = _random_poly(rng, rng.randint(0, 6))
+        _, rem = sympy.div(_sympy_poly(p, sympy.ZZ), _sympy_poly(d, sympy.ZZ),
+                           auto=False)
+        assert d.divides(p) == rem.is_zero
+        divisible += rem.is_zero
+    assert divisible >= 100
 
 
 def test_gcd_q_matches_sympy_over_qq():

@@ -1,0 +1,134 @@
+"""Every ``decide --json`` document passes ``verify``; forged gammas do not.
+
+The gamma checks of ``verify`` run on integers (one common denominator,
+Gauss's lemma for divisibility).  The forgeries below show they are no
+looser than re-multiplying over Q: a cofactor coefficient off by 1/2
+breaks the Bezout identity, gamma times (x + 1) with its cofactors scaled
+to match keeps the identity but divides no longer, and 2*gamma with
+doubled cofactors keeps both but is not monic.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from finsep.cli import run
+from finsep.poly import IntPoly, format_poly
+
+coefficients = st.integers(-12, 12)
+# a shared factor with zero constant term makes most gammas nontrivial
+common_factors = st.lists(coefficients, min_size=1, max_size=3).map(
+    lambda c: IntPoly([0, *c])
+)
+multipliers = st.lists(coefficients, min_size=1, max_size=4).map(IntPoly)
+presentations = st.tuples(
+    common_factors,
+    st.lists(st.tuples(multipliers, st.sampled_from((1, 2, 3, 6, 12))),
+             min_size=1, max_size=4),
+).map(lambda t: [t[0] * m * IntPoly((k,)) for m, k in t[1]]).filter(
+    lambda rs: any(not r.is_zero() for r in rs)
+)
+
+SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+def _run(argv, stdin_text=None) -> tuple[int, str]:
+    out, saved = io.StringIO(), sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = run(argv)
+    finally:
+        sys.stdin = saved
+    return rc, out.getvalue()
+
+
+def _decide(relators) -> dict:
+    argv = ["decide", "--json"]
+    for r in relators:
+        argv.append(f"--relator={format_poly(r)}")
+    rc, doc = _run(argv)
+    assert rc == 0
+    return json.loads(doc)
+
+
+def _verify(doc: dict) -> dict:
+    rc, report = _run(["verify", "-", "--json"], json.dumps(doc))
+    assert rc == 0
+    return json.loads(report)
+
+
+def _failed(doc: dict) -> list[str]:
+    report = _verify(doc)
+    failed = [c["name"] for c in report["checks"] if not c["ok"]]
+    assert report["all_ok"] is False and failed
+    return failed
+
+
+def _scaled(poly_json: dict, multiplier: tuple) -> dict:
+    """A JSON rational polynomial times a polynomial given ascending."""
+    coeffs = [Fraction(c) for c in poly_json["coeffs"]]
+    out = [Fraction(0)] * (len(coeffs) + len(multiplier) - 1) if coeffs else []
+    for i, c in enumerate(coeffs):
+        for j, m in enumerate(multiplier):
+            out[i + j] += c * m
+    return {"coeffs": [str(c) for c in out], "text": ""}
+
+
+@SETTINGS
+@given(presentations)
+def test_decide_documents_verify(relators):
+    report = _verify(_decide(relators))
+    assert report["all_ok"] is True
+    assert any(c["name"] == "gamma bezout identity" for c in report["checks"])
+
+
+@SETTINGS
+@given(presentations, st.data())
+def test_forged_gamma_cofactor_is_invalid(relators, data):
+    doc = _decide(relators)
+    forged = copy.deepcopy(doc)
+    j = data.draw(st.integers(0, len(forged["gamma_cofactors"]) - 1))
+    coeffs = forged["gamma_cofactors"][j]["coeffs"]
+    if coeffs:
+        k = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[k] = str(Fraction(coeffs[k]) + Fraction(1, 2))
+    else:
+        coeffs.append("1/2")
+    assert "gamma bezout identity" in _failed(forged)
+
+
+@SETTINGS
+@given(presentations)
+def test_gamma_times_x_plus_one_is_invalid(relators):
+    doc = _decide(relators)
+    forged = copy.deepcopy(doc)
+    forged["gamma"] = _scaled(doc["gamma"], (1, 1))
+    forged["gamma_cofactors"] = [_scaled(c, (1, 1)) for c in doc["gamma_cofactors"]]
+    failed = _failed(forged)
+    # the identity and monicity survive; only divisibility gives it away
+    assert "gamma divides every relator" in failed
+    assert "gamma bezout identity" not in failed and "gamma is monic" not in failed
+
+
+@SETTINGS
+@given(presentations)
+def test_gamma_not_monic_is_invalid(relators):
+    doc = _decide(relators)
+    forged = copy.deepcopy(doc)
+    forged["gamma"] = _scaled(doc["gamma"], (2,))
+    forged["gamma_cofactors"] = [_scaled(c, (2,)) for c in doc["gamma_cofactors"]]
+    failed = _failed(forged)
+    assert "gamma is monic" in failed and "gamma bezout identity" not in failed
