@@ -21,14 +21,10 @@ from .intarith import (
 from .poly import (
     ContentSplit,
     IntPoly,
-    PolynomialDivisionError,
     RatPoly,
     RationalGcd,
     ZeroPolynomialError,
-    compose,
     content_split,
-    divrem_q,
-    evaluate_in_ring,
     format_poly,
     gcd_q,
 )

@@ -188,12 +188,30 @@ def _poly_json(p) -> dict:
     return {"coeffs": coeffs, "text": format_poly(p)}
 
 
+def _json(value, kind: type, what: str):
+    """value, if its JSON type is kind (a bool is no int); else an input error."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} is a {type(value).__name__}, not a {kind.__name__}")
+    return value
+
+
+def _fraction(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad rational number: {exc}") from None
+
+
+def _coeffs(obj) -> list:
+    return _json(_json(obj, dict, "a polynomial").get("coeffs"), list, "coeffs")
+
+
 def _poly_from_json(obj) -> IntPoly:
-    return IntPoly(int(c) for c in obj["coeffs"])
+    return IntPoly(_json(c, int, "an integer coefficient") for c in _coeffs(obj))
 
 
 def _ratpoly_from_json(obj) -> RatPoly:
-    return RatPoly(Fraction(c) for c in obj["coeffs"])
+    return RatPoly(map(_fraction, _coeffs(obj)))
 
 
 def _certificate_json(cert: MembershipCertificate) -> dict:
@@ -402,10 +420,8 @@ def _cmd_quotient(args) -> int:
         _emit(args, payload, lines)
         return 0
     gen = ring.generator()
-    action = {}
-    for d in ring.standard_monomials:
-        img = ring.image(IntPoly.term(1, d + 1))
-        action[str(d)] = _poly_json(ring.to_poly(img))
+    action = [ring.to_poly(ring.image(IntPoly.term(1, d + 1)))
+              for d in ring.standard_monomials]
     payload = {
         "schema": SCHEMA,
         "command": "quotient",
@@ -416,7 +432,9 @@ def _cmd_quotient(args) -> int:
         "position_moduli": list(ring.position_moduli),
         "carrier_size": ring.carrier_size,
         "generator_image": list(gen),
-        "generator_action": action,
+        "generator_action": {
+            str(d): _poly_json(img) for d, img in zip(ring.standard_monomials, action)
+        },
     }
     lines = [
         f"quotient mod {args.modulus}: finite, {ring.carrier_size} elements",
@@ -429,9 +447,8 @@ def _cmd_quotient(args) -> int:
             or "none (zero ring)"
         ),
     ]
-    for d in ring.standard_monomials:
-        img = ring.image(IntPoly.term(1, d + 1))
-        lines.append(f"a * a^{d} = {format_poly(ring.to_poly(img))}")
+    for d, img in zip(ring.standard_monomials, action):
+        lines.append(f"a * a^{d} = {format_poly(img)}")
     _emit(args, payload, lines)
     return 0
 
@@ -512,10 +529,12 @@ def _cmd_witness(args) -> int:
 
 def _combination(claim: IntPoly, cofactors) -> MembershipCertificate:
     """The claimed combination ``claim == sum(cofactors[i] * generator i)``."""
-    return MembershipCertificate(tuple(_poly_from_json(c) for c in cofactors), claim)
+    cofactors = _json(cofactors, list, "a cofactor list")
+    return MembershipCertificate(tuple(map(_poly_from_json, cofactors)), claim)
 
 
-def _certificate_from_json(obj: dict) -> MembershipCertificate:
+def _certificate_from_json(obj) -> MembershipCertificate:
+    obj = _json(obj, dict, "a certificate")
     return _combination(_poly_from_json(obj["claim"]), obj["cofactors"])
 
 
@@ -525,7 +544,9 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.input, encoding="utf-8") as fh:
             doc = json.load(fh)
-    relators = [_poly_from_json(r) for r in doc.get("relators", [])]
+    doc = _json(doc, dict, "the document")
+    relators = _json(doc.get("relators", []), list, "relators")
+    relators = [_poly_from_json(r) for r in relators]
     presentation = Presentation(relators)
     checks: list[tuple[str, bool]] = []
 
@@ -533,31 +554,34 @@ def _cmd_verify(args) -> int:
     for key in ("witness", "torsion_witness"):
         if not doc.get(key):
             continue
-        w = doc[key]
+        w = _json(doc[key], dict, key)
         phi = _poly_from_json(w["phi"])
         cert = _certificate_from_json(w["certificate"])
         name = key.replace("_", " ")
-        checks.append((f"{name} claim is k*phi", cert.claim == phi.scale(w["k"])))
+        k = _json(w["k"], int, f"{name} k")
+        checks.append((f"{name} claim is k*phi", cert.claim == phi.scale(k)))
         checks.append((f"{name} phi is monic, zero constant", phi.is_monic() and phi.constant == 0))
         checks.append((f"{name} certificate", cert.verify(presentation)))
     if "certificate" in doc and doc["certificate"]:
         cert = _certificate_from_json(doc["certificate"])
         checks.append(("membership certificate", cert.verify(presentation)))
     if "basis" in doc and doc["basis"]:
-        b = doc["basis"]
-        elements = [_poly_from_json(e) for e in b["elements"]]
+        b = _json(doc["basis"], dict, "basis")
+        elements = [_poly_from_json(e) for e in _json(b["elements"], list, "elements")]
+        element_cofactors = _json(b["element_cofactors"], list, "element_cofactors")
+        relator_quotients = _json(b["relator_quotients"], list, "relator_quotients")
         # an element with a constant term is outside the relator ideal and
         # fails the first check; leaving it out here shortens the generator
         # list, so the second check fails on the count instead of raising
         spanned = Presentation(e for e in elements if e.constant == 0)
-        ok = len(b["element_cofactors"]) == len(elements) and all(
+        ok = len(element_cofactors) == len(elements) and all(
             _combination(e, cof).verify(presentation)
-            for e, cof in zip(elements, b["element_cofactors"])
+            for e, cof in zip(elements, element_cofactors)
         )
         checks.append(("basis elements lie in the relator ideal", ok))
-        ok = len(b["relator_quotients"]) == len(relators) and all(
+        ok = len(relator_quotients) == len(relators) and all(
             _combination(r, quots).verify(spanned)
-            for r, quots in zip(relators, b["relator_quotients"])
+            for r, quots in zip(relators, relator_quotients)
         )
         checks.append(("relators lie in the basis ideal", ok))
         if "normal_form" in doc:
@@ -567,14 +591,12 @@ def _cmd_verify(args) -> int:
             checks.append(("normal form reconstruction", ok))
     if "gamma" in doc and doc["gamma"]:
         gamma = _ratpoly_from_json(doc["gamma"])
-        cofs = [_ratpoly_from_json(c) for c in doc["gamma_cofactors"]]
+        cofs = [_ratpoly_from_json(c)
+                for c in _json(doc["gamma_cofactors"], list, "gamma_cofactors")]
         # one common denominator l carries the identity over to Z:
         # sum((l*c_j) * r_j) == l*gamma
         _, (l_gamma, *l_cofs) = clear_denominators([gamma, *cofs])
-        total = IntPoly()
-        for c, r in zip(l_cofs, relators):
-            total = total + c * r
-        ok = len(cofs) == len(relators) and total == l_gamma
+        ok = MembershipCertificate(tuple(l_cofs), l_gamma).verify(presentation)
         checks.append(("gamma bezout identity", ok))
         # a monic common divisor that is also a combination of the
         # relators is their monic gcd over Q
@@ -587,17 +609,18 @@ def _cmd_verify(args) -> int:
         )
         checks.append(("gamma divides every relator", ok))
     if doc.get("failure_reason"):
-        fr = doc["failure_reason"]
+        fr = _json(doc["failure_reason"], dict, "failure_reason")
         if fr["kind"] == NO_RELATORS:
             checks.append(("the presentation has no nonzero relator", not relators))
         elif fr["kind"] == NON_SQUAREFREE_GCD:
-            p = fr["prime"]
-            ok = all(c % (p * p) == 0 for r in relators for c in r.coeffs)
+            p = _json(fr["prime"], int, "the prime")
+            ok = p > 1 and all(c % (p * p) == 0 for r in relators for c in r.coeffs)
             checks.append((f"{p}^2 divides every relator coefficient", ok))
         elif fr["kind"] == NON_INTEGER_GAMMA:
-            c = Fraction(fr["coefficient"])
+            c = _fraction(fr["coefficient"])
             gamma = _ratpoly_from_json(doc["gamma"])
-            ok = c.denominator != 1 and gamma[fr["coefficient_index"]] == c
+            i = _json(fr["coefficient_index"], int, "coefficient_index")
+            ok = c.denominator != 1 and gamma[i] == c
             checks.append(("flagged gamma coefficient is not an integer", ok))
 
     # a document without a single certificate proves nothing

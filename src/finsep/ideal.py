@@ -32,6 +32,10 @@ degree <= n.  It starts at the algebraic degree (the lowest basis degree):
 no nonzero member of V lies below it.  The search reads basis elements
 only and builds no certificate; the relations handed out are certified
 once each, by ``invariants.certified_relation``.
+
+One helper, ``staircase_row``, builds the staircase rows for both
+lattices of the library: this search and the subring span of a finite
+quotient (``quotients._SubringSpan``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intarith import SelfCheckError, xgcd
-from .poly import IntPoly
+from .poly import IntPoly, _trim
 
 
 class ConstantTermError(ValueError):
@@ -369,13 +373,6 @@ def membership(
     return True, cert
 
 
-def _trimmed(vec: list[int]) -> list[int]:
-    """Drop trailing zeros in place, so the last entry is the pivot."""
-    while vec and not vec[-1]:
-        vec.pop()
-    return vec
-
-
 def _lin(a: int, s: dict, b: int, t: dict) -> dict:
     """The sparse vector a*s + b*t."""
     out = {}
@@ -401,7 +398,7 @@ class _Echelon:
         self.tails: dict[int, dict[int, int]] = {}
 
     def add(self, vec, tail=None) -> None:
-        vec = _trimmed(list(vec))
+        vec = _trim(list(vec))
         tail = dict(tail) if tail else {}
         while vec:
             j = len(vec) - 1
@@ -425,11 +422,11 @@ class _Echelon:
                 self.tails[j] = _lin(u, rtail, v, tail)
                 vec = [(a // g) * y - (b // g) * x for x, y in zip(row, vec)]
                 tail = _lin(-(b // g), rtail, a // g, tail)
-            _trimmed(vec)
+            _trim(vec)
 
     def solve(self, vec) -> dict[int, int] | None:
         """If vec is in the row span, return its accumulated sparse tail."""
-        vec = _trimmed(list(vec))
+        vec = _trim(list(vec))
         out: dict[int, int] = {}
         while vec:
             j = len(vec) - 1
@@ -437,23 +434,21 @@ class _Echelon:
             if row is None or vec[j] % row[j]:
                 return None
             q = vec[j] // row[j]
-            vec = _trimmed([x - q * y for x, y in zip(vec, row)])
+            vec = _trim([x - q * y for x, y in zip(vec, row)])
             if self.tails[j]:
                 out = _lin(1, out, q, self.tails[j])
         return out
 
 
-def shift_lattice(elements, dim: int) -> _Echelon:
-    """Echelon of every shift x^s * e of a basis element e with deg <= dim.
+def staircase_row(elements, n: int) -> list[int]:
+    """Coordinates of the staircase row of degree n, x^(n-d) * t_d.
 
-    Coordinate i holds the coefficient of x^(i+1), for degrees 1 .. dim.
-    Elements are inserted by ascending degree, then ascending shift.
+    t_d is the element of largest degree d <= n; ``elements`` ascend in
+    degree and the lowest is at most n.  Coordinate i - 1 holds the
+    coefficient of x^i, for degrees 1 .. n, so the row's pivot is n - 1.
     """
-    lattice = _Echelon()
-    for element in elements:
-        for shift in range(dim - element.degree + 1):
-            lattice.add([0] * shift + list(element.coeffs[1:]))
-    return lattice
+    t = next(e for e in reversed(elements) if e.degree <= n)
+    return [0] * (n - t.degree) + list(t.coeffs[1:])
 
 
 def monic_multiple_search(
@@ -476,14 +471,15 @@ def monic_multiple_search(
     is a strong basis, so every nonzero member of V reduces by some
     element and has degree >= m, while k*phi is nonzero of degree n.  At
     each n >= m it gains the staircase row of degree n, x^(n-d) * t_d with
-    d the largest basis degree <= n, then solves for k*x^n, and on failure
-    gains k*x^n before moving to n + 1.  The lattice at degree n is then
-    L_n: the shifts of the basis elements of degree <= n span V_{<=n},
-    and the staircase rows of degree <= n, which are among those shifts,
-    span it too, because every member of V reduces to zero against them
-    from the top down (see ``_complete``).  Each staircase row brings a
-    new pivot, so a degree costs one merge and one solve, and a row ends
-    at its pivot, so it costs no more than its degree.
+    d the largest basis degree <= n (``staircase_row``), then solves for
+    k*x^n, and on failure gains k*x^n before moving to n + 1.  The
+    lattice at degree n is then L_n: the shifts of the basis elements of
+    degree <= n span V_{<=n}, and the staircase rows of degree <= n,
+    which are among those shifts, span it too, because every member of V
+    reduces to zero against them from the top down (see ``_complete``).
+    Each staircase row brings a new pivot, so a degree costs one merge
+    and one solve, and a row ends at its pivot, so it costs no more than
+    its degree.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
@@ -497,8 +493,7 @@ def monic_multiple_search(
     for i in range(1, degrees[0]):
         lattice.add([0] * (i - 1) + [k], {i: 1})
     for n in range(degrees[0], degree_bound + 1):
-        t = basis.elements[bisect_right(degrees, n) - 1]
-        lattice.add([0] * (n - t.degree) + list(t.coeffs[1:]))
+        lattice.add(staircase_row(basis.elements, n))
         target = [0] * (n - 1) + [k]
         coords = lattice.solve(target)
         if coords is None:

@@ -1,17 +1,19 @@
-"""Dense univariate polynomials over Z and over Q, with exact arithmetic.
+"""Dense univariate polynomials over Z, and rational ones as values.
 
 Coefficients are stored ascending by degree with no trailing zeros, so the
 zero polynomial is the empty coefficient tuple.  ``IntPoly`` holds plain
-ints, ``RatPoly`` holds ``fractions.Fraction``; both are immutable values.
+ints and carries all the arithmetic; ``RatPoly`` holds
+``fractions.Fraction`` and is a value type only (coefficients, degree,
+lead, equality and formatting), the shape of a rational gcd and its
+cofactors.  Both are immutable.
 
-The rational gcd (``xgcd_q``, ``gcd_q``) runs on integers only.  Its
-Euclid is the primitive polynomial remainder sequence (Collins 1967,
-Brown 1971): each step takes a pseudo-remainder and divides the whole
-row (remainder, cofactor of a, cofactor of b) by the gcd of all its
-coefficients.  Every integer row is then a nonzero scalar multiple of the
-row the Euclid over Q reaches at the same step, so one division by the
-lead of the last remainder gives exactly the Q result; ``Fraction``
-enters only there.
+The rational gcd (``gcd_q``) runs on integers only.  Its Euclid is the
+primitive polynomial remainder sequence (Collins 1967, Brown 1971): each
+step takes a pseudo-remainder and divides the whole row (remainder,
+cofactor of a, cofactor of b) by the gcd of all its coefficients.  Every
+integer row is then a nonzero scalar multiple of the row the Euclid over
+Q reaches at the same step, so one division by the lead of the last
+remainder gives exactly the Q result; ``Fraction`` enters only there.
 """
 
 from __future__ import annotations
@@ -27,23 +29,17 @@ class ZeroPolynomialError(ValueError):
     """Raised when a nonzero polynomial was required."""
 
 
-class PolynomialDivisionError(ZeroDivisionError):
-    """Raised on division by the zero polynomial."""
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
+def _trim(coeffs: list) -> list:
+    """Drop trailing zeros in place, so the last entry is the lead."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return tuple(coeffs)
+    return coeffs
 
 
 def _intpoly(coeffs: list) -> "IntPoly":
     """An IntPoly over a fresh list of ints, which is trimmed in place."""
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
     p = object.__new__(IntPoly)
-    object.__setattr__(p, "coeffs", tuple(coeffs))
+    object.__setattr__(p, "coeffs", tuple(_trim(coeffs)))
     return p
 
 
@@ -65,14 +61,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(_trim([int(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
-
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly()
 
     @staticmethod
     def term(coeff: int, degree: int) -> "IntPoly":
@@ -147,12 +139,6 @@ class IntPoly:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
         return gcd_list(self.coeffs)
 
-    def evaluate(self, point: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * point + c
-        return out
-
     def divides(self, other: "IntPoly") -> bool:
         """Exact divisibility in Z[x]: other == self * q for some q in Z[x].
 
@@ -175,9 +161,6 @@ class IntPoly:
                     rem[i - n + j] -= q * d[j]
         return not any(rem[:n])
 
-    def to_rational(self) -> "RatPoly":
-        return RatPoly(Fraction(c) for c in self.coeffs)
-
     def __repr__(self):
         return f"IntPoly({format_poly(self)!r})"
 
@@ -188,16 +171,10 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(
-            self, "coeffs", _trim(Fraction(c) for c in coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(_trim([Fraction(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
-
-    @staticmethod
-    def zero() -> "RatPoly":
-        return RatPoly()
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -222,46 +199,11 @@ class RatPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return RatPoly(out)
-
-    def scale(self, k) -> "RatPoly":
-        k = Fraction(k)
-        return RatPoly(k * c for c in self.coeffs)
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_integer(self) -> IntPoly:
-        if not self.is_integral():
-            raise ValueError(f"non-integer coefficients in {self!r}")
-        return IntPoly(c.numerator for c in self.coeffs)
 
     def __repr__(self):
         return f"RatPoly({format_poly(self)!r})"
@@ -285,24 +227,6 @@ def content_split(p: IntPoly) -> ContentSplit:
         raise ZeroPolynomialError("the zero polynomial has no content split")
     d = p.content
     return ContentSplit(d, IntPoly(c // d for c in p.coeffs))
-
-
-def divrem_q(num: RatPoly, den: RatPoly) -> tuple[RatPoly, RatPoly]:
-    """Division with remainder in Q[x]: num = den*q + r with deg r < deg den."""
-    if den.is_zero():
-        raise PolynomialDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(num.degree - den.degree + 1, 0)
-    rem = list(num.coeffs)
-    dlead = den.lead
-    ddeg = den.degree
-    for i in range(len(rem) - 1, ddeg - 1, -1):
-        if not rem[i]:
-            continue
-        c = rem[i] / dlead
-        q[i - ddeg] = c
-        for j, dc in enumerate(den.coeffs):
-            rem[i - ddeg + j] -= c * dc
-    return RatPoly(q), RatPoly(rem)
 
 
 def _pseudo_divide(num, den) -> tuple[int, list, list]:
@@ -331,9 +255,7 @@ def _pseudo_divide(num, den) -> tuple[int, list, list]:
         for j in range(n):
             rem[k + j] -= x * den[j]
     del rem[n:]
-    while rem and not rem[-1]:
-        rem.pop()
-    return c, q, rem
+    return c, q, _trim(rem)
 
 
 def _comb(c: int, u, q, v) -> list:
@@ -343,9 +265,7 @@ def _comb(c: int, u, q, v) -> list:
     out.extend([0] * (len(prod) - len(out)))
     for i, x in enumerate(prod):
         out[i] -= x
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim(out)
 
 
 def _euclid_z(a, b) -> tuple[list, list, list]:
@@ -380,29 +300,6 @@ def clear_denominators(polys) -> tuple[int, tuple[IntPoly, ...]]:
     )
 
 
-def xgcd_q(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly, RatPoly]:
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g, g monic or 0.
-
-    The Euclid runs on integers (``_euclid_z``), on la*a and lb*b, the
-    inputs with their denominators cleared, and returns (r, u, v) with
-    u*(la*a) + v*(lb*b) == r.  Read as cofactors of a and b, its first
-    rows are la*(a, 1, 0) and lb*(b, 0, 1), scalar multiples of the Q
-    Euclid's first rows, so every later row is a scalar multiple of the Q
-    row of the same step.  The Q Euclid's answer is its last row divided
-    by the lead, hence g, s, t are r, la*u and lb*v divided by lead(r).
-    For a = b = 0 this is (0, 1, 0).
-    """
-    la, (ia,) = clear_denominators([a])
-    lb, (ib,) = clear_denominators([b])
-    r, u, v = _euclid_z(ia.coeffs, ib.coeffs)
-    lead = r[-1] if r else 1
-    return (
-        RatPoly(Fraction(x, lead) for x in r),
-        RatPoly(Fraction(x * la, lead) for x in u),
-        RatPoly(Fraction(x * lb, lead) for x in v),
-    )
-
-
 @dataclass(frozen=True)
 class RationalGcd:
     """Monic gcd over Q of a family of integer polynomials, with evidence.
@@ -423,10 +320,16 @@ def gcd_q(polys) -> RationalGcd:
     The inputs are folded in one at a time, on integers: the state is g
     and cofactors c_i over Z with sum(c_i * p_i) == g.  Folding in p takes
     (r, u, v) = _euclid_z(g, p); every c_i becomes u*c_i, p's own cofactor
-    gains v, and g becomes r.  The state starts as lead(p)*(p/lead(p),
-    1/lead(p)) and, as in ``xgcd_q``, each fold keeps it a scalar multiple
-    of the state of the same fold over Q, whose gcd is monic.  So dividing
-    g and every c_i by lead(g), the one common denominator, gives exactly
+    gains v, and g becomes r.  The state stays a nonzero scalar multiple
+    of the state of the same fold over Q.  It starts as lead(p)*(p/lead(p),
+    1/lead(p)).  When g is s times the Q state's gcd g', the Euclid's
+    first rows (g, 1, 0) and (p, 0, 1), read as cofactors of g' and p, are
+    s*(g', 1, 0) and (p, 0, 1): scalar multiples of the Q Euclid's first
+    rows.  A Euclid step is linear in its two rows and its quotient scales
+    with them, so every later row is a scalar multiple of the Q row of the
+    same step, and so is the folded state; dividing it by the gcd of its
+    coefficients keeps that.  The Q fold's gcd is monic, so dividing g
+    and every c_i by lead(g), the one common denominator, gives exactly
     the Q fold's gamma and cofactors.
     """
     polys = list(polys)
@@ -452,31 +355,6 @@ def gcd_q(polys) -> RationalGcd:
     cofactors = tuple(RatPoly(Fraction(x, lead) for x in c.coeffs) for c in cofactors)
     l = lcm_list(c.denominator for cof in cofactors for c in cof.coeffs)
     return RationalGcd(gamma, cofactors, l)
-
-
-def compose(outer: IntPoly, inner: IntPoly) -> IntPoly:
-    """Exact composition outer(inner(x)) by Horner over Z[x]."""
-    out = IntPoly()
-    for c in reversed(outer.coeffs):
-        out = out * inner + IntPoly((c,))
-    return out
-
-
-def evaluate_in_ring(p: IntPoly, point, ring):
-    """Evaluate p (zero constant term) at a ring element by Horner.
-
-    The ring context must provide zero(), add(u, v), mul(u, v) and
-    int_scale(k, u); no ring unit is needed because p has no constant term.
-    """
-    if p.constant != 0:
-        raise ValueError("ring evaluation needs a zero constant term")
-    out = ring.zero()
-    for d in range(p.degree, 0, -1):
-        out = ring.mul(out, point)
-        c = p[d]
-        if c:
-            out = ring.add(out, ring.int_scale(c, point))
-    return out
 
 
 def format_poly(p) -> str:

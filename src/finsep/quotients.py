@@ -29,9 +29,10 @@ from .ideal import (
     CanonicalBasis,
     Presentation,
     _divide,
+    _Echelon,
     basis_elements,
     canonical_basis,
-    shift_lattice,
+    staircase_row,
 )
 
 
@@ -231,15 +232,22 @@ class _SubringSpan:
     The additive group of the quotient is Z^(positions) modulo the lattice
     of in-window relation vectors, so the subring closure is the additive
     span of the generators and their pairwise products, iterated to a
-    fixpoint.  Products of span elements reduce bilinearly to products of
-    the inserted generators, so only those pairs are ever multiplied, and
-    each pair once: the ring is commutative.
+    fixpoint.  The echelon starts with the ladder's staircase rows of
+    degree 1 .. dim (``ideal.staircase_row``), which span the ladder's
+    ideal below the monic degree (see ``ideal._complete``).  The ladder
+    holds q*x, so its lowest degree is 1: each row brings a fresh pivot,
+    nothing merges, and every pivot is present for ``size``.  Products of
+    span elements reduce bilinearly to products of the inserted
+    generators, so only those pairs are ever multiplied, and each pair
+    once: the ring is commutative.
     """
 
     def __init__(self, ring: FiniteRing, generators):
         self.ring = ring
         self.dim = len(ring.standard_monomials)
-        self.echelon = shift_lattice(ring.ladder, self.dim)
+        self.echelon = _Echelon()
+        for n in range(1, self.dim + 1):
+            self.echelon.add(staircase_row(ring.ladder, n))
         members: list[tuple[int, ...]] = []
         work = [ring.image(g) if isinstance(g, IntPoly) else tuple(g)
                 for g in generators]

@@ -11,7 +11,7 @@ import random
 import time
 
 from finsep.intarith import gcd_list, squarefree
-from finsep.poly import IntPoly, RatPoly, divrem_q, format_poly
+from finsep.poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
 from finsep.ideal import (
     Presentation,
     canonical_basis,
@@ -91,7 +91,7 @@ def test_criterion_1_verdict_corpus():
     v = verdicts["{2x}"]
     assert v.separable and v.coefficient_gcd == 2
     assert squarefree(2).is_squarefree
-    assert v.rational_gcd.gamma == ip(0, 1).to_rational()
+    assert v.rational_gcd.gamma == RatPoly((0, 1))
 
     assert verdicts["{x^3-x, 6x^2-6x}"].separable
 
@@ -149,10 +149,13 @@ def test_criterion_2_certificate_soundness():
             n_neg += 1
             c = v.rational_gcd.gamma[v.failure_reason.coefficient_index]
             assert c == v.failure_reason.coefficient and c.denominator > 1
-            total = RatPoly()
-            for cof, r in zip(v.rational_gcd.cofactors, p.relators):
-                total = total + cof * r.to_rational()
-            assert total == v.rational_gcd.gamma
+            # re-multiply over Z with one common denominator l
+            _, (l_gamma, *l_cofs) = clear_denominators(
+                [v.rational_gcd.gamma, *v.rational_gcd.cofactors])
+            total = IntPoly()
+            for cof, r in zip(l_cofs, p.relators):
+                total = total + cof * r
+            assert total == l_gamma
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     assert n_sep >= 20 and n_neg >= 20
@@ -189,17 +192,22 @@ def test_criterion_4_rational_gcd_properties():
             continue
         res = gcd_q(p.relators)
         gamma = res.gamma
-        for r in p.relators:
-            _, rem = divrem_q(r.to_rational(), gamma)
-            assert rem.is_zero()
-        total = RatPoly()
-        for c, r in zip(res.cofactors, p.relators):
-            total = total + c * r.to_rational()
-        assert total == gamma
-        l_gamma = gamma.scale(res.denominator_lcm)
-        assert l_gamma.is_integral()
+        # gamma divides each relator over Q: by Gauss's lemma, the
+        # primitive part of gamma with its denominators cleared divides
+        # it over Z
+        _, (cleared, *cleared_cofs) = clear_denominators([gamma, *res.cofactors])
+        primitive = content_split(cleared).primitive
+        assert all(primitive.divides(r) for r in p.relators)
+        # the Bezout identity re-multiplies over Z
+        total = IntPoly()
+        for c, r in zip(cleared_cofs, p.relators):
+            total = total + c * r
+        assert total == cleared
+        l = res.denominator_lcm
+        assert all((l * c).denominator == 1 for c in gamma.coeffs)
+        l_gamma = IntPoly(int(l * c) for c in gamma.coeffs)
         basis = canonical_basis(p)
-        assert normal_form(l_gamma.to_integer(), basis).is_zero()
+        assert normal_form(l_gamma, basis).is_zero()
     print("\nACCEPTANCE 4 rational gcd and l*gamma in V: PASS")
 
 

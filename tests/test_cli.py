@@ -333,6 +333,39 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert result["all_ok"] is False
 
 
+def _set_gamma_coefficient(doc):
+    doc["gamma"]["coeffs"][1] = "1/0"
+
+
+def _null_gamma_cofactors(doc):
+    doc["gamma_cofactors"] = None
+
+
+def _string_relators(doc):
+    doc["relators"] = "x"
+
+
+def _null_prime(doc):
+    doc["failure_reason"] = {"kind": "non_squarefree_gcd", "prime": None}
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [_set_gamma_coefficient, _null_gamma_cofactors, _string_relators, _null_prime],
+)
+def test_verify_rejects_a_malformed_document(malform, tmp_path, capsys):
+    # a malformed field is an input error (exit 2), never a traceback
+    assert run(["decide", "--relator", "2x^2 + x", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    malform(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_catches_a_forged_gamma(tmp_path, capsys):
     # x^2 - x, x^3 - x is separable; this gamma satisfies its Bezout
     # identity, (x + 1/2)(x^2 - x) = x^3 - (1/2)x^2 - (1/2)x, and has a

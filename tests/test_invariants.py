@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from finsep.poly import IntPoly, content_split, divrem_q
-from finsep.intarith import lcm_list
+from finsep.poly import IntPoly, content_split
 from finsep.ideal import Presentation, membership, monic_multiple_search
 from finsep.invariants import (
     HypothesisUnmetError,
@@ -83,10 +82,10 @@ def test_prop_divisibility_of_members():
             g = g + r * random_zero_const_poly(rng, 3, 5)
         if g.is_zero():
             continue
-        q, r = divrem_q(g.to_rational(), mp.to_rational())
-        assert r.is_zero()
-        k = lcm_list([c.denominator for c in q.coeffs]) if q.coeffs else 1
-        assert mp.divides(g.scale(k))
+        # mp divides g over Q (Gauss: its primitive part divides g over
+        # Z), and over Z once g is scaled by the content of mp
+        assert content_split(mp).primitive.divides(g)
+        assert mp.divides(g.scale(content_split(mp).content))
 
 
 def test_torsion_examples():

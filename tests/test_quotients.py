@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from finsep.poly import IntPoly, evaluate_in_ring
+from finsep.poly import IntPoly
 from finsep.intarith import factorize
 from finsep.intarith import SelfCheckError
 from finsep.ideal import Presentation, canonical_basis
@@ -160,6 +160,21 @@ def test_table_mul_matches_image_of_the_product():
                for p, q in PRIME_POWER_CARRIERS)
 
 
+def test_carrier_size_matches_enumerated_images():
+    # every coefficient vector over x^1 .. x^(n-1) with entries in [0, q)
+    # is a preimage, so the distinct images are the whole carrier; on the
+    # prime-power ladders, whose leads lie strictly between 1 and q, the
+    # span seeded with staircase rows closes like the whole-set fixpoint
+    for p, q in SMALL_CARRIERS + PRIME_POWER_CARRIERS:
+        ring = build_quotient(p, q)
+        vectors = itertools.product(range(q), repeat=ring.monic_degree - 1)
+        images = {ring.image(IntPoly((0, *v))) for v in vectors}
+        assert len(images) == ring.carrier_size, (p, q)
+        assert images == set(ring.elements())
+        for gens in ([], [ip(0, 3)], [ip(0, 0, 1)], [ip(0, 0, 2), ip(0, 0, 0, 3)]):
+            assert subring_closure(ring, gens) == naive_closure(ring, gens), (p, q, gens)
+
+
 def test_torsion_only_presentations_have_no_useful_finite_quotient():
     # with 2a = 0 the ideal qK is 0 for even q and everything for odd q,
     # so the only quotients of this shape are infinite or one-element
@@ -189,8 +204,6 @@ def test_canonical_map_is_a_homomorphism():
             v = random_zero_const_poly(rng, 5, 9)
             assert ring.image(u + v) == ring.add(ring.image(u), ring.image(v))
             assert ring.image(u * v) == ring.mul(ring.image(u), ring.image(v))
-            # Horner evaluation at the generator agrees with the image
-            assert evaluate_in_ring(u, ring.generator(), ring) == ring.image(u)
 
 
 def test_subring_closure_examples():

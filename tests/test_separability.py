@@ -36,7 +36,7 @@ def test_decide_monic_relator():
     v = decide(pres((0, -1, 1)))
     assert v.separable
     assert v.coefficient_gcd == 1
-    assert v.rational_gcd.gamma == ip(0, -1, 1).to_rational()
+    assert v.rational_gcd.gamma == RatPoly((0, -1, 1))
     assert v.positive_witness.k == 1
     assert v.positive_witness.phi == ip(0, -1, 1)
     assert v.positive_witness.verify(v.presentation)
@@ -65,7 +65,7 @@ def test_decide_prime_torsion():
     v = decide(pres((0, 2)))
     assert v.separable
     assert v.coefficient_gcd == 2
-    assert v.rational_gcd.gamma == ip(0, 1).to_rational()
+    assert v.rational_gcd.gamma == RatPoly((0, 1))
     assert v.positive_witness.k == 2 and v.positive_witness.phi == ip(0, 1)
 
 
@@ -73,7 +73,7 @@ def test_decide_two_relator_separable():
     v = decide(pres((0, -1, 0, 1), (0, -6, 6)))
     assert v.separable
     assert v.coefficient_gcd == 1
-    assert v.rational_gcd.gamma == ip(0, -1, 1).to_rational()
+    assert v.rational_gcd.gamma == RatPoly((0, -1, 1))
 
 
 def test_decide_non_integer_gamma_with_unit_gcd():

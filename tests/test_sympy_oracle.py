@@ -1,8 +1,9 @@
 """Differential tests against sympy, an independent implementation.
 
 The rational gcd is compared with ``sympy.gcd`` over QQ (monic there too),
-the extended Euclid ``xgcd_q`` with ``sympy.gcdex`` (the monic gcd and its
-least-degree Bezout cofactors are unique, so all three must agree), exact
+``gcd_q`` of a pair and its cofactors with ``sympy.gcdex`` (the monic gcd
+and its least-degree Bezout cofactors are unique, so all three must
+agree), exact
 division in Z[x] with ``sympy.div`` over ZZ, and integer factorization and
 the squarefree test with ``factorint``.  sympy is a test-only dependency;
 without it these tests are skipped.
@@ -17,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 
 from finsep.ideal import Presentation
 from finsep.intarith import factorize, squarefree
-from finsep.poly import IntPoly, RatPoly, gcd_q, xgcd_q
+from finsep.poly import IntPoly, gcd_q
 from finsep.separability import decide
 
 X = sympy.Symbol("x")
@@ -46,31 +47,29 @@ def _fractions(poly):
     return coeffs
 
 
-def _rational(rng, degree):
-    den = rng.choice((1, 2, 3, 12, 35))
-    return RatPoly(Fraction(rng.randint(-9, 9), den) for _ in range(degree + 1))
-
-
 def test_xgcd_q_matches_sympy_gcdex():
+    # gcd_q([a, b]): its gamma and two cofactors are the monic gcd and the
+    # least-degree Bezout cofactors, as from sympy's extended Euclid
     rng = random.Random(53)
-    nonzero = lambda p: p if not p.is_zero() else RatPoly((0, 1))
-    a = _rational(rng, 4)
+    nonzero = lambda p: p if not p.is_zero() else IntPoly((0, 1))
+    a = _random_poly(rng, 4)
     pairs = [
-        (RatPoly(), nonzero(_rational(rng, 3))),            # a = 0
-        (nonzero(_rational(rng, 2)), _rational(rng, 6)),    # deg a < deg b
+        (IntPoly(), nonzero(_random_poly(rng, 3))),         # a = 0
+        (nonzero(_random_poly(rng, 2)), _random_poly(rng, 6)),  # deg a < deg b
         (a, a),                                             # a = b
-        (RatPoly((0, 1)), RatPoly((1, 1))),                 # x, x + 1: coprime
-        (RatPoly((-1, 0, 1)), RatPoly((0, 1, 1))),          # x^2 - 1, x^2 + x
+        (IntPoly((0, 1)), IntPoly((1, 1))),                 # x, x + 1: coprime
+        (IntPoly((-1, 0, 1)), IntPoly((0, 1, 1))),          # x^2 - 1, x^2 + x
     ]
     for _ in range(200):
-        common = _rational(rng, rng.randint(0, 3))
-        pairs.append((common * _rational(rng, rng.randint(0, 5)),
-                      common * _rational(rng, rng.randint(0, 5))))
+        common = _random_poly(rng, rng.randint(0, 3))
+        pairs.append((common * _random_poly(rng, rng.randint(0, 5)),
+                      common * _random_poly(rng, rng.randint(0, 5))))
     coprime = 0
     for a, b in pairs:
         if b.is_zero():
             continue  # sympy's gcdex divides by b
-        g, s, t = xgcd_q(a, b)
+        res = gcd_q([a, b])
+        g, (s, t) = res.gamma, res.cofactors
         want_s, want_t, want_g = _sympy_poly(a).gcdex(_sympy_poly(b))
         assert list(g.coeffs) == _fractions(want_g)
         assert list(s.coeffs) == _fractions(want_s)
