@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 
-from .intarith import FactoringBudgetError, SelfCheckError
+from .intarith import (
+    MR_PROOF_BOUND,
+    FactoringBudgetError,
+    SelfCheckError,
+    is_probable_prime,
+)
 from .poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
 from .ideal import (
     CanonicalBasis,
@@ -616,6 +621,9 @@ def _cmd_verify(args) -> int:
             p = _json(fr["prime"], int, "the prime")
             ok = p > 1 and all(c % (p * p) == 0 for r in relators for c in r.coeffs)
             checks.append((f"{p}^2 divides every relator coefficient", ok))
+            # Miller-Rabin proves primality only below its bound
+            prime = "prime" if p < MR_PROOF_BOUND else "a probable prime"
+            checks.append((f"{p} is {prime}", is_probable_prime(p)))
         elif fr["kind"] == NON_INTEGER_GAMMA:
             c = _fraction(fr["coefficient"])
             gamma = _ratpoly_from_json(doc["gamma"])

@@ -23,19 +23,23 @@ only the elements (the finite quotients of the separation search).  A
 failed re-check raises ``SelfCheckError``.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
-for some monic phi of bounded degree, by solving an integer-linear system
-over one lattice that grows with the degree.  The strong basis already
-holds V in echelon form, one staircase row x^(n-d) * t_d per degree n, so
-each degree adds its staircase row and, when k*x^n is not yet reached,
-k*x^n itself; the staircase rows of degree <= n span the members of V of
-degree <= n.  It starts at the algebraic degree (the lowest basis degree):
-no nonzero member of V lies below it.  The search reads basis elements
-only and builds no certificate; the relations handed out are certified
-once each, by ``invariants.certified_relation``.
+for some monic phi of bounded degree.  The strong basis already holds V in
+echelon form, one staircase row x^(n-d) * t_d per degree n, and only the
+row of degree n has pivot n, so a degree is decided modulo k: the row's
+lead must divide k, and the k/lead multiple of its part below n must lie
+in the span over Z/k of the lower staircase rows, one ``_Echelon(k)``
+whose coordinates stay in [0, k).  No k*x^i rows are held, and no entry
+reaches k.  With k = 1 the span is zero, so the answer is the top basis
+element when it is monic, read off with no echelon at all.  The search
+starts at the algebraic degree (the lowest basis degree): no nonzero
+member of V lies below it.  The search reads basis elements only and
+builds no certificate; the relations handed out are certified once each,
+by ``invariants.certified_relation``.
 
-One helper, ``staircase_row``, builds the staircase rows for both
-lattices of the library: this search and the subring span of a finite
-quotient (``quotients._SubringSpan``).
+One helper, ``staircase_row``, builds the staircase rows, and one echelon
+over Z/N, ``_Echelon``, holds their span for both lattices of the
+library: this search (N = k) and the subring span of a finite quotient
+(``quotients._SubringSpan``, N = q).
 """
 
 from __future__ import annotations
@@ -373,60 +377,69 @@ def membership(
     return True, cert
 
 
-def _lin(a: int, s: dict, b: int, t: dict) -> dict:
-    """The sparse vector a*s + b*t."""
+def _lin(a: int, s: dict, b: int, t: dict, n: int) -> dict:
+    """The sparse vector a*s + b*t, entries in [0, n)."""
     out = {}
     for i in s.keys() | t.keys():
-        c = a * s.get(i, 0) + b * t.get(i, 0)
+        c = (a * s.get(i, 0) + b * t.get(i, 0)) % n
         if c:
             out[i] = c
     return out
 
 
 class _Echelon:
-    """Integer row echelon; a row's pivot is its highest nonzero coordinate.
+    """Row echelon over Z/N; a row's pivot is its highest nonzero coordinate.
+
+    An empty pivot slot j stands for the row N*e_j, so the rows and the
+    empty slots together form a triangular basis of the integer lattice
+    spanned by the inserted vectors and N*Z^dim, and entries are kept in
+    [0, N).  Inserting at an empty slot merges with N*e_j by the same
+    extended-gcd step as at a held row: the slot gets lead g = gcd(N, b)
+    and the remainder (N/g) * vec re-enters below.  That remainder step is
+    the Howell closure (Howell, Spans in the module (Z_m)^s, 1986;
+    Storjohann-Mulders, Fast algorithms for linear algebra modulo N, 1998):
+    every held lead divides N, and a vector lies in the span exactly when
+    top-down reduction clears it, an empty slot clearing only 0.
 
     A row with pivot j stores coordinates 0..j only, so the echelon grows
     with its input and has no fixed dimension.  Rows optionally carry a
-    sparse tail {index: coefficient} of bookkeeping coordinates that
-    follows every row operation, so reducing a vector to zero also yields
-    its expression over the tracked generators.
+    sparse tail {index: coefficient} of bookkeeping coordinates, also kept
+    in [0, N), that follows every row operation, so reducing a vector to
+    zero also yields its expression over the tracked generators mod N.
     """
 
-    def __init__(self):
+    def __init__(self, modulus: int):
+        self.modulus = modulus
         self.rows: dict[int, list[int]] = {}
         self.tails: dict[int, dict[int, int]] = {}
 
     def add(self, vec, tail=None) -> None:
-        vec = _trim(list(vec))
-        tail = dict(tail) if tail else {}
+        n = self.modulus
+        vec = _trim([x % n for x in vec])
+        tail = {i: c % n for i, c in tail.items() if c % n} if tail else {}
         while vec:
             j = len(vec) - 1
             row = self.rows.get(j)
+            rtail = self.tails.get(j, {})
             if row is None:
-                if vec[j] < 0:
-                    vec = [-x for x in vec]
-                    tail = {i: -c for i, c in tail.items()}
-                self.rows[j] = vec
-                self.tails[j] = tail
-                return
-            rtail = self.tails[j]
+                row = [0] * j + [n]
             a, b = row[j], vec[j]
             if b % a == 0:
                 q = b // a
-                vec = [x - q * y for x, y in zip(vec, row)]
-                tail = _lin(1, tail, -q, rtail)
+                vec = [(x - q * y) % n for x, y in zip(vec, row)]
+                tail = _lin(1, tail, -q, rtail, n)
             else:
                 g, u, v = xgcd(a, b)
-                self.rows[j] = [u * x + v * y for x, y in zip(row, vec)]
-                self.tails[j] = _lin(u, rtail, v, tail)
-                vec = [(a // g) * y - (b // g) * x for x, y in zip(row, vec)]
-                tail = _lin(-(b // g), rtail, a // g, tail)
+                self.rows[j] = [(u * x + v * y) % n for x, y in zip(row, vec)]
+                self.tails[j] = _lin(u, rtail, v, tail, n)
+                vec = [((a // g) * y - (b // g) * x) % n for x, y in zip(row, vec)]
+                tail = _lin(-(b // g), rtail, a // g, tail, n)
             _trim(vec)
 
     def solve(self, vec) -> dict[int, int] | None:
-        """If vec is in the row span, return its accumulated sparse tail."""
-        vec = _trim(list(vec))
+        """If vec is in the span mod N, return its accumulated sparse tail."""
+        n = self.modulus
+        vec = _trim([x % n for x in vec])
         out: dict[int, int] = {}
         while vec:
             j = len(vec) - 1
@@ -434,9 +447,9 @@ class _Echelon:
             if row is None or vec[j] % row[j]:
                 return None
             q = vec[j] // row[j]
-            vec = _trim([x - q * y for x, y in zip(vec, row)])
+            vec = _trim([(x - q * y) % n for x, y in zip(vec, row)])
             if self.tails[j]:
-                out = _lin(1, out, q, self.tails[j])
+                out = _lin(1, out, q, self.tails[j], n)
         return out
 
 
@@ -456,49 +469,62 @@ def monic_multiple_search(
 ) -> IntPoly | None:
     """Search for monic phi (zero constant term) with k*phi in V.
 
-    Candidate degrees are tried ascending, so a hit has least degree.  At
-    degree n, integer lower coefficients exist exactly when k*x^n lies in
-    the lattice L_n spanned by k*x^i (i < n) and V_{<=n}, the members of V
-    of degree <= n; coordinate i - 1 holds the coefficient of x^i, and
-    each k*x^i carries the tail {i: 1}, so solving for k*x^n reads off the
-    lower coefficients.  A None result is a proof that no such phi of
-    degree <= degree_bound exists.  A hit is returned uncertified: callers
-    that hand it out pass it through ``invariants.certified_relation``,
-    which checks it and builds its membership certificate.
+    Candidate degrees are tried ascending, so a hit has least degree.  A
+    None result is a proof that no such phi of degree <= degree_bound
+    exists.  A hit is returned uncertified: callers that hand it out pass
+    it through ``invariants.certified_relation``, which checks it and
+    builds its membership certificate.
 
-    One echelon grows across the degrees.  It starts with k*x^i for
-    i < m, where m = basis.degrees[0] is the algebraic degree: the basis
-    is a strong basis, so every nonzero member of V reduces by some
-    element and has degree >= m, while k*phi is nonzero of degree n.  At
-    each n >= m it gains the staircase row of degree n, x^(n-d) * t_d with
-    d the largest basis degree <= n (``staircase_row``), then solves for
-    k*x^n, and on failure gains k*x^n before moving to n + 1.  The
-    lattice at degree n is then L_n: the shifts of the basis elements of
-    degree <= n span V_{<=n}, and the staircase rows of degree <= n,
-    which are among those shifts, span it too, because every member of V
-    reduces to zero against them from the top down (see ``_complete``).
-    Each staircase row brings a new pivot, so a degree costs one merge
-    and one solve, and a row ends at its pivot, so it costs no more than
-    its degree.
+    At degree n, integer lower coefficients exist exactly when k*x^n lies
+    in the lattice L_n = k*Z^(<n) + V_(<=n): the multiples of k in the
+    degrees below n, plus the members of V of degree <= n.  The basis
+    is a strong basis, so V_(<=n) is spanned by the staircase rows s_m =
+    x^(m-d) * t_d of degrees m0 <= m <= n (``staircase_row``; see
+    ``_complete``), where m0 = basis.degrees[0] is the algebraic degree:
+    every nonzero member of V reduces by some element, so none lies below
+    m0.  Only s_n has pivot n, so the coefficient of s_n in k*x^n is
+    k / lead(s_n), and k*x^n lies in L_n exactly when
+
+    - l = lead(s_n) divides k, and
+    - -(k/l) * s_n, restricted to the degrees below n, lies in
+      W = span over Z/k of the s_m with m < n.
+
+    The second test is one solve in an ``_Echelon(k)`` that holds W, with
+    coordinates in [0, k), and returns a_m in [0, k) with
+    sum(a_m * s_m) == -(k/l) * s_n below n, mod k.  Then
+    (k/l) * s_n + sum(a_m * s_m) is a member of V whose lower coefficients
+    are multiples of k and whose lead is k, and phi is its exact quotient
+    by k.  On failure s_n joins W and the search moves to n + 1.
+
+    With k = 1, W is zero, so the test is lead(s_n) = 1 alone.  The leads
+    of a strong basis divide backward and are distinct, so only the top
+    element can be monic; the search returns it when its degree is within
+    the bound, reading leads only and building no row.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
     if k < 1:
         raise InvalidBoundError(f"k must be >= 1, got {k}")
-    basis = canonical_basis(presentation)
-    if basis.is_empty():
+    elements = canonical_basis(presentation).elements
+    if not elements:
         return None
-    degrees = basis.degrees
-    lattice = _Echelon()
-    for i in range(1, degrees[0]):
-        lattice.add([0] * (i - 1) + [k], {i: 1})
-    for n in range(degrees[0], degree_bound + 1):
-        lattice.add(staircase_row(basis.elements, n))
-        target = [0] * (n - 1) + [k]
-        coords = lattice.solve(target)
-        if coords is None:
-            lattice.add(target, {n: 1})
-            continue
-        # k*x^n = sum(coords[i] * k*x^i) + (member of V)
-        return IntPoly([0] + [-coords.get(i, 0) for i in range(1, n)] + [1])
+    if k == 1:
+        top = elements[-1]
+        return top if top.lead == 1 and top.degree <= degree_bound else None
+    span = _Echelon(k)
+    for n in range(elements[0].degree, degree_bound + 1):
+        row = staircase_row(elements, n)
+        if k % row[-1] == 0:
+            c = k // row[-1]
+            coords = span.solve([-c * x for x in row[:-1]])
+            if coords is not None:
+                total = [0] + [c * x for x in row]
+                for m, a in coords.items():
+                    for i, x in enumerate(staircase_row(elements, m), 1):
+                        total[i] += a * x
+                phi = [t // k for t in total]
+                if any(t % k for t in total) or phi[n] != 1:
+                    raise SelfCheckError(f"degree-{n} multiple is not k*monic")
+                return IntPoly(phi)
+        span.add(row, {n: 1})
     return None

@@ -201,8 +201,11 @@ def _pollard_rho(n: int) -> int:
     raise FactoringBudgetError(f"Pollard rho found no factor of {n}")
 
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
+# Miller-Rabin on these 13 prime bases is a proof of primality for every
+# n below MR_PROOF_BOUND, the least strong pseudoprime to all of them
+# (Sorenson-Webster, Strong pseudoprimes to twelve prime bases, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROOF_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:

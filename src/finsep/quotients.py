@@ -21,9 +21,10 @@ divide once below degree n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .intarith import SelfCheckError
+from .intarith import SelfCheckError, gcd_list
 from .poly import IntPoly
 from .ideal import (
     CanonicalBasis,
@@ -232,20 +233,22 @@ class _SubringSpan:
     The additive group of the quotient is Z^(positions) modulo the lattice
     of in-window relation vectors, so the subring closure is the additive
     span of the generators and their pairwise products, iterated to a
-    fixpoint.  The echelon starts with the ladder's staircase rows of
-    degree 1 .. dim (``ideal.staircase_row``), which span the ladder's
-    ideal below the monic degree (see ``ideal._complete``).  The ladder
-    holds q*x, so its lowest degree is 1: each row brings a fresh pivot,
-    nothing merges, and every pivot is present for ``size``.  Products of
-    span elements reduce bilinearly to products of the inserted
-    generators, so only those pairs are ever multiplied, and each pair
-    once: the ring is commutative.
+    fixpoint.  That lattice contains q*Z^(positions), so the span is kept
+    over Z/q, in one ``_Echelon(q)``.  It starts with the ladder's
+    staircase rows of degree 1 .. dim (``ideal.staircase_row``), which
+    span the ladder's ideal below the monic degree (see
+    ``ideal._complete``).  The ladder holds q*x, so its lowest degree is 1
+    and each row brings a fresh pivot; the rows q*x^i are zero mod q, and
+    their slots stay empty, which stands for pivot q.
+    Products of span elements reduce bilinearly to products of the
+    inserted generators, so only those pairs are ever multiplied, and each
+    pair once: the ring is commutative.
     """
 
     def __init__(self, ring: FiniteRing, generators):
         self.ring = ring
         self.dim = len(ring.standard_monomials)
-        self.echelon = _Echelon()
+        self.echelon = _Echelon(ring.modulus)
         for n in range(1, self.dim + 1):
             self.echelon.add(staircase_row(ring.ladder, n))
         members: list[tuple[int, ...]] = []
@@ -255,31 +258,29 @@ class _SubringSpan:
             u = work.pop()
             if self.contains(u):
                 continue
-            self.echelon.add(list(u))
+            self.echelon.add(u)
             for v in [*members, u]:
                 work.append(ring.mul(u, v))
             members.append(u)
 
     def contains(self, u: tuple[int, ...]) -> bool:
-        if self.dim == 0:
-            return True
-        return self.echelon.solve(list(u)) is not None
+        return self.echelon.solve(u) is not None
+
+    def _rows(self) -> list[list[int]]:
+        """The echelon row at each position, q*e_j for an empty slot."""
+        q = self.ring.modulus
+        return [self.echelon.rows.get(j, [0] * j + [q]) for j in range(self.dim)]
 
     def size(self) -> int:
         total = 1
-        for j, m in enumerate(self.ring.position_moduli):
-            total *= m // abs(self.echelon.rows[j][j])
+        for row, m in zip(self._rows(), self.ring.position_moduli):
+            total *= m // row[-1]
         return total
 
     def materialize(self) -> frozenset:
         ring = self.ring
-        if self.dim == 0:
-            return frozenset({ring.zero()})
-        rows = [self.echelon.rows[j] for j in range(self.dim)]
-        ranges = [
-            range(m // abs(rows[j][j]))
-            for j, m in enumerate(ring.position_moduli)
-        ]
+        rows = self._rows()
+        ranges = [range(m // row[-1]) for row, m in zip(rows, ring.position_moduli)]
         out = []
         for combo in itertools.product(*ranges):
             vec = [0] * self.dim
@@ -366,22 +367,41 @@ def separate(
 
     Tries the primes up to the bound, then the prime powers (a composite
     modulus separates only when one of its prime-power factors does; see
-    ``modulus_order``).  Each quotient is built, skipped when infinite,
-    and tested for whether the target's image escapes the closure of the
-    generator images.  The first success is returned as an explicit
-    certificate: its quotient's certified basis is built and checked
-    before the result is returned, and no other modulus gets one.  The
-    modulus bound is reported when none succeeds; a bound above
-    ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any work.
+    ``modulus_order``).  A modulus that shares a prime with the content c
+    (the gcd of all relator coefficients, 0 for no relator) is skipped
+    before its quotient is built, because its quotient is infinite, and no
+    other modulus gives an infinite one.  Write R for the presented ring
+    and p for a prime dividing q:
+
+    - R/qR is finite iff R/pR is, for every such p: by the CRT R/qR is the
+      product of the R/p^aR, and each p^iR/p^(i+1)R is a quotient of R/pR.
+    - R/pR is xF_p[x] modulo the image of V, so it is finite iff that
+      image is nonzero: a nonzero member f, made monic over F_p, reduces
+      every x^n with n >= deg f, and a zero image leaves every power of x
+      free.
+    - The image of V is nonzero iff some relator is nonzero mod p, iff p
+      does not divide c.
+
+    Each remaining quotient is built and tested for whether the target's
+    image escapes the closure of the generator images; a built quotient
+    that is infinite raises ``SelfCheckError``.  The first success is
+    returned as an explicit certificate: its quotient's certified basis is
+    built and checked before the result is returned, and no other modulus
+    gets one.  The modulus bound is reported when none succeeds; a bound
+    above ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any
+    work.
     """
     subring_generators = list(subring_generators)
     for p in [target, *subring_generators]:
         if p.constant != 0:
             raise ValueError("targets and generators need zero constant terms")
+    content = gcd_list(c for r in presentation.relators for c in r.coeffs)
     for q in modulus_order(modulus_bound):
+        if math.gcd(q, content) > 1:
+            continue
         ring = build_quotient(presentation, q)
         if isinstance(ring, InfiniteQuotient):
-            continue
+            raise SelfCheckError(f"mod-{q} quotient is infinite, content {content}")
         img = ring.image(target)
         span = _SubringSpan(ring, subring_generators)
         if not span.contains(img):

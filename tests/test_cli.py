@@ -12,6 +12,7 @@ import finsep
 
 from finsep.poly import IntPoly, format_poly
 from finsep.ideal import ConstantTermError
+from finsep.intarith import MR_PROOF_BOUND, is_probable_prime
 from finsep.cli import MAX_DEGREE, PolySyntaxError, build_parser, parse_poly, run
 from finsep.quotients import MAX_MODULUS_BOUND
 
@@ -398,6 +399,33 @@ def test_verify_catches_a_forged_gamma(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     failed = [c["name"] for c in result["checks"] if not c["ok"]]
     assert "gamma is monic" in failed and result["all_ok"] is False
+
+
+def test_verify_checks_the_flagged_prime_is_prime(tmp_path, capsys):
+    # 4^2 divides 16, so only a primality check rejects "prime": 4
+    assert run(["decide", "--relator", "16x", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failure_reason"]["prime"] == 2
+    path = tmp_path / "decide.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["all_ok"] is True
+    assert {"name": "2 is prime", "ok": True} in result["checks"]
+    doc["failure_reason"]["prime"] = 4
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL  4 is prime" in out and "INVALID" in out
+    # above the Miller-Rabin proof bound the check says what it proves
+    p = next(n for n in range(MR_PROOF_BOUND, MR_PROOF_BOUND + 1000)
+             if is_probable_prime(n))
+    doc["relators"] = [{"coeffs": [0, p * p]}]
+    doc["failure_reason"]["prime"] = p
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path), "--json"]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert f"{p} is a probable prime" in names
 
 
 def test_verify_catches_a_forged_basis(tmp_path, capsys):

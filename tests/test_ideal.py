@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -353,19 +354,76 @@ def test_monic_multiple_bad_arguments():
         monic_multiple_search(pres((0, 2)), 0, 3)
 
 
-def _fresh_lattice_search(p, k, degree_bound):
-    """Oracle: at each degree n a fresh echelon of every shift of every basis
-    element of degree <= n plus k*x^i (i < n, tail {i: 1}), solved for k*x^n.
+class _IntegerEchelon:
+    """Exact integer row echelon for the search oracle, sharing no code
+    with finsep: a row's pivot is its highest nonzero coordinate, and rows
+    carry sparse tails {index: coefficient} through every row operation."""
 
-    The shifts are inserted here, by ascending degree and then ascending
-    shift, not through the library's staircase rows, so the oracle shares
-    only the echelon with the search."""
+    def __init__(self):
+        self.rows = {}
+
+    @staticmethod
+    def _strip(vec):
+        while vec and not vec[-1]:
+            vec.pop()
+        return vec
+
+    @staticmethod
+    def _lin(a, s, b, t):
+        out = {i: a * s.get(i, 0) + b * t.get(i, 0) for i in s.keys() | t.keys()}
+        return {i: c for i, c in out.items() if c}
+
+    def add(self, vec, tail=()):
+        vec, tail = self._strip(list(vec)), dict(tail)
+        while vec:
+            j = len(vec) - 1
+            if j not in self.rows:
+                self.rows[j] = (vec, tail)
+                return
+            row, rtail = self.rows[j]
+            g, u, v = _oracle_xgcd(row[j], vec[j])
+            a, b = row[j] // g, vec[j] // g
+            # [[u, v], [-b, a]] is unimodular, so the span is unchanged
+            self.rows[j] = (
+                self._strip([u * x + v * y for x, y in zip(row, vec)]),
+                self._lin(u, rtail, v, tail),
+            )
+            vec = self._strip([a * y - b * x for x, y in zip(row, vec)])
+            tail = self._lin(a, tail, -b, rtail)
+
+    def solve(self, vec):
+        vec, out = self._strip(list(vec)), {}
+        while vec:
+            j = len(vec) - 1
+            if j not in self.rows or vec[j] % self.rows[j][0][j]:
+                return None
+            row, rtail = self.rows[j]
+            q = vec[j] // row[j]
+            vec = self._strip([x - q * y for x, y in zip(vec, row)])
+            out = self._lin(1, out, q, rtail)
+        return out
+
+
+def _shift_echelon(elements, n):
+    """Exact echelon of every shift of every basis element of degree <= n,
+    inserted by ascending degree and then ascending shift."""
+    lattice = _IntegerEchelon()
+    for element in elements:
+        for shift in range(n - element.degree + 1):
+            lattice.add([0] * shift + list(element.coeffs[1:]))
+    return lattice
+
+
+def _fresh_lattice_search(p, k, degree_bound):
+    """Oracle: at each degree n a fresh exact integer lattice of every shift
+    of every basis element of degree <= n plus k*x^i (i < n, tail {i: 1}),
+    solved for k*x^n.
+
+    The lattice is built here, over Z and without the library's echelon
+    or its staircase rows, so the oracle shares no code with the search."""
     elements = canonical_basis(p).elements
     for n in range(1, degree_bound + 1):
-        lattice = ideal_module._Echelon()
-        for element in elements:
-            for shift in range(n - element.degree + 1):
-                lattice.add([0] * shift + list(element.coeffs[1:]))
+        lattice = _shift_echelon(elements, n)
         for i in range(1, n):
             lattice.add([0] * (i - 1) + [k], {i: 1})
         coords = lattice.solve([0] * (n - 1) + [k])
@@ -375,10 +433,12 @@ def _fresh_lattice_search(p, k, degree_bound):
 
 
 def test_monic_multiple_search_matches_fresh_lattice_oracle():
-    # the search grows one staircase lattice; rebuilding the full shift
-    # lattice at every degree must give the same phi, or None, each time
+    # the search decides each degree mod k over the staircase rows; a
+    # fresh exact lattice over every shift at every degree must find a hit
+    # at the same degree, or none, and the same phi at the algebraic degree,
+    # where phi is unique
     rng = random.Random(43)
-    found = 0
+    found = above = 0
     for _ in range(320):
         content = rng.choice((1, 1, 2, 3, 6, 10, 12, rng.randint(1, 30)))
         p = Presentation(
@@ -387,35 +447,102 @@ def test_monic_multiple_search_matches_fresh_lattice_oracle():
         )
         if not p.relators:
             continue
+        elements = canonical_basis(p).elements
         bound = 2 * p.max_degree
         gcd = math.gcd(*(c for r in p.relators for c in r.coeffs))
         for k in sorted({1, 2, 3, 6, gcd}):
             phi = monic_multiple_search(p, k, bound)
-            assert phi == _fresh_lattice_search(p, k, bound)
-            if phi is not None:
-                # the search certifies nothing; the hit must pass the gate
-                relation = certified_relation(p, k, phi)
-                assert relation.verify(p)
-                found += 1
+            want = _fresh_lattice_search(p, k, bound)
+            assert (phi is None) == (want is None)
+            if phi is None:
+                continue
+            n = phi.degree
+            assert n == want.degree
+            assert phi.is_monic() and phi.constant == 0
+            if n == elements[0].degree:
+                assert phi == want
+            else:
+                above += phi != want
+            # k*phi is k*x^n less the k*(x^n - phi) that the k*x^i rows
+            # supply: it must lie in the oracle's lattice of shifts alone
+            assert _shift_echelon(elements, n).solve(phi.scale(k).coeffs[1:]) is not None
+            # the search certifies nothing; the hit must pass the gate
+            relation = certified_relation(p, k, phi)
+            assert relation.verify(p)
+            found += 1
     assert found >= 300
+    assert above > 0
 
 
-def test_monic_multiple_search_grows_one_lattice(monkeypatch):
-    # one staircase row, one failed target and the k*x^i below the
-    # algebraic degree per degree: rebuilding the lattice per degree made
-    # thousands of insertions here
-    calls = 0
+def test_echelon_mod_n_decides_its_span():
+    # the span mod N of a few short vectors, closed by brute force, against
+    # the echelon's solve; its tails must re-multiply mod N.  Spans such as
+    # (1, 2) mod 4, which holds (2, 0) only through the Howell remainder
+    # 2 * (1, 2), are where a plain echelon answers wrongly
+    rng = random.Random(44)
+    for _ in range(150):
+        n = rng.choice((2, 4, 6, 8, 9, 12))
+        dim = rng.randint(1, 3)
+        gens = [[rng.randrange(n) for _ in range(rng.randint(1, dim))]
+                for _ in range(rng.randint(1, 3))]
+        echelon = ideal_module._Echelon(n)
+        for i, g in enumerate(gens):
+            echelon.add(g, {i: 1})
+        span = {(0,) * dim}
+        frontier = list(span)
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                w = tuple((a + b) % n for a, b in zip(v, g + [0] * (dim - len(g))))
+                if w not in span:
+                    span.add(w)
+                    frontier.append(w)
+        for v in itertools.product(range(n), repeat=dim):
+            tail = echelon.solve(v)
+            assert (tail is not None) == (v in span), (n, gens, v)
+            if tail is not None:
+                total = [0] * dim
+                for i, c in tail.items():
+                    for j, x in enumerate(gens[i]):
+                        total[j] += c * x
+                assert all((t - x) % n == 0 for t, x in zip(total, v))
+    echelon = ideal_module._Echelon(4)
+    echelon.add([1, 2])
+    assert echelon.solve([2]) is not None and echelon.solve([1]) is None
+
+
+def _count_echelon_adds(monkeypatch):
+    calls = [0]
     add = ideal_module._Echelon.add
 
     def counting_add(self, *args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return add(self, *args)
 
     monkeypatch.setattr(ideal_module._Echelon, "add", counting_add)
+    return calls
+
+
+def test_monic_multiple_search_with_k_one_builds_no_lattice(monkeypatch):
+    # with k = 1 the span mod k is zero: the answer is the top basis
+    # element when it is monic, read off the leads
+    calls = _count_echelon_adds(monkeypatch)
     p = Presentation([IntPoly([0, -1] + [0] * 38 + [1]).scale(4)])
     assert monic_multiple_search(p, 1, 80) is None
-    assert 0 < calls <= 2 * 80
+    q = pres((0, 0, 2), (0, -1, 0, 1))
+    assert monic_multiple_search(q, 1, 2) is None
+    assert monic_multiple_search(q, 1, 3) == canonical_basis(q).elements[-1]
+    assert calls[0] == 0
+
+
+def test_monic_multiple_search_grows_one_lattice(monkeypatch):
+    # one staircase row per degree joins the span mod k: rebuilding the
+    # lattice per degree made thousands of insertions here
+    calls = _count_echelon_adds(monkeypatch)
+    # the lead 4 never divides 6, so every degree up to the bound is tried
+    p = Presentation([IntPoly([0, -1] + [0] * 38 + [1]).scale(4)])
+    assert monic_multiple_search(p, 6, 80) is None
+    assert 0 < calls[0] <= 2 * 80
 
 
 def test_basis_elements_match_canonical_basis():

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import finsep.quotients as quotients
 from finsep.poly import IntPoly
 from finsep.intarith import factorize
 from finsep.intarith import SelfCheckError
@@ -184,6 +186,37 @@ def test_torsion_only_presentations_have_no_useful_finite_quotient():
             assert isinstance(ring, InfiniteQuotient)
         else:
             assert isinstance(ring, FiniteRing) and ring.carrier_size == 1
+
+
+def test_quotient_is_infinite_exactly_when_the_modulus_meets_the_content():
+    # separate skips a modulus sharing a prime with the coefficient gcd
+    # before building it; this is the claim that makes the skip safe
+    rng = random.Random(52)
+    cases = [pres()]
+    for content in (1, 1, 2, 3, 4, 6, 10, 12, 15, 30, 49):
+        cases.append(Presentation(
+            [random_zero_const_poly(rng, rng.randint(1, 4), 9).scale(content)
+             for _ in range(rng.randint(1, 2))]
+        ))
+    for p in cases:
+        content = math.gcd(*(c for r in p.relators for c in r.coeffs))
+        for q in range(2, 101):
+            infinite = isinstance(build_quotient(p, q), InfiniteQuotient)
+            assert infinite == (math.gcd(q, content) > 1), (p, q)
+
+
+def test_separate_builds_no_quotient_that_meets_the_content(monkeypatch):
+    built = []
+
+    def recording_build(presentation, q):
+        built.append(q)
+        return build_quotient(presentation, q)
+
+    monkeypatch.setattr(quotients, "build_quotient", recording_build)
+    p = pres((0, -6, 0, 6), (0, 0, 6, 12))
+    separate(p, ip(0, 1), [ip(0, 0, 1)], 30)
+    coprime = [q for q in modulus_order(30) if math.gcd(q, 6) == 1]
+    assert built and built == coprime[:len(built)]
 
 
 def test_canonical_map_is_a_homomorphism():
