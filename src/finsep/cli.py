@@ -13,7 +13,8 @@ exit 141 (128 + SIGPIPE) means the reader of stdout went away, as with
 ``| head``, and prints nothing more.  A degree above ``MAX_DEGREE`` or a
 modulus bound above ``quotients.MAX_MODULUS_BOUND`` is an input error.
 With --json the output follows a stable schema whose certificates can be
-fed back to the ``verify`` subcommand.
+fed back to the ``verify`` subcommand.  Every document opens with
+``schema``, ``command`` and, except for ``verify``, ``relators``.
 """
 
 from __future__ import annotations
@@ -246,45 +247,30 @@ def _basis_json(basis: CanonicalBasis) -> dict:
     }
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_decide(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
     v = decide(p)
-    payload = {
-        "schema": SCHEMA,
-        "command": "decide",
-        "relators": [_poly_json(r) for r in p.relators],
-        "separable": v.separable,
-        "coefficient_gcd": v.coefficient_gcd,
-    }
+    fields = {"separable": v.separable, "coefficient_gcd": v.coefficient_gcd}
     lines = [f"separable: {'yes' if v.separable else 'no'}"]
     if v.squarefree_witness is not None:
         sf = v.squarefree_witness
-        payload["coefficient_gcd_squarefree"] = sf.is_squarefree
-        payload["coefficient_gcd_factorization"] = [list(f) for f in sf.factorization]
+        fields["coefficient_gcd_squarefree"] = sf.is_squarefree
+        fields["coefficient_gcd_factorization"] = [list(f) for f in sf.factorization]
         lines.append(
             f"condition (i): coefficient gcd {v.coefficient_gcd} "
             f"{'is' if sf.is_squarefree else 'is NOT'} squarefree"
         )
     if v.rational_gcd is not None:
         rg = v.rational_gcd
-        payload["gamma"] = _poly_json(rg.gamma)
-        payload["gamma_cofactors"] = [_poly_json(c) for c in rg.cofactors]
-        payload["denominator_lcm"] = rg.denominator_lcm
+        fields["gamma"] = _poly_json(rg.gamma)
+        fields["gamma_cofactors"] = [_poly_json(c) for c in rg.cofactors]
+        fields["denominator_lcm"] = rg.denominator_lcm
         lines.append(
             f"condition (ii): rational gcd {format_poly(rg.gamma)} "
             f"{'has' if rg.gamma.is_integral() else 'does NOT have'} integer coefficients"
         )
     if v.failure_reason is not None:
         fr = v.failure_reason
-        payload["failure_reason"] = {
+        fields["failure_reason"] = {
             "kind": fr.kind,
             "prime": fr.prime,
             "coefficient_index": fr.coefficient_index,
@@ -300,22 +286,17 @@ def _cmd_decide(args) -> int:
                 f"{fr.coefficient_index} is not an integer"
             )
     if v.positive_witness is not None:
-        payload["witness"] = _relation_json(v.positive_witness)
+        fields["witness"] = _relation_json(v.positive_witness)
         w = v.positive_witness
         lines.append(
             f"witness: {w.k} * ({format_poly(w.phi)}) vanishes at the generator"
         )
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _cmd_invariants(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
     inv = ring_invariants(p)
-    payload = {
-        "schema": SCHEMA,
-        "command": "invariants",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "algebraic_degree": inv.algebraic_degree,
         "minimal_polynomial": (
             _poly_json(inv.minimal_polynomial) if inv.minimal_polynomial else None
@@ -348,51 +329,33 @@ def _cmd_invariants(args) -> int:
     if inv.torsion_witness is not None:
         w = inv.torsion_witness
         lines.append(f"witness: {w.k} * ({format_poly(w.phi)}) vanishes at the generator")
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _cmd_basis(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_basis(args, p: Presentation) -> tuple[dict, list[str]]:
     basis = canonical_basis(p)
-    payload = {
-        "schema": SCHEMA,
-        "command": "basis",
-        "relators": [_poly_json(r) for r in p.relators],
-        "basis": _basis_json(basis),
-    }
     lines = [f"basis elements: {len(basis.elements)}"]
     lines += [f"  {format_poly(e)}" for e in basis.elements]
-    _emit(args, payload, lines)
-    return 0
+    return {"basis": _basis_json(basis)}, lines
 
 
-def _cmd_nf(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_nf(args, p: Presentation) -> tuple[dict, list[str]]:
     g = parse_poly(args.poly).to_poly()
     basis = canonical_basis(p)
     nf, quotients = reduce_with_quotients(g, basis)
-    payload = {
-        "schema": SCHEMA,
-        "command": "nf",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "poly": _poly_json(g),
         "normal_form": _poly_json(nf),
         "quotients": [_poly_json(q) for q in quotients],
         "basis": _basis_json(basis),
     }
-    _emit(args, payload, [format_poly(nf)])
-    return 0
+    return fields, [format_poly(nf)]
 
 
-def _cmd_member(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
     g = parse_poly(args.poly).to_poly()
     member, cert = membership(g, p)
-    payload = {
-        "schema": SCHEMA,
-        "command": "member",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "poly": _poly_json(g),
         "member": member,
         "certificate": _certificate_json(cert) if cert else None,
@@ -401,18 +364,13 @@ def _cmd_member(args) -> int:
     if cert:
         for c, r in zip(cert.cofactors, p.relators):
             lines.append(f"  ({format_poly(c)}) * ({format_poly(r)})")
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _cmd_quotient(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_quotient(args, p: Presentation) -> tuple[dict, list[str]]:
     ring = build_quotient(p, args.modulus)
     if isinstance(ring, InfiniteQuotient):
-        payload = {
-            "schema": SCHEMA,
-            "command": "quotient",
-            "relators": [_poly_json(r) for r in p.relators],
+        fields = {
             "modulus": args.modulus,
             "finite": False,
             "obstruction": [list(t) for t in ring.obstruction],
@@ -422,15 +380,11 @@ def _cmd_quotient(args) -> int:
             "no monic element in the reduced basis; degree ladder: "
             + ", ".join(f"lead {c} at degree {d}" for d, c in ring.obstruction),
         ]
-        _emit(args, payload, lines)
-        return 0
+        return fields, lines
     gen = ring.generator()
     action = [ring.to_poly(ring.image(IntPoly.term(1, d + 1)))
               for d in ring.standard_monomials]
-    payload = {
-        "schema": SCHEMA,
-        "command": "quotient",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "modulus": args.modulus,
         "finite": True,
         "standard_monomials": list(ring.standard_monomials),
@@ -454,19 +408,14 @@ def _cmd_quotient(args) -> int:
     ]
     for d, img in zip(ring.standard_monomials, action):
         lines.append(f"a * a^{d} = {format_poly(img)}")
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _cmd_separate(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_separate(args, p: Presentation) -> tuple[dict, list[str]]:
     target = parse_poly(args.target).to_poly()
     gens = [parse_poly(t).to_poly() for t in args.gen or []]
     result = separate(p, target, gens, args.bound)
-    payload = {
-        "schema": SCHEMA,
-        "command": "separate",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "target": _poly_json(target),
         "generators": [_poly_json(g) for g in gens],
         "found": result.found,
@@ -474,8 +423,8 @@ def _cmd_separate(args) -> int:
         "bound_exhausted": result.bound_exhausted,
     }
     if result.found:
-        payload["image_of_target"] = list(result.image_of_target)
-        payload["subring_image"] = sorted(list(u) for u in result.subring_image)
+        fields["image_of_target"] = list(result.image_of_target)
+        fields["subring_image"] = sorted(list(u) for u in result.subring_image)
         lines = [
             f"separated at modulus {result.modulus}: target image "
             f"{format_poly(result.quotient.to_poly(result.image_of_target))} is outside the "
@@ -486,27 +435,15 @@ def _cmd_separate(args) -> int:
             f"no separating quotient found up to modulus {result.bound_exhausted} "
             "(this is not a proof of non-separability)"
         ]
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _cmd_witness(args) -> int:
-    p = _gather_presentation(args)
+def _cmd_witness(args, p: Presentation) -> tuple[dict, list[str]]:
     v = decide(p)
     if not v.separable:
-        payload = {
-            "schema": SCHEMA,
-            "command": "witness",
-            "relators": [_poly_json(r) for r in p.relators],
-            "separable": False,
-        }
-        _emit(args, payload, ["not separable: no witness"])
-        return 0
+        return {"separable": False}, ["not separable: no witness"]
     k, tail = witness_theorem_part1(v)
-    payload = {
-        "schema": SCHEMA,
-        "command": "witness",
-        "relators": [_poly_json(r) for r in p.relators],
+    fields = {
         "separable": True,
         "k": k,
         "tail_coefficients": list(tail),
@@ -519,7 +456,7 @@ def _cmd_witness(args) -> int:
     ]
     if k > 1:
         split = torsion_split(k)
-        payload["torsion_split"] = {
+        fields["torsion_split"] = {
             "parts": [list(t) for t in split.parts],
             "bezout": list(split.bezout_coefficients),
         }
@@ -528,8 +465,7 @@ def _cmd_witness(args) -> int:
             + ", ".join(f"(p={pi}, cofactor={ki})" for pi, ki in split.parts)
             + f"; bezout {list(split.bezout_coefficients)}"
         )
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
 def _combination(claim: IntPoly, cofactors) -> MembershipCertificate:
@@ -543,7 +479,7 @@ def _certificate_from_json(obj) -> MembershipCertificate:
     return _combination(_poly_from_json(obj["claim"]), obj["cofactors"])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, _) -> tuple[dict, list[str]]:
     if args.input == "-":
         doc = json.load(sys.stdin)
     else:
@@ -633,9 +569,7 @@ def _cmd_verify(args) -> int:
 
     # a document without a single certificate proves nothing
     all_ok = bool(checks) and all(ok for _, ok in checks)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
+    fields = {
         "checks": [{"name": name, "ok": ok} for name, ok in checks],
         "all_ok": all_ok,
         "checked": len(checks),
@@ -645,23 +579,38 @@ def _cmd_verify(args) -> int:
         lines.append("FAIL  the document carries no certificate")
     lines.append(f"verified {len(checks)} certificate check(s): "
                  f"{'all valid' if all_ok else 'INVALID'}")
-    _emit(args, payload, lines)
-    return 0
+    return fields, lines
 
 
-def _add_presentation_args(sub):
-    sub.add_argument(
-        "--relator",
-        action="append",
-        metavar="EXPR",
-        help="defining relation, e.g. 'x^2 - x' (repeatable)",
-    )
-    sub.add_argument(
-        "--file",
-        metavar="PATH",
-        help="file with one polynomial per line ('#' starts a comment)",
-    )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+# each argument is (flag or name, add_argument keywords)
+_JSON_ARG = ("--json", dict(action="store_true", help="machine-readable output"))
+_POLY_ARG = ("--poly", dict(required=True, metavar="EXPR"))
+_PRESENTATION_ARGS = (
+    ("--relator", dict(action="append", metavar="EXPR",
+                       help="defining relation, e.g. 'x^2 - x' (repeatable)")),
+    ("--file", dict(metavar="PATH",
+                    help="file with one polynomial per line ('#' starts a comment)")),
+    _JSON_ARG,
+)
+
+# (name, help, arguments after the presentation's) for each subcommand
+# that reads a presentation; verify reads a document instead
+_COMMANDS = (
+    ("decide", "run the separability criterion", ()),
+    ("invariants", "algebraic degree, torsion, witnesses", ()),
+    ("basis", "canonical basis of the relator ideal", ()),
+    ("nf", "normal form of a polynomial", (_POLY_ARG,)),
+    ("member", "ideal membership with certificate", (_POLY_ARG,)),
+    ("quotient", "finite quotient ring structure",
+     (("--modulus", dict(required=True, type=int)),)),
+    ("separate", "search a separating finite quotient", (
+        ("--target", dict(required=True, metavar="EXPR")),
+        ("--gen", dict(action="append", metavar="EXPR", help="subring generator "
+                       "(repeatable; none means the zero subring)")),
+        ("--bound", dict(type=int, default=64, help="modulus bound (default 64)")),
+    )),
+    ("witness", "Theorem-shaped witness k, k1..k_(n-1)", ()),
+)
 
 
 @cache
@@ -673,52 +622,34 @@ def build_parser() -> argparse.ArgumentParser:
         "presentation and compute its certificates.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("decide", help="run the separability criterion")
-    _add_presentation_args(sub)
-    sub.set_defaults(func=_cmd_decide)
-
-    sub = subs.add_parser("invariants", help="algebraic degree, torsion, witnesses")
-    _add_presentation_args(sub)
-    sub.set_defaults(func=_cmd_invariants)
-
-    sub = subs.add_parser("basis", help="canonical basis of the relator ideal")
-    _add_presentation_args(sub)
-    sub.set_defaults(func=_cmd_basis)
-
-    sub = subs.add_parser("nf", help="normal form of a polynomial")
-    _add_presentation_args(sub)
-    sub.add_argument("--poly", required=True, metavar="EXPR")
-    sub.set_defaults(func=_cmd_nf)
-
-    sub = subs.add_parser("member", help="ideal membership with certificate")
-    _add_presentation_args(sub)
-    sub.add_argument("--poly", required=True, metavar="EXPR")
-    sub.set_defaults(func=_cmd_member)
-
-    sub = subs.add_parser("quotient", help="finite quotient ring structure")
-    _add_presentation_args(sub)
-    sub.add_argument("--modulus", required=True, type=int)
-    sub.set_defaults(func=_cmd_quotient)
-
-    sub = subs.add_parser("separate", help="search a separating finite quotient")
-    _add_presentation_args(sub)
-    sub.add_argument("--target", required=True, metavar="EXPR")
-    sub.add_argument("--gen", action="append", metavar="EXPR",
-                     help="subring generator (repeatable; none means the zero subring)")
-    sub.add_argument("--bound", type=int, default=64, help="modulus bound (default 64)")
-    sub.set_defaults(func=_cmd_separate)
-
-    sub = subs.add_parser("witness", help="Theorem-shaped witness k, k1..k_(n-1)")
-    _add_presentation_args(sub)
-    sub.set_defaults(func=_cmd_witness)
-
+    for name, help_text, extra in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag, options in _PRESENTATION_ARGS + extra:
+            sub.add_argument(flag, **options)
     sub = subs.add_parser("verify", help="re-verify certificates from JSON output")
-    sub.add_argument("input", help="JSON file produced with --json, or - for stdin")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.set_defaults(func=_cmd_verify)
-
+    for flag, options in (
+        ("input", dict(help="JSON file produced with --json, or - for stdin")),
+        _JSON_ARG,
+    ):
+        sub.add_argument(flag, **options)
     return parser
+
+
+def _respond(args) -> None:
+    """Run ``args.command`` and print its answer, as text or one document.
+
+    The command is looked up by name when it runs, so a wrapper put on a
+    ``_cmd_*`` function after the parser was built still applies.
+    """
+    p = None if args.command == "verify" else _gather_presentation(args)
+    fields, lines = globals()[f"_cmd_{args.command}"](args, p)
+    if not args.json:
+        print("\n".join(lines))
+        return
+    doc = {"schema": SCHEMA, "command": args.command}
+    if p is not None:
+        doc["relators"] = [_poly_json(r) for r in p.relators]
+    print(json.dumps(doc | fields, indent=2))
 
 
 def _quiet_stdout() -> None:
@@ -743,10 +674,10 @@ def run(argv=None) -> int:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        status = args.func(args)
+        _respond(args)
         # a closed pipe surfaces here rather than in the exit-time flush
         sys.stdout.flush()
-        return status
+        return 0
     except BrokenPipeError:
         _quiet_stdout()
         return 141

@@ -496,21 +496,25 @@ def monic_multiple_search(
     are multiples of k and whose lead is k, and phi is its exact quotient
     by k.  On failure s_n joins W and the search moves to n + 1.
 
-    With k = 1, W is zero, so the test is lead(s_n) = 1 alone.  The leads
-    of a strong basis divide backward and are distinct, so only the top
-    element can be monic; the search returns it when its degree is within
-    the bound, reading leads only and building no row.
+    The leads of a strong basis divide backward: each element's lead is a
+    multiple of the next one's.  Every s_n has the lead of some element,
+    so it is a multiple of the top lead, and when the top lead does not
+    divide k no degree passes the test lead(s_n) | k; the search returns
+    None reading leads only.  With k = 1, W is zero, so the test is
+    lead(s_n) = 1 alone.  The leads are distinct, so only the top element
+    can be monic; the search returns it when its degree is within the
+    bound, again building no row.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
     if k < 1:
         raise InvalidBoundError(f"k must be >= 1, got {k}")
     elements = canonical_basis(presentation).elements
-    if not elements:
+    if not elements or k % elements[-1].lead:
         return None
     if k == 1:
         top = elements[-1]
-        return top if top.lead == 1 and top.degree <= degree_bound else None
+        return top if top.degree <= degree_bound else None
     span = _Echelon(k)
     for n in range(elements[0].degree, degree_bound + 1):
         row = staircase_row(elements, n)

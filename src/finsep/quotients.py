@@ -180,9 +180,6 @@ class FiniteRing:
                     low[d] += c * t
         return self.image(IntPoly(low))
 
-    def int_scale(self, k: int, u) -> tuple[int, ...]:
-        return self.image(self.to_poly(u).scale(k))
-
     def elements(self):
         """Iterate the whole carrier (use only when it is small)."""
         for combo in itertools.product(*(range(m) for m in self.position_moduli)):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import finsep
 from finsep.poly import IntPoly, format_poly
 from finsep.ideal import ConstantTermError
 from finsep.intarith import MR_PROOF_BOUND, is_probable_prime
+from finsep import cli
 from finsep.cli import MAX_DEGREE, PolySyntaxError, build_parser, parse_poly, run
 from finsep.quotients import MAX_MODULUS_BOUND
 
@@ -188,6 +190,25 @@ def test_closed_pipe_exits_quietly():
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_a_wrapped_command_runs_after_the_parser_is_built(tmp_path, monkeypatch,
+                                                          capsys):
+    assert run(["decide", "--relator", "x^2 - x", "--json"]) == 0
+    path = tmp_path / "decide.json"
+    path.write_text(capsys.readouterr().out)
+    build_parser()
+    calls = []
+    original = cli._cmd_verify
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_cmd_verify", counting)
+    assert run(["verify", str(path)]) == 0
+    assert len(calls) == 1
+    assert "all valid" in capsys.readouterr().out
 
 
 def _src_path() -> str:
@@ -472,3 +493,37 @@ def test_verify_rejects_a_document_without_certificates(tmp_path, capsys):
 def test_parser_rejects_missing_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+GOLDEN = Path(__file__).with_name("cli_golden.txt")
+
+
+def _golden_blocks():
+    """(command line, expected stdout) pairs from ``cli_golden.txt``.
+
+    Each block opens with ``$ finsep <args>``; ``<args> | finsep verify ...``
+    feeds the first command's stdout to ``verify``.
+    """
+    blocks = []
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ finsep "):
+            blocks.append([line[len("$ finsep "):].rstrip("\n"), ""])
+        else:
+            blocks[-1][1] += line
+    return blocks
+
+
+def test_every_subcommand_prints_its_golden_document(monkeypatch, capsys):
+    blocks = _golden_blocks()
+    commands = set()
+    for line, expected in blocks:
+        stdin = ""
+        for part in line.split(" | finsep "):
+            argv = shlex.split(part)
+            commands.add(argv[0])
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert run(argv) == 0, line
+            stdin = capsys.readouterr().out
+        assert stdin == expected, line
+    assert commands == {"decide", "invariants", "basis", "nf", "member",
+                        "quotient", "separate", "witness", "verify"}

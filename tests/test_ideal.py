@@ -539,10 +539,21 @@ def test_monic_multiple_search_grows_one_lattice(monkeypatch):
     # one staircase row per degree joins the span mod k: rebuilding the
     # lattice per degree made thousands of insertions here
     calls = _count_echelon_adds(monkeypatch)
-    # the lead 4 never divides 6, so every degree up to the bound is tried
-    p = Presentation([IntPoly([0, -1] + [0] * 38 + [1]).scale(4)])
-    assert monic_multiple_search(p, 6, 80) is None
+    # the lead 2 divides k = 2 but no degree up to the bound has a monic
+    # multiple, so all 41 degrees from 40 to 80 are tried
+    p = Presentation([IntPoly([0, 1] + [0] * 38 + [2])])
+    assert monic_multiple_search(p, 2, 80) is None
     assert 0 < calls[0] <= 2 * 80
+
+
+def test_monic_multiple_search_stops_when_the_top_lead_misses_k(monkeypatch):
+    # every staircase row's lead is a multiple of the top lead 6, so no
+    # degree can reach k = 2 or k = 3 and no row is built
+    calls = _count_echelon_adds(monkeypatch)
+    p = Presentation([IntPoly([0, -1] + [0] * 1998 + [1]).scale(6)])
+    assert monic_multiple_search(p, 2, 4000) is None
+    assert monic_multiple_search(p, 3, 4000) is None
+    assert calls[0] == 0
 
 
 def test_basis_elements_match_canonical_basis():
