@@ -10,8 +10,9 @@ reports an internal fault (a result that failed its own re-check, a
 answer needs an integer factored beyond the Pollard-rho effort budget
 (``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr;
 exit 141 (128 + SIGPIPE) means the reader of stdout went away, as with
-``| head``, and prints nothing more.  A degree above ``MAX_DEGREE`` or a
-modulus bound above ``quotients.MAX_MODULUS_BOUND`` is an input error.
+``| head``, and prints nothing more.  A degree above ``MAX_DEGREE``, a
+number written with more than ``MAX_COEFF_DIGITS`` digits or a modulus
+bound above ``quotients.MAX_MODULUS_BOUND`` is an input error.
 With --json the output follows a stable schema whose certificates can be
 fed back to the ``verify`` subcommand.  Every document opens with
 ``schema``, ``command`` and, except for ``verify``, ``relators``.
@@ -31,7 +32,9 @@ from .intarith import (
     MR_PROOF_BOUND,
     FactoringBudgetError,
     SelfCheckError,
+    gcd_list,
     is_probable_prime,
+    squarefree,
 )
 from .poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
 from .ideal import (
@@ -60,6 +63,11 @@ SCHEMA = "finsep/1"
 # allocated whole, so the cap keeps the input from sizing that allocation
 MAX_DEGREE = 100_000
 
+# the most digits a coefficient or exponent may be written with; converting
+# a digit run to an int takes time quadratic in its length, so the length
+# is checked before the conversion
+MAX_COEFF_DIGITS = 10_000
+
 
 class PolySyntaxError(ValueError):
     """Input text is not a polynomial; carries the offending position."""
@@ -71,6 +79,10 @@ class PolySyntaxError(ValueError):
 
 class DegreeLimitError(ValueError):
     """Raised when a parsed polynomial's degree exceeds ``MAX_DEGREE``."""
+
+
+class DigitLimitError(ValueError):
+    """Raised when a number in a polynomial has more than ``MAX_COEFF_DIGITS`` digits."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,11 @@ def parse_poly(text: str) -> PolyExpr:
         start = i
         while i < n and text[i].isdigit():
             i += 1
+        if i - start > MAX_COEFF_DIGITS:
+            raise DigitLimitError(
+                f"a number of {i - start} digits exceeds the limit of "
+                f"{MAX_COEFF_DIGITS} digits (at position {start})"
+            )
         return int(text[start:i]) if i > start else None
 
     skip_ws()
@@ -479,6 +496,93 @@ def _certificate_from_json(obj) -> MembershipCertificate:
     return _combination(_poly_from_json(obj["claim"]), obj["cofactors"])
 
 
+def _relation_checks(name: str, w: dict, presentation) -> tuple[int, list]:
+    """k and the checks of a relation k*phi in V: claim, phi, certificate."""
+    phi = _poly_from_json(w["phi"])
+    cert = _certificate_from_json(w["certificate"])
+    k = _json(w["k"], int, f"{name} k")
+    return k, [
+        (f"{name} claim is k*phi", cert.claim == phi.scale(k)),
+        (f"{name} phi is monic, zero constant", phi.is_monic() and phi.constant == 0),
+        (f"{name} certificate", cert.verify(presentation)),
+    ]
+
+
+def _factorization_check(factorization, g: int) -> tuple[bool, tuple[str, bool]]:
+    """Whether a factorization of g is squarefree, and the check that it is one."""
+    pairs = [_json(f, list, "a factor") for f in _json(factorization, list, "factorization")]
+    if any(len(f) != 2 for f in pairs):
+        raise ValueError("a factor is not a [prime, exponent] pair")
+    pairs = [(_json(p, int, "a prime"), _json(e, int, "an exponent")) for p, e in pairs]
+    primes = [p for p, _ in pairs]
+    rest = g
+    for p, e in pairs:
+        # p**e is formed only below 2^(2*bits(g)), so a forged exponent
+        # cannot size it; a larger power does not divide g
+        if p < 2 or e < 1 or e * (p.bit_length() - 1) > g.bit_length():
+            rest = 0
+        else:
+            rest, left = divmod(rest, p**e)
+            rest = 0 if left else rest
+        if not rest:
+            break
+    ok = (rest == 1 and len(set(primes)) == len(primes)
+          and all(map(is_probable_prime, primes)))
+    # Miller-Rabin proves primality only below its bound
+    prime = "primes" if all(p < MR_PROOF_BOUND for p in primes) else "probable primes"
+    name = f"coefficient gcd factorization multiplies back with distinct {prime}"
+    return ok and all(e == 1 for _, e in pairs), (name, ok)
+
+
+def _verdict_checks(doc: dict, relators, gamma, witness) -> list:
+    """Checks that a document's ``separable`` is the verdict its data imply.
+
+    g is recomputed from the relators.  It is squarefree by the document's
+    factorization, or by factoring g when there is none.  gamma is
+    integral by the document's gamma (its own checks pin it as the monic
+    gcd over Q), or, without one, by a witness k*phi in V that passes its
+    checks: gamma divides phi over Q, and by Gauss's lemma a monic divisor
+    over Q of a monic integer polynomial is integral.
+    """
+    separable = _json(doc["separable"], bool, "separable")
+    g = gcd_list(c for r in relators for c in r.coeffs)
+    checks = []
+    if "coefficient_gcd" in doc:
+        ok = _json(doc["coefficient_gcd"], int, "coefficient_gcd") == g
+        checks.append(("coefficient gcd is the gcd of the relator coefficients", ok))
+    if "coefficient_gcd_factorization" in doc:
+        sqfree, check = _factorization_check(doc["coefficient_gcd_factorization"], g)
+        checks.append(check)
+    else:
+        sqfree = g > 0 and squarefree(g).is_squarefree
+    if gamma is not None:
+        integral = gamma.is_integral()
+    else:
+        integral = witness is not None and witness[1]
+    ok = separable == (sqfree and integral)
+    checks.append(("separable is gcd squarefree and gamma integral", ok))
+    if separable:
+        ok = witness is not None and witness[0] == g
+        checks.append(("witness k is the coefficient gcd", ok))
+        return checks
+    if not relators:
+        implied = NO_RELATORS
+    elif not sqfree:
+        implied = NON_SQUAREFREE_GCD
+    elif not integral:
+        implied = NON_INTEGER_GAMMA
+    else:
+        return checks + [("the data imply a failure reason", False)]
+    fr = doc.get("failure_reason")
+    ok = isinstance(fr, dict) and fr.get("kind") == implied
+    if ok and implied == NON_INTEGER_GAMMA:
+        # the reason flags the lowest non-integer coefficient
+        ok = gamma is not None and fr.get("coefficient_index") == next(
+            i for i, c in enumerate(gamma.coeffs) if c.denominator != 1)
+    checks.append((f"failure reason is {implied}", ok))
+    return checks
+
+
 def _cmd_verify(args, _) -> tuple[dict, list[str]]:
     if args.input == "-":
         doc = json.load(sys.stdin)
@@ -491,19 +595,23 @@ def _cmd_verify(args, _) -> tuple[dict, list[str]]:
     presentation = Presentation(relators)
     checks: list[tuple[str, bool]] = []
 
-    # invariants documents carry their relation as torsion_witness
-    for key in ("witness", "torsion_witness"):
-        if not doc.get(key):
-            continue
-        w = _json(doc[key], dict, key)
-        phi = _poly_from_json(w["phi"])
-        cert = _certificate_from_json(w["certificate"])
+    # a relation k*phi in V: a decide document's witness, an invariants
+    # document's torsion_witness, or a witness document itself, whose
+    # certificate check keeps its name "membership certificate"
+    witness = None  # (k, whether its checks pass) of the witness relation
+    relations = [(key, _json(doc[key], dict, key))
+                 for key in ("witness", "torsion_witness") if doc.get(key)]
+    if doc.get("phi"):
+        relations.append(("witness", doc))
+    for key, w in relations:
         name = key.replace("_", " ")
-        k = _json(w["k"], int, f"{name} k")
-        checks.append((f"{name} claim is k*phi", cert.claim == phi.scale(k)))
-        checks.append((f"{name} phi is monic, zero constant", phi.is_monic() and phi.constant == 0))
-        checks.append((f"{name} certificate", cert.verify(presentation)))
-    if "certificate" in doc and doc["certificate"]:
+        k, found = _relation_checks(name, w, presentation)
+        if w is doc:
+            found[-1] = ("membership certificate", found[-1][1])
+        checks += found
+        if key == "witness":
+            witness = k, all(ok for _, ok in found)
+    if doc.get("certificate") and not doc.get("phi"):
         cert = _certificate_from_json(doc["certificate"])
         checks.append(("membership certificate", cert.verify(presentation)))
     if "basis" in doc and doc["basis"]:
@@ -530,8 +638,10 @@ def _cmd_verify(args, _) -> tuple[dict, list[str]]:
             nf = _poly_from_json(doc["normal_form"])
             ok = _combination(g - nf, doc["quotients"]).verify(spanned)
             checks.append(("normal form reconstruction", ok))
-    if "gamma" in doc and doc["gamma"]:
-        gamma = _ratpoly_from_json(doc["gamma"])
+    # gamma is read once: its own checks, a non_integer_gamma reason and
+    # the verdict all use it
+    gamma = _ratpoly_from_json(doc["gamma"]) if doc.get("gamma") else None
+    if gamma is not None:
         cofs = [_ratpoly_from_json(c)
                 for c in _json(doc["gamma_cofactors"], list, "gamma_cofactors")]
         # one common denominator l carries the identity over to Z:
@@ -562,10 +672,11 @@ def _cmd_verify(args, _) -> tuple[dict, list[str]]:
             checks.append((f"{p} is {prime}", is_probable_prime(p)))
         elif fr["kind"] == NON_INTEGER_GAMMA:
             c = _fraction(fr["coefficient"])
-            gamma = _ratpoly_from_json(doc["gamma"])
             i = _json(fr["coefficient_index"], int, "coefficient_index")
-            ok = c.denominator != 1 and gamma[i] == c
+            ok = gamma is not None and c.denominator != 1 and gamma[i] == c
             checks.append(("flagged gamma coefficient is not an integer", ok))
+    if "separable" in doc:
+        checks += _verdict_checks(doc, relators, gamma, witness)
 
     # a document without a single certificate proves nothing
     all_ok = bool(checks) and all(ok for _, ok in checks)

@@ -13,9 +13,14 @@ One division, ``_divide``, does all reduction: it returns the normal form
 and, when asked, the quotients over the elements it divides by.  One
 completion, ``_complete``, builds every basis.  It works on rows
 (poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]), or on
-bare rows (poly,) when no certificate is wanted; reducing a row divides
-its poly and subtracts the quotients' fold (``_fold``) of the table rows'
-cofactors.  ``canonical_basis`` runs it with cofactors and is cached;
+bare rows (poly,) when no certificate is wanted.  Every step decides on
+the poly alone, and a row's cofactors are built only once its reduced
+poly is known to be nonzero: reducing a row divides its poly, and only a
+nonzero remainder gets the row's cofactors, shifted or combined as its
+poly was, minus the quotients' fold (``_fold``) of the table rows'
+cofactors.  A row that reduces to zero adds nothing to the basis, so its
+certificate is never needed.  ``canonical_basis`` runs it with cofactors
+and is cached;
 membership folds the division's quotients over its basis cofactors, and
 every certificate is re-checked before it is returned.
 ``basis_elements`` runs it on bare rows, uncached, for callers that need
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intarith import SelfCheckError, xgcd
-from .poly import IntPoly, _trim
+from .poly import IntPoly, _intpoly, _trim
 
 
 class ConstantTermError(ValueError):
@@ -162,29 +167,48 @@ def _fold(quotients, rows) -> tuple[IntPoly, ...]:
 
 # row operations are linear, so a row keeps poly == sum(cof_j * relators[j])
 
-def _combine(a: int, row, b: int, other) -> tuple[IntPoly, ...]:
-    """The row a*row + b*other."""
-    return tuple(p.scale(a) + q.scale(b) for p, q in zip(row, other))
+def _combine(terms, j: int) -> IntPoly:
+    """Component j of the row sum(a * x^s * row) over terms (a, s, row)."""
+    if len(terms) == 1 and terms[0][:2] == (1, 0):
+        return terms[0][2][j]  # a row taken as it is needs no copy
+    out = [0] * max(s + len(row[j].coeffs) for _, s, row in terms)
+    for a, s, row in terms:
+        for i, c in enumerate(row[j].coeffs, s):
+            out[i] += a * c
+    return _intpoly(out)
 
 
-def _reduce_row(row, table: dict) -> tuple[IntPoly, ...]:
-    """Full normal form of row[0] against the table, cofactors carried."""
-    if not table:
-        return row
+def _reduce_row(poly: IntPoly, terms, table: dict) -> tuple[IntPoly, ...]:
+    """Full normal form of a row against the table, cofactors carried.
+
+    The row is poly == sum(a * x^s * row[0]) over ``terms`` (a, s, row),
+    and its cofactors are the same sum over row[1:].  Only the poly is
+    divided first.  When its normal form is zero the row comes back as
+    (0,) and no cofactor is built: it adds nothing to the table.  Otherwise
+    the cofactors are summed and the quotients' fold (``_fold``) of the
+    table rows' cofactors is subtracted from them.
+    """
     held = [table[d] for d in sorted(table)]
-    nf, quotients = _divide(row[0], [h[0] for h in held], len(row) > 1)
-    folded = _fold(quotients, [h[1:] for h in held])
-    return (nf, *(c - f for c, f in zip(row[1:], folded)))
+    width = len(terms[0][2])
+    nf, quotients = _divide(poly, [h[0] for h in held], width > 1)
+    if nf.is_zero():
+        return (nf,)
+    cofactors = [_combine(terms, j) for j in range(1, width)]
+    if held:
+        folded = _fold(quotients, [h[1:] for h in held])
+        cofactors = [c - f for c, f in zip(cofactors, folded)]
+    return (nf, *cofactors)
 
 
-def _insert(row, table: dict) -> None:
-    """Reduce a row against the table and merge what is left into it.
+def _insert(poly: IntPoly, terms, table: dict) -> None:
+    """Reduce a row (as in ``_reduce_row``) and merge what is left into the table.
 
     When the degree slot is occupied the two leads are combined by extended
     Euclid, which strictly shrinks the lead; the two remainders fall below
-    that degree and re-enter through reduction recursively.
+    that degree and re-enter through reduction recursively, each one's
+    cofactors built only if it does not reduce to zero.
     """
-    row = _reduce_row(row, table)
+    row = _reduce_row(poly, terms, table)
     while not row[0].is_zero():
         if row[0].lead < 0:
             row = tuple(-p for p in row)
@@ -197,15 +221,17 @@ def _insert(row, table: dict) -> None:
         c = row[0].lead
         # row is fully reduced, so 0 < c < a and the gcd strictly shrinks a
         g, u, v = xgcd(a, c)
-        new = _combine(u, held, v, row)
-        rem_held = _combine(1, held, -(a // g), new)
-        rem_row = _combine(1, row, -(c // g), new)
+        pair = ((u, 0, held), (v, 0, row))
+        new = tuple(_combine(pair, j) for j in range(len(row)))
+        held_terms = ((1, 0, held), (-(a // g), 0, new))
+        row_terms = ((1, 0, row), (-(c // g), 0, new))
+        rem_held, rem_row = _combine(held_terms, 0), _combine(row_terms, 0)
         if not (new[0].degree == d and new[0].lead == g < a
-                and rem_held[0].degree < d and rem_row[0].degree < d):
+                and rem_held.degree < d and rem_row.degree < d):
             raise SelfCheckError(f"Euclid merge at degree {d} kept its lead")
         table[d] = new
-        _insert(rem_held, table)
-        row = _reduce_row(rem_row, table)
+        _insert(rem_held, held_terms, table)
+        row = _reduce_row(rem_row, row_terms, table)
 
 
 @dataclass(frozen=True)
@@ -239,7 +265,11 @@ def _complete(rows) -> list[tuple[IntPoly, ...]]:
     """Complete relator rows to the rows of the strong basis, ascending.
 
     Rows are (poly,) or (poly, cof_1, ..., cof_n); every decision reads
-    the poly alone, so both widths give the same polys.
+    the poly alone, so both widths give the same polys.  A shift or a
+    Euclid remainder is formed as a poly and handed to ``_reduce_row``
+    with the terms its cofactors are summed from, so a kept row gets the
+    same cofactors as when they are built up front, and a row reducing to
+    zero builds none.
 
     Only the shifts x^(e-d) * t_d between consecutive table degrees d < e
     are tested.  At the fixpoint each of them reduces to zero, and that is
@@ -270,12 +300,13 @@ def _complete(rows) -> list[tuple[IntPoly, ...]]:
     work = list(rows)
     while work:
         for row in work:
-            _insert(row, table)
+            _insert(row[0], ((1, 0, row),), table)
         # test consecutive shift overlaps; a nonzero residue re-enters
         work = []
         degs = sorted(table)
         for d, e in zip(degs, degs[1:]):
-            r = _reduce_row(tuple(p.shift(e - d) for p in table[d]), table)
+            shift = e - d
+            r = _reduce_row(table[d][0].shift(shift), ((1, shift, table[d]),), table)
             if not r[0].is_zero():
                 work.append(r)
 
@@ -298,7 +329,7 @@ def _complete(rows) -> list[tuple[IntPoly, ...]]:
     # tail auto-reduction: leads are safe because no other entry divides them
     for d in sorted(kept, reverse=True):
         entry = kept.pop(d)
-        reduced = _reduce_row(entry, kept)
+        reduced = _reduce_row(entry[0], ((1, 0, entry),), kept)
         if reduced[0].degree != d or reduced[0].lead != entry[0].lead:
             raise SelfCheckError(f"tail reduction changed the degree-{d} lead")
         kept[d] = reduced

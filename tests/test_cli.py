@@ -15,7 +15,15 @@ from finsep.poly import IntPoly, format_poly
 from finsep.ideal import ConstantTermError
 from finsep.intarith import MR_PROOF_BOUND, is_probable_prime
 from finsep import cli
-from finsep.cli import MAX_DEGREE, PolySyntaxError, build_parser, parse_poly, run
+from finsep.cli import (
+    MAX_COEFF_DIGITS,
+    MAX_DEGREE,
+    DigitLimitError,
+    PolySyntaxError,
+    build_parser,
+    parse_poly,
+    run,
+)
 from finsep.quotients import MAX_MODULUS_BOUND
 
 
@@ -112,6 +120,21 @@ def test_run_rejects_oversized_inputs_before_allocating(capsys):
                 "--bound", str(MAX_MODULUS_BOUND + 1)]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
     assert parse_poly(f"x^{MAX_DEGREE}").to_poly().degree == MAX_DEGREE
+
+
+def test_run_rejects_overlong_numbers_before_converting(capsys):
+    # a digit run one past the cap is an input error naming the limit, for
+    # a coefficient and for an exponent alike, raised before the run is
+    # converted (outside ``run`` Python's own int/str digit limit would
+    # raise first otherwise)
+    longest, over = "1" + "0" * (MAX_COEFF_DIGITS - 1), "9" * (MAX_COEFF_DIGITS + 1)
+    for text in (f"{over}x - x", f"x^{over} - x"):
+        with pytest.raises(DigitLimitError, match=f"limit of {MAX_COEFF_DIGITS} digits"):
+            parse_poly(text)
+        assert run(["decide", f"--relator={text}"]) == 2
+        assert f"exceeds the limit of {MAX_COEFF_DIGITS} digits" in capsys.readouterr().err
+    assert run(["decide", f"--relator={longest}x^2 - {longest}x"]) == 0
+    assert "separable: no" in capsys.readouterr().out
 
 
 def test_run_internal_fault_exits_3(capsys, monkeypatch):

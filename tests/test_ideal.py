@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -617,6 +618,55 @@ def test_cofactors_stay_small_at_degree_16():
     bits = max(abs(c).bit_length()
                for row in basis.element_cofactors for p in row for c in p.coeffs)
     assert bits < 1000
+
+
+def _seeded_degree_20_pair():
+    # 6f, 6(x^2 + x)g with f, g of degree 20, coefficients of magnitude 500..1000
+    rng = random.Random(20)
+
+    def draw(degree):
+        return IntPoly([0] + [rng.choice((-1, 1)) * rng.randint(500, 1000)
+                              for _ in range(degree)])
+
+    f, g = draw(20), draw(20)
+    return Presentation([f.scale(6), (ip(0, 1, 1) * g).scale(6)])
+
+
+def test_completion_folds_cofactors_only_for_nonzero_remainders(monkeypatch):
+    # a tracked reduction that ends at zero adds nothing to the basis, so
+    # the table rows' cofactors are folded only for a nonzero remainder
+    remainders, folds = [], []
+    divide, fold = ideal_module._divide, ideal_module._fold
+
+    def counting_divide(g, elements, quotients=True):
+        nf, qs = divide(g, elements, quotients)
+        if quotients and elements:
+            remainders.append(not nf.is_zero())
+        return nf, qs
+
+    def counting_fold(quotients, rows):
+        folds.append(len(rows))
+        return fold(quotients, rows)
+
+    monkeypatch.setattr(ideal_module, "_divide", counting_divide)
+    monkeypatch.setattr(ideal_module, "_fold", counting_fold)
+    canonical_basis.cache_clear()
+    canonical_basis(_seeded_degree_20_pair())
+    canonical_basis.cache_clear()
+    assert sum(remainders) < len(remainders)  # some reductions end at zero
+    assert len(folds) == sum(remainders)
+
+
+def test_tracked_completion_is_byte_identical_at_degree_20():
+    # digest of (elements, element cofactors, relator quotients) as computed
+    # with cofactors built for every reduction, zero remainders included;
+    # building them only for kept rows must not change a byte
+    basis = canonical_basis(_seeded_degree_20_pair())
+    data = [_coeffs(basis.elements),
+            [_coeffs(row) for row in basis.element_cofactors],
+            [_coeffs(row) for row in basis.relator_quotients]]
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "0453e7d7f1e1adccc5ae53cb222d4b3c9f43439ba2118bffe653d7a88771628f"
 
 
 # exact bases and certificates pinned as computed before the completion and

@@ -132,3 +132,97 @@ def test_gamma_not_monic_is_invalid(relators):
     forged["gamma_cofactors"] = [_scaled(c, (2,)) for c in doc["gamma_cofactors"]]
     failed = _failed(forged)
     assert "gamma is monic" in failed and "gamma bezout identity" not in failed
+
+
+# --- the verdict: separable, coefficient_gcd, its factorization, the reason --
+
+def _witness(relators) -> dict:
+    rc, doc = _run(["witness", "--json"]
+                   + [f"--relator={format_poly(r)}" for r in relators])
+    assert rc == 0
+    return json.loads(doc)
+
+
+def _check_names(doc: dict) -> set[str]:
+    return {c["name"] for c in _verify(doc)["checks"]}
+
+
+VERDICT = "separable is gcd squarefree and gamma integral"
+
+
+@SETTINGS
+@given(presentations)
+def test_decide_documents_check_their_verdict(relators):
+    doc = _decide(relators)
+    names = _check_names(doc)
+    assert {VERDICT, "coefficient gcd is the gcd of the relator coefficients"} <= names
+    assert ("witness k is the coefficient gcd" in names) == doc["separable"]
+
+
+@SETTINGS
+@given(presentations)
+def test_separable_witness_documents_verify(relators):
+    doc = _witness(relators)
+    report = _verify(doc)
+    if doc["separable"]:
+        assert report["all_ok"] is True
+        assert {VERDICT, "witness k is the coefficient gcd",
+                "membership certificate"} <= {c["name"] for c in report["checks"]}
+    else:
+        # a not-separable witness document carries no failure reason
+        assert report["all_ok"] is False
+
+
+def test_a_separable_verdict_flipped_to_not_separable_is_invalid():
+    doc = _decide([IntPoly((0, -6, 6))])
+    assert _verify(doc)["all_ok"] is True
+    doc["separable"] = False
+    del doc["witness"]
+    assert set(_failed(doc)) == {VERDICT, "the data imply a failure reason"}
+
+
+def test_a_non_squarefree_content_claimed_separable_is_invalid():
+    # 4x^2 - 4x: the reason dropped, a witness k = 4, phi = x^2 - x added;
+    # every certificate in it re-multiplies
+    doc = _decide([IntPoly((0, -4, 4))])
+    assert doc["separable"] is False
+    del doc["failure_reason"]
+    doc["separable"] = True
+    poly = lambda *c: {"coeffs": list(c), "text": ""}
+    doc["witness"] = {"k": 4, "phi": poly(0, -1, 1), "certificate": {
+        "cofactors": [poly(1)], "claim": poly(0, -4, 4)}}
+    assert _failed(doc) == [VERDICT]
+
+
+@pytest.mark.parametrize("field,value,check", [
+    ("coefficient_gcd", 3, "coefficient gcd is the gcd of the relator coefficients"),
+    ("coefficient_gcd_factorization", [[6, 1]],
+     "coefficient gcd factorization multiplies back with distinct primes"),
+    ("coefficient_gcd_factorization", [[2, 1]],
+     "coefficient gcd factorization multiplies back with distinct primes"),
+    ("coefficient_gcd_factorization", [[2, 1], [3, 1], [2, 0]],
+     "coefficient gcd factorization multiplies back with distinct primes"),
+    ("coefficient_gcd_factorization", [[2, 10**18]],
+     "coefficient gcd factorization multiplies back with distinct primes"),
+])
+def test_a_forged_coefficient_gcd_is_invalid(field, value, check):
+    doc = _decide([IntPoly((0, -6, 6))])
+    doc[field] = value
+    assert check in _failed(doc)
+
+
+def test_a_wrong_failure_reason_is_invalid():
+    # 2x^2 + x has gcd 1 and gamma x^2 + x/2: the reason is the gamma's
+    doc = _decide([IntPoly((0, 1, 2))])
+    doc["failure_reason"]["kind"] = "non_squarefree_gcd"
+    doc["failure_reason"]["prime"] = 2
+    assert "failure reason is non_integer_gamma" in _failed(doc)
+
+
+def test_a_malformed_verdict_is_an_input_error():
+    doc = _decide([IntPoly((0, -6, 6))])
+    for field, value in (("separable", "yes"), ("coefficient_gcd", "6"),
+                         ("coefficient_gcd_factorization", [[2]])):
+        forged = dict(doc, **{field: value})
+        rc, _ = _run(["verify", "-"], json.dumps(forged))
+        assert rc == 2, field
