@@ -1,18 +1,19 @@
 """Command-line front end: expression parsing, dispatch, structured output.
 
-Polynomials are written with integer literals, the single variable x, '^'
-for powers and +/- separators, e.g. "2x^3 - 4x".  Defining relations (and
-separation targets) must have zero constant term, matching the rings this
-tool works with.  Every subcommand exits 0 when the computation succeeds,
-whatever the verdict.  Exit 2 is for input and usage errors only; exit 3
-reports an internal fault (a result that failed its own re-check, a
-``SelfCheckError``), with ``internal error:`` on stderr; exit 4 means the
-answer needs an integer factored beyond the Pollard-rho effort budget
-(``FactoringBudgetError``), with ``factoring budget exceeded:`` on stderr;
-exit 141 (128 + SIGPIPE) means the reader of stdout went away, as with
-``| head``, and prints nothing more.  A degree above ``MAX_DEGREE``, a
-number written with more than ``MAX_COEFF_DIGITS`` digits or a modulus
-bound above ``quotients.MAX_MODULUS_BOUND`` is an input error.
+Polynomials are written with integer literals (ASCII digits 0-9), the
+single variable x, '^' for powers and +/- separators, e.g. "2x^3 - 4x".
+Defining relations (and separation targets) must have zero constant term,
+matching the rings this tool works with.  Every subcommand exits 0 when
+the computation succeeds, whatever the verdict.  Exit 2 is for input and
+usage errors only; exit 3 reports an internal fault (a result that failed
+its own re-check, a ``SelfCheckError``), with ``internal error:`` on
+stderr; exit 4 means the answer needs an integer factored beyond the
+Pollard-rho effort budget (``FactoringBudgetError``), with ``factoring
+budget exceeded:`` on stderr; exit 141 (128 + SIGPIPE) means the reader
+of stdout went away, as with ``| head``, and prints nothing more.  A
+degree above ``MAX_DEGREE``, a number written with more than
+``MAX_COEFF_DIGITS`` digits or a modulus bound above
+``quotients.MAX_MODULUS_BOUND`` is an input error.
 With --json the output follows a stable schema whose certificates can be
 fed back to the ``verify`` subcommand.  Every document opens with
 ``schema``, ``command`` and, except for ``verify``, ``relators``.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -114,9 +116,11 @@ def parse_poly(text: str) -> PolyExpr:
             i += 1
 
     def read_int() -> int | None:
+        # ASCII digits only: str.isdigit also holds for other scripts'
+        # digits and for superscripts, which int() reads or rejects
         nonlocal i
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and "0" <= text[i] <= "9":
             i += 1
         if i - start > MAX_COEFF_DIGITS:
             raise DigitLimitError(
@@ -526,12 +530,53 @@ def _factorization_check(factorization, g: int) -> tuple[bool, tuple[str, bool]]
             rest = 0 if left else rest
         if not rest:
             break
-    ok = (rest == 1 and len(set(primes)) == len(primes)
-          and all(map(is_probable_prime, primes)))
-    # Miller-Rabin proves primality only below its bound
-    prime = "primes" if all(p < MR_PROOF_BOUND for p in primes) else "probable primes"
-    name = f"coefficient gcd factorization multiplies back with distinct {prime}"
+    # a failed product skips Miller-Rabin, whose cost a forged prime sizes
+    ok = rest == 1 and _distinct_primes(primes)
+    name = ("coefficient gcd factorization multiplies back with distinct "
+            + _primes(primes))
     return ok and all(e == 1 for _, e in pairs), (name, ok)
+
+
+def _distinct_primes(numbers) -> bool:
+    return len(set(numbers)) == len(numbers) and all(map(is_probable_prime, numbers))
+
+
+def _primes(numbers) -> str:
+    """How a check names them: Miller-Rabin proves primality only below its bound."""
+    return "primes" if all(p < MR_PROOF_BOUND for p in numbers) else "probable primes"
+
+
+def _witness_doc_checks(doc: dict, k: int) -> list:
+    """A witness document's tail against its phi, and its torsion split of k.
+
+    The split is checked when k > 1 or when one is present: the p_i are
+    distinct primes whose product is k, each p_i*k_i == k, and the Bezout
+    coefficients give sum(z_i * k_i) == 1.  A missing split has no parts
+    and an empty Bezout sum, so it fails both checks.
+    """
+    phi = _poly_from_json(doc["phi"])
+    n = phi.degree
+    tail = _json(doc["tail_coefficients"], list, "tail_coefficients")
+    checks = [("tail coefficients are phi's descending tail",
+               tail == [phi[n - i] for i in range(1, n)])]
+    if k <= 1 and "torsion_split" not in doc:
+        return checks
+    split = _json(doc.get("torsion_split", {}), dict, "torsion_split")
+    parts = [_json(t, list, "a torsion split part")
+             for t in _json(split.get("parts", []), list, "torsion split parts")]
+    if any(len(t) != 2 for t in parts):
+        raise ValueError("a torsion split part is not a [prime, cofactor] pair")
+    parts = [(_json(p, int, "a prime"), _json(c, int, "a cofactor")) for p, c in parts]
+    bezout = [_json(z, int, "a Bezout coefficient")
+              for z in _json(split.get("bezout", []), list, "torsion split bezout")]
+    primes = [p for p, _ in parts]
+    ok = math.prod(primes) == k and _distinct_primes(primes)
+    name = f"torsion split parts are distinct {_primes(primes)} with product k"
+    checks.append((name, ok))
+    ok = (all(p * c == k for p, c in parts) and len(bezout) == len(parts)
+          and sum(z * c for z, (_, c) in zip(bezout, parts)) == 1)
+    checks.append(("torsion split p_i*k_i = k and sum z_i*k_i = 1", ok))
+    return checks
 
 
 def _verdict_checks(doc: dict, relators, gamma, witness) -> list:
@@ -611,6 +656,8 @@ def _cmd_verify(args, _) -> tuple[dict, list[str]]:
         checks += found
         if key == "witness":
             witness = k, all(ok for _, ok in found)
+    if doc.get("phi") and "tail_coefficients" in doc:
+        checks += _witness_doc_checks(doc, witness[0])
     if doc.get("certificate") and not doc.get("phi"):
         cert = _certificate_from_json(doc["certificate"])
         checks.append(("membership certificate", cert.verify(presentation)))

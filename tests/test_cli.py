@@ -77,6 +77,17 @@ def test_parse_syntax_errors_carry_positions():
         parse_poly("x^2 +")
 
 
+def test_parse_accepts_ascii_digits_only(capsys):
+    # an Arabic-Indic three and a superscript two pass str.isdigit; both
+    # are syntax errors with a position, and exit 2 through the CLI
+    for text, position in (("x^\u0663 - x", 2), ("\u00b2x", 0)):
+        with pytest.raises(PolySyntaxError) as e:
+            parse_poly(text)
+        assert e.value.position == position
+        assert run(["decide", "--relator", text]) == 2
+        assert f"at position {position}" in capsys.readouterr().err
+
+
 def test_parse_print_roundtrip():
     import random
     rng = random.Random(60)

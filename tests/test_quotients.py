@@ -206,6 +206,9 @@ def test_quotient_is_infinite_exactly_when_the_modulus_meets_the_content():
 
 
 def test_separate_builds_no_quotient_that_meets_the_content(monkeypatch):
+    # every built modulus is coprime to the content; a batch builds one
+    # quotient, at its lcm, and only the returned modulus gets its own,
+    # built last
     built = []
 
     def recording_build(presentation, q):
@@ -213,10 +216,135 @@ def test_separate_builds_no_quotient_that_meets_the_content(monkeypatch):
         return build_quotient(presentation, q)
 
     monkeypatch.setattr(quotients, "build_quotient", recording_build)
-    p = pres((0, -6, 0, 6), (0, 0, 6, 12))
-    separate(p, ip(0, 1), [ip(0, 0, 1)], 30)
     coprime = [q for q in modulus_order(30) if math.gcd(q, 6) == 1]
-    assert built and built == coprime[:len(built)]
+    cases = [
+        (pres((0, -6, 0, 6), (0, 0, 6, 12)), ip(0, 1), [ip(0, 0, 1)], False),
+        # 13x generates x modulo every q but 13
+        (pres((0, -6, 6)), ip(0, 1), [ip(0, 13)], True),
+    ]
+    for bits in (quotients._BATCH_BITS, 8):
+        monkeypatch.setattr(quotients, "_BATCH_BITS", bits)
+        lcms = [lcm for _, lcm in quotients._batches(coprime)]
+        for p, target, gens, found in cases:
+            built.clear()
+            res = separate(p, target, gens, 30)
+            assert res.found == found
+            assert built and all(math.gcd(q, 6) == 1 for q in built)
+            wide = built[:-1] if found else built
+            assert wide == lcms[:len(wide)]
+            if found:
+                assert built[-1] == res.modulus == 13
+                assert wide[-1] % res.modulus == 0
+    assert len(lcms) > 1
+
+
+def per_modulus_sweep(p, target, gens, bound):
+    """(modulus, target image, closure) of the first separating quotient.
+
+    One quotient and one span per modulus; the closure is materialized
+    only where the target escapes the span, since a swept closure can
+    hold q**dim elements.
+    """
+    content = math.gcd(*(c for r in p.relators for c in r.coeffs))
+    for q in modulus_order(bound):
+        if math.gcd(q, content) > 1:
+            continue
+        ring = build_quotient(p, q)
+        img = ring.image(target)
+        if not quotients._SubringSpan(ring, gens).contains(img):
+            return q, img, subring_closure(ring, gens)
+    return None
+
+
+def test_batched_separate_matches_a_per_modulus_sweep(monkeypatch):
+    rng = random.Random(55)
+    primes = modulus_order(200)[:46]  # the primes up to 200
+    cap = quotients._BATCH_BITS
+    found = multi = 0
+    for i in range(90):
+        c = rng.choice((1, 2, 3, 6, 10, 30))
+        # one or two multiples of a monic f: random relators mostly kill x
+        f = IntPoly([0] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [1])
+        p = Presentation([(f * IntPoly((rng.randint(-3, 3), 1))).scale(c)
+                          for _ in range(rng.randint(1, 2))])
+        # a cap of 12 bits splits small bounds into several batches; bound
+        # 800 spans two batches at the default cap
+        bound, bits = [(rng.randint(2, 40), cap), (rng.randint(20, 60), 12),
+                       (800, cap)][(i // 3) % 3]
+        kind = i % 3
+        if kind == 0:  # inside the subring: the whole bound is swept
+            gens = [random_zero_const_poly(rng, rng.randint(1, 3), 3) for _ in range(2)]
+            target = gens[0] * gens[1] + gens[0].scale(rng.randint(-3, 3))
+        elif kind == 1:
+            gens = [random_zero_const_poly(rng, rng.randint(2, 3), 3)
+                    for _ in range(rng.randint(1, 2))]
+            target = random_zero_const_poly(rng, rng.randint(1, 3), 5)
+        else:  # q*(x + P*h) generates x below q, P the primes below q
+            q = rng.choice([q for q in primes if q <= bound and c % q] or [2])
+            h = random_zero_const_poly(rng, rng.randint(1, 2), 3)
+            gens = [(ip(0, 1) + h.scale(math.prod(primes[:primes.index(q)]))).scale(q)]
+            target = ip(0, 1)
+        monkeypatch.setattr(quotients, "_BATCH_BITS", bits)
+        candidates = [q for q in modulus_order(bound) if math.gcd(q, c) == 1]
+        multi += len(list(quotients._batches(candidates))) > 1
+        res = separate(p, target, gens, bound)
+        want = per_modulus_sweep(p, target, gens, bound)
+        if want is None:
+            assert not res.found and res.bound_exhausted == bound
+            assert res.modulus is res.quotient is res.subring_image is None
+            continue
+        found += 1
+        assert res.found and res.bound_exhausted is None
+        assert (res.modulus, res.image_of_target, res.subring_image) == want
+        assert res.quotient == build_quotient(p, res.modulus)
+    assert found >= 30 and multi >= 50
+
+
+def test_span_of_one_generator_multiplies_once_per_inserted_element(monkeypatch):
+    ring = build_quotient(pres((0, -1, 0, 0, 0, 1)), 2)
+    calls = {"mul": 0, "add": 0}
+    mul, add = FiniteRing.mul, quotients._Echelon.add
+
+    def counting_mul(self, u, v):
+        calls["mul"] += 1
+        return mul(self, u, v)
+
+    def counting_add(self, vec, tail=None):
+        calls["add"] += 1
+        return add(self, vec, tail)
+
+    monkeypatch.setattr(FiniteRing, "mul", counting_mul)
+    monkeypatch.setattr(quotients._Echelon, "add", counting_add)
+    span = quotients._SubringSpan(ring, [ip(0, 1)])
+    inserted = calls["add"] - span.dim  # the staircase rows come first
+    assert inserted >= 4
+    assert calls["mul"] <= inserted
+    monkeypatch.undo()
+    assert span.materialize() == naive_closure(ring, [ip(0, 1)])
+
+
+def test_batch_cap_splits_bound_3000(monkeypatch):
+    order = modulus_order(3000)
+    batches = list(quotients._batches(order))
+    assert len(batches) > 1
+    assert [q for batch, _ in batches for q in batch] == order
+    for batch, lcm in batches:
+        assert lcm == math.lcm(*batch)
+        assert lcm.bit_length() <= quotients._BATCH_BITS
+    # each batch stops only where its next modulus would pass the cap
+    for (_, lcm), (after, _) in zip(batches, batches[1:]):
+        assert math.lcm(lcm, after[0]).bit_length() > quotients._BATCH_BITS
+    # a sweep of the whole bound builds the batch quotients only
+    built = []
+
+    def recording_build(presentation, q):
+        built.append(q)
+        return build_quotient(presentation, q)
+
+    monkeypatch.setattr(quotients, "build_quotient", recording_build)
+    res = separate(pres((0, -1, 0, 1)), ip(0, 0, 1), [ip(0, 1)], 3000)
+    assert not res.found
+    assert built == [lcm for _, lcm in batches]
 
 
 def test_canonical_map_is_a_homomorphism():

@@ -211,6 +211,29 @@ def test_a_forged_coefficient_gcd_is_invalid(field, value, check):
     assert check in _failed(doc)
 
 
+TAIL = "tail coefficients are phi's descending tail"
+SPLIT_PRIMES = "torsion split parts are distinct primes with product k"
+SPLIT_BEZOUT = "torsion split p_i*k_i = k and sum z_i*k_i = 1"
+
+
+@pytest.mark.parametrize("edit,failed", [
+    (lambda d: d.update(tail_coefficients=[1]), [TAIL]),
+    (lambda d: d.update(tail_coefficients=[]), [TAIL]),
+    # 6 = 6 * 1 with 1 * 1 = 1 holds every identity, but 6 is not prime
+    (lambda d: d["torsion_split"].update(parts=[[6, 1]], bezout=[1]), [SPLIT_PRIMES]),
+    (lambda d: d["torsion_split"].update(bezout=[2, -1]), [SPLIT_BEZOUT]),
+    (lambda d: d["torsion_split"].update(parts=[[2, 3], [3, 3]]), [SPLIT_BEZOUT]),
+    (lambda d: d.pop("torsion_split"), [SPLIT_PRIMES, SPLIT_BEZOUT]),
+])
+def test_a_forged_witness_tail_or_torsion_split_is_invalid(edit, failed):
+    # 6x^2 - 6x: k = 6, phi = x^2 - x, tail [-1], split 2*3 and 3*2
+    doc = _witness([IntPoly((0, -6, 6))])
+    assert {TAIL, SPLIT_PRIMES, SPLIT_BEZOUT} <= set(_check_names(doc))
+    assert _verify(doc)["all_ok"] is True
+    edit(doc)
+    assert _failed(doc) == failed
+
+
 def test_a_wrong_failure_reason_is_invalid():
     # 2x^2 + x has gcd 1 and gamma x^2 + x/2: the reason is the gamma's
     doc = _decide([IntPoly((0, 1, 2))])
