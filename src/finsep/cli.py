@@ -23,22 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 
-from .intarith import (
-    MR_PROOF_BOUND,
-    FactoringBudgetError,
-    SelfCheckError,
-    gcd_list,
-    is_probable_prime,
-    squarefree,
-)
-from .poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
+from .intarith import FactoringBudgetError, SelfCheckError
+from .poly import IntPoly, RatPoly, format_poly
 from .ideal import (
     CanonicalBasis,
     ConstantTermError,
@@ -58,8 +49,7 @@ from .separability import (
     witness_theorem_part1,
 )
 from .quotients import InfiniteQuotient, build_quotient, separate
-
-SCHEMA = "finsep/1"
+from .check import SCHEMA, check_document
 
 # the largest degree a parsed polynomial may have; its coefficient list is
 # allocated whole, so the cap keeps the input from sizing that allocation
@@ -215,32 +205,6 @@ def _poly_json(p) -> dict:
     return {"coeffs": coeffs, "text": format_poly(p)}
 
 
-def _json(value, kind: type, what: str):
-    """value, if its JSON type is kind (a bool is no int); else an input error."""
-    if type(value) is not kind:
-        raise ValueError(f"{what} is a {type(value).__name__}, not a {kind.__name__}")
-    return value
-
-
-def _fraction(value) -> Fraction:
-    try:
-        return Fraction(value)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"bad rational number: {exc}") from None
-
-
-def _coeffs(obj) -> list:
-    return _json(_json(obj, dict, "a polynomial").get("coeffs"), list, "coeffs")
-
-
-def _poly_from_json(obj) -> IntPoly:
-    return IntPoly(_json(c, int, "an integer coefficient") for c in _coeffs(obj))
-
-
-def _ratpoly_from_json(obj) -> RatPoly:
-    return RatPoly(map(_fraction, _coeffs(obj)))
-
-
 def _certificate_json(cert: MembershipCertificate) -> dict:
     return {
         "cofactors": [_poly_json(c) for c in cert.cofactors],
@@ -268,7 +232,9 @@ def _basis_json(basis: CanonicalBasis) -> dict:
     }
 
 
-def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
+def _verdict(p: Presentation) -> tuple:
+    """decide's verdict with the fields and text lines that ``decide`` and
+    ``witness`` documents share: all but the witness k*phi."""
     v = decide(p)
     fields = {"separable": v.separable, "coefficient_gcd": v.coefficient_gcd}
     lines = [f"separable: {'yes' if v.separable else 'no'}"]
@@ -306,6 +272,11 @@ def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
                 f"reason: gamma coefficient {fr.coefficient} at degree "
                 f"{fr.coefficient_index} is not an integer"
             )
+    return v, fields, lines
+
+
+def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
+    v, fields, lines = _verdict(p)
     if v.positive_witness is not None:
         fields["witness"] = _relation_json(v.positive_witness)
         w = v.positive_witness
@@ -460,12 +431,11 @@ def _cmd_separate(args, p: Presentation) -> tuple[dict, list[str]]:
 
 
 def _cmd_witness(args, p: Presentation) -> tuple[dict, list[str]]:
-    v = decide(p)
+    v, fields, _ = _verdict(p)
     if not v.separable:
-        return {"separable": False}, ["not separable: no witness"]
+        return fields, ["not separable: no witness"]
     k, tail = witness_theorem_part1(v)
-    fields = {
-        "separable": True,
+    fields |= {
         "k": k,
         "tail_coefficients": list(tail),
         "phi": _poly_json(v.positive_witness.phi),
@@ -489,242 +459,13 @@ def _cmd_witness(args, p: Presentation) -> tuple[dict, list[str]]:
     return fields, lines
 
 
-def _combination(claim: IntPoly, cofactors) -> MembershipCertificate:
-    """The claimed combination ``claim == sum(cofactors[i] * generator i)``."""
-    cofactors = _json(cofactors, list, "a cofactor list")
-    return MembershipCertificate(tuple(map(_poly_from_json, cofactors)), claim)
-
-
-def _certificate_from_json(obj) -> MembershipCertificate:
-    obj = _json(obj, dict, "a certificate")
-    return _combination(_poly_from_json(obj["claim"]), obj["cofactors"])
-
-
-def _relation_checks(name: str, w: dict, presentation) -> tuple[int, list]:
-    """k and the checks of a relation k*phi in V: claim, phi, certificate."""
-    phi = _poly_from_json(w["phi"])
-    cert = _certificate_from_json(w["certificate"])
-    k = _json(w["k"], int, f"{name} k")
-    return k, [
-        (f"{name} claim is k*phi", cert.claim == phi.scale(k)),
-        (f"{name} phi is monic, zero constant", phi.is_monic() and phi.constant == 0),
-        (f"{name} certificate", cert.verify(presentation)),
-    ]
-
-
-def _factorization_check(factorization, g: int) -> tuple[bool, tuple[str, bool]]:
-    """Whether a factorization of g is squarefree, and the check that it is one."""
-    pairs = [_json(f, list, "a factor") for f in _json(factorization, list, "factorization")]
-    if any(len(f) != 2 for f in pairs):
-        raise ValueError("a factor is not a [prime, exponent] pair")
-    pairs = [(_json(p, int, "a prime"), _json(e, int, "an exponent")) for p, e in pairs]
-    primes = [p for p, _ in pairs]
-    rest = g
-    for p, e in pairs:
-        # p**e is formed only below 2^(2*bits(g)), so a forged exponent
-        # cannot size it; a larger power does not divide g
-        if p < 2 or e < 1 or e * (p.bit_length() - 1) > g.bit_length():
-            rest = 0
-        else:
-            rest, left = divmod(rest, p**e)
-            rest = 0 if left else rest
-        if not rest:
-            break
-    # a failed product skips Miller-Rabin, whose cost a forged prime sizes
-    ok = rest == 1 and _distinct_primes(primes)
-    name = ("coefficient gcd factorization multiplies back with distinct "
-            + _primes(primes))
-    return ok and all(e == 1 for _, e in pairs), (name, ok)
-
-
-def _distinct_primes(numbers) -> bool:
-    return len(set(numbers)) == len(numbers) and all(map(is_probable_prime, numbers))
-
-
-def _primes(numbers) -> str:
-    """How a check names them: Miller-Rabin proves primality only below its bound."""
-    return "primes" if all(p < MR_PROOF_BOUND for p in numbers) else "probable primes"
-
-
-def _witness_doc_checks(doc: dict, k: int) -> list:
-    """A witness document's tail against its phi, and its torsion split of k.
-
-    The split is checked when k > 1 or when one is present: the p_i are
-    distinct primes whose product is k, each p_i*k_i == k, and the Bezout
-    coefficients give sum(z_i * k_i) == 1.  A missing split has no parts
-    and an empty Bezout sum, so it fails both checks.
-    """
-    phi = _poly_from_json(doc["phi"])
-    n = phi.degree
-    tail = _json(doc["tail_coefficients"], list, "tail_coefficients")
-    checks = [("tail coefficients are phi's descending tail",
-               tail == [phi[n - i] for i in range(1, n)])]
-    if k <= 1 and "torsion_split" not in doc:
-        return checks
-    split = _json(doc.get("torsion_split", {}), dict, "torsion_split")
-    parts = [_json(t, list, "a torsion split part")
-             for t in _json(split.get("parts", []), list, "torsion split parts")]
-    if any(len(t) != 2 for t in parts):
-        raise ValueError("a torsion split part is not a [prime, cofactor] pair")
-    parts = [(_json(p, int, "a prime"), _json(c, int, "a cofactor")) for p, c in parts]
-    bezout = [_json(z, int, "a Bezout coefficient")
-              for z in _json(split.get("bezout", []), list, "torsion split bezout")]
-    primes = [p for p, _ in parts]
-    ok = math.prod(primes) == k and _distinct_primes(primes)
-    name = f"torsion split parts are distinct {_primes(primes)} with product k"
-    checks.append((name, ok))
-    ok = (all(p * c == k for p, c in parts) and len(bezout) == len(parts)
-          and sum(z * c for z, (_, c) in zip(bezout, parts)) == 1)
-    checks.append(("torsion split p_i*k_i = k and sum z_i*k_i = 1", ok))
-    return checks
-
-
-def _verdict_checks(doc: dict, relators, gamma, witness) -> list:
-    """Checks that a document's ``separable`` is the verdict its data imply.
-
-    g is recomputed from the relators.  It is squarefree by the document's
-    factorization, or by factoring g when there is none.  gamma is
-    integral by the document's gamma (its own checks pin it as the monic
-    gcd over Q), or, without one, by a witness k*phi in V that passes its
-    checks: gamma divides phi over Q, and by Gauss's lemma a monic divisor
-    over Q of a monic integer polynomial is integral.
-    """
-    separable = _json(doc["separable"], bool, "separable")
-    g = gcd_list(c for r in relators for c in r.coeffs)
-    checks = []
-    if "coefficient_gcd" in doc:
-        ok = _json(doc["coefficient_gcd"], int, "coefficient_gcd") == g
-        checks.append(("coefficient gcd is the gcd of the relator coefficients", ok))
-    if "coefficient_gcd_factorization" in doc:
-        sqfree, check = _factorization_check(doc["coefficient_gcd_factorization"], g)
-        checks.append(check)
-    else:
-        sqfree = g > 0 and squarefree(g).is_squarefree
-    if gamma is not None:
-        integral = gamma.is_integral()
-    else:
-        integral = witness is not None and witness[1]
-    ok = separable == (sqfree and integral)
-    checks.append(("separable is gcd squarefree and gamma integral", ok))
-    if separable:
-        ok = witness is not None and witness[0] == g
-        checks.append(("witness k is the coefficient gcd", ok))
-        return checks
-    if not relators:
-        implied = NO_RELATORS
-    elif not sqfree:
-        implied = NON_SQUAREFREE_GCD
-    elif not integral:
-        implied = NON_INTEGER_GAMMA
-    else:
-        return checks + [("the data imply a failure reason", False)]
-    fr = doc.get("failure_reason")
-    ok = isinstance(fr, dict) and fr.get("kind") == implied
-    if ok and implied == NON_INTEGER_GAMMA:
-        # the reason flags the lowest non-integer coefficient
-        ok = gamma is not None and fr.get("coefficient_index") == next(
-            i for i, c in enumerate(gamma.coeffs) if c.denominator != 1)
-    checks.append((f"failure reason is {implied}", ok))
-    return checks
-
-
 def _cmd_verify(args, _) -> tuple[dict, list[str]]:
     if args.input == "-":
         doc = json.load(sys.stdin)
     else:
         with open(args.input, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc = _json(doc, dict, "the document")
-    relators = _json(doc.get("relators", []), list, "relators")
-    relators = [_poly_from_json(r) for r in relators]
-    presentation = Presentation(relators)
-    checks: list[tuple[str, bool]] = []
-
-    # a relation k*phi in V: a decide document's witness, an invariants
-    # document's torsion_witness, or a witness document itself, whose
-    # certificate check keeps its name "membership certificate"
-    witness = None  # (k, whether its checks pass) of the witness relation
-    relations = [(key, _json(doc[key], dict, key))
-                 for key in ("witness", "torsion_witness") if doc.get(key)]
-    if doc.get("phi"):
-        relations.append(("witness", doc))
-    for key, w in relations:
-        name = key.replace("_", " ")
-        k, found = _relation_checks(name, w, presentation)
-        if w is doc:
-            found[-1] = ("membership certificate", found[-1][1])
-        checks += found
-        if key == "witness":
-            witness = k, all(ok for _, ok in found)
-    if doc.get("phi") and "tail_coefficients" in doc:
-        checks += _witness_doc_checks(doc, witness[0])
-    if doc.get("certificate") and not doc.get("phi"):
-        cert = _certificate_from_json(doc["certificate"])
-        checks.append(("membership certificate", cert.verify(presentation)))
-    if "basis" in doc and doc["basis"]:
-        b = _json(doc["basis"], dict, "basis")
-        elements = [_poly_from_json(e) for e in _json(b["elements"], list, "elements")]
-        element_cofactors = _json(b["element_cofactors"], list, "element_cofactors")
-        relator_quotients = _json(b["relator_quotients"], list, "relator_quotients")
-        # an element with a constant term is outside the relator ideal and
-        # fails the first check; leaving it out here shortens the generator
-        # list, so the second check fails on the count instead of raising
-        spanned = Presentation(e for e in elements if e.constant == 0)
-        ok = len(element_cofactors) == len(elements) and all(
-            _combination(e, cof).verify(presentation)
-            for e, cof in zip(elements, element_cofactors)
-        )
-        checks.append(("basis elements lie in the relator ideal", ok))
-        ok = len(relator_quotients) == len(relators) and all(
-            _combination(r, quots).verify(spanned)
-            for r, quots in zip(relators, relator_quotients)
-        )
-        checks.append(("relators lie in the basis ideal", ok))
-        if "normal_form" in doc:
-            g = _poly_from_json(doc["poly"])
-            nf = _poly_from_json(doc["normal_form"])
-            ok = _combination(g - nf, doc["quotients"]).verify(spanned)
-            checks.append(("normal form reconstruction", ok))
-    # gamma is read once: its own checks, a non_integer_gamma reason and
-    # the verdict all use it
-    gamma = _ratpoly_from_json(doc["gamma"]) if doc.get("gamma") else None
-    if gamma is not None:
-        cofs = [_ratpoly_from_json(c)
-                for c in _json(doc["gamma_cofactors"], list, "gamma_cofactors")]
-        # one common denominator l carries the identity over to Z:
-        # sum((l*c_j) * r_j) == l*gamma
-        _, (l_gamma, *l_cofs) = clear_denominators([gamma, *cofs])
-        ok = MembershipCertificate(tuple(l_cofs), l_gamma).verify(presentation)
-        checks.append(("gamma bezout identity", ok))
-        # a monic common divisor that is also a combination of the
-        # relators is their monic gcd over Q
-        monic = gamma.is_monic()
-        checks.append(("gamma is monic", monic))
-        # by Gauss's lemma, gamma divides r over Q exactly when the
-        # primitive part of l*gamma divides r over Z
-        ok = monic and all(
-            map(content_split(l_gamma).primitive.divides, relators)
-        )
-        checks.append(("gamma divides every relator", ok))
-    if doc.get("failure_reason"):
-        fr = _json(doc["failure_reason"], dict, "failure_reason")
-        if fr["kind"] == NO_RELATORS:
-            checks.append(("the presentation has no nonzero relator", not relators))
-        elif fr["kind"] == NON_SQUAREFREE_GCD:
-            p = _json(fr["prime"], int, "the prime")
-            ok = p > 1 and all(c % (p * p) == 0 for r in relators for c in r.coeffs)
-            checks.append((f"{p}^2 divides every relator coefficient", ok))
-            # Miller-Rabin proves primality only below its bound
-            prime = "prime" if p < MR_PROOF_BOUND else "a probable prime"
-            checks.append((f"{p} is {prime}", is_probable_prime(p)))
-        elif fr["kind"] == NON_INTEGER_GAMMA:
-            c = _fraction(fr["coefficient"])
-            i = _json(fr["coefficient_index"], int, "coefficient_index")
-            ok = gamma is not None and c.denominator != 1 and gamma[i] == c
-            checks.append(("flagged gamma coefficient is not an integer", ok))
-    if "separable" in doc:
-        checks += _verdict_checks(doc, relators, gamma, witness)
-
+    checks = check_document(doc)
     # a document without a single certificate proves nothing
     all_ok = bool(checks) and all(ok for _, ok in checks)
     fields = {

@@ -9,8 +9,8 @@ against such a basis (least-nonnegative residues) gives unique normal forms,
 so membership in V is decidable, and every answer ships a cofactor
 certificate that re-multiplies exactly.
 
-One division, ``_divide``, does all reduction: it returns the normal form
-and, when asked, the quotients over the elements it divides by.  One
+One division, ``poly._divide``, does all reduction: it returns the normal
+form and, when asked, the quotients over the elements it divides by.  One
 completion, ``_complete``, builds every basis.  It works on rows
 (poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]), or on
 bare rows (poly,) when no certificate is wanted.  Every step decides on
@@ -49,12 +49,12 @@ library: this search (N = k) and the subring span of a finite quotient
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .check import is_combination
 from .intarith import SelfCheckError, xgcd
-from .poly import IntPoly, _intpoly, _trim
+from .poly import IntPoly, _divide, _intpoly, _trim
 
 
 class ConstantTermError(ValueError):
@@ -102,58 +102,8 @@ class MembershipCertificate:
     claim: IntPoly
 
     def verify(self, presentation: Presentation) -> bool:
-        """Re-multiply the combination; uses only polynomial arithmetic.
-
-        A cofactor list whose length differs from the relator count is
-        rejected, never padded or truncated.
-        """
-        if len(self.cofactors) != len(presentation.relators):
-            return False
-        total = IntPoly()
-        for c, r in zip(self.cofactors, presentation.relators):
-            total = total + c * r
-        return total == self.claim
-
-
-def _divide(
-    g: IntPoly, elements, quotients: bool = True
-) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
-
-    ``elements`` ascend strictly in degree.  Terms are reduced from the top
-    down by the element of largest degree not above them, to the
-    least-nonnegative residue of that element's lead.  With ``quotients``
-    false the quotients are not built and () is returned in their place.
-    """
-    if not elements:
-        return g, ()
-    degrees = [e.degree for e in elements]
-    rem = list(g.coeffs)
-    qs = [dict() for _ in elements] if quotients else None
-    for d in range(len(rem) - 1, 0, -1):
-        c = rem[d]
-        if not c:
-            continue
-        i = bisect_right(degrees, d)
-        if i == 0:
-            continue
-        i -= 1
-        q, r = divmod(c, elements[i].lead)
-        if not q:
-            continue
-        shift = d - degrees[i]
-        for j, b in enumerate(elements[i].coeffs):
-            rem[shift + j] -= q * b
-        rem[d] = r
-        if qs is not None:
-            qs[i][shift] = qs[i].get(shift, 0) + q
-    if qs is None:
-        return IntPoly(rem), ()
-    qpolys = tuple(
-        IntPoly([qd.get(s, 0) for s in range(max(qd, default=-1) + 1)])
-        for qd in qs
-    )
-    return IntPoly(rem), qpolys
+        """Re-multiply the combination (``check.is_combination``)."""
+        return is_combination(self.claim, self.cofactors, presentation.relators)
 
 
 def _fold(quotients, rows) -> tuple[IntPoly, ...]:

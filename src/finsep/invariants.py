@@ -19,6 +19,7 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .check import relation_checks
 from .intarith import SelfCheckError, factorize
 from .poly import IntPoly, content_split
 from .ideal import (
@@ -48,12 +49,11 @@ class MonicRelation:
     certificate: MembershipCertificate
 
     def verify(self, presentation: Presentation) -> bool:
-        return (
-            self.phi.is_monic()
-            and self.phi.constant == 0
-            and self.certificate.claim == self.phi.scale(self.k)
-            and self.certificate.verify(presentation)
-        )
+        """The checks of ``check.relation_checks``, all of them passing."""
+        cert = self.certificate
+        checks = relation_checks("witness", "witness certificate", self.k, self.phi,
+                                 cert.claim, cert.cofactors, presentation.relators)
+        return all(ok for _, ok in checks)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ remainder gives exactly the Q result; ``Fraction`` enters only there.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -163,6 +164,47 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({format_poly(self)!r})"
+
+
+def _divide(
+    g: IntPoly, elements, quotients: bool = True
+) -> tuple[IntPoly, tuple[IntPoly, ...]]:
+    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
+
+    ``elements`` ascend strictly in degree.  Terms are reduced from the top
+    down by the element of largest degree not above them, to the
+    least-nonnegative residue of that element's lead.  With ``quotients``
+    false the quotients are not built and () is returned in their place.
+    """
+    if not elements:
+        return g, ()
+    degrees = [e.degree for e in elements]
+    rem = list(g.coeffs)
+    qs = [dict() for _ in elements] if quotients else None
+    for d in range(len(rem) - 1, 0, -1):
+        c = rem[d]
+        if not c:
+            continue
+        i = bisect_right(degrees, d)
+        if i == 0:
+            continue
+        i -= 1
+        q, r = divmod(c, elements[i].lead)
+        if not q:
+            continue
+        shift = d - degrees[i]
+        for j, b in enumerate(elements[i].coeffs):
+            rem[shift + j] -= q * b
+        rem[d] = r
+        if qs is not None:
+            qs[i][shift] = qs[i].get(shift, 0) + q
+    if qs is None:
+        return IntPoly(rem), ()
+    qpolys = tuple(
+        IntPoly([qd.get(s, 0) for s in range(max(qd, default=-1) + 1)])
+        for qd in qs
+    )
+    return IntPoly(rem), qpolys
 
 
 class RatPoly:

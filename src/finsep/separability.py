@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .check import NO_RELATORS, NON_INTEGER_GAMMA, NON_SQUAREFREE_GCD, split_checks
 from .intarith import (
     SelfCheckError,
     SquarefreeWitness,
@@ -36,11 +37,6 @@ class NotSquarefreeError(ValueError):
 
 class UnitInputError(ValueError):
     """Raised when a torsion split is asked of 1 (or smaller)."""
-
-
-NO_RELATORS = "no_relators"
-NON_SQUAREFREE_GCD = "non_squarefree_gcd"
-NON_INTEGER_GAMMA = "non_integer_gamma"
 
 
 @dataclass(frozen=True)
@@ -150,14 +146,9 @@ class TorsionSplit:
     bezout_coefficients: tuple[int, ...]
 
     def verify(self) -> bool:
-        return (
-            all(p * ki == self.k for p, ki in self.parts)
-            and sum(
-                z * ki
-                for z, (_, ki) in zip(self.bezout_coefficients, self.parts)
-            )
-            == 1
-        )
+        """The checks of ``check.split_checks``, all of them passing."""
+        checks = split_checks(self.k, self.parts, self.bezout_coefficients)
+        return all(ok for _, ok in checks)
 
 
 def torsion_split(k: int) -> TorsionSplit:

@@ -1,4 +1,4 @@
-"""Every ``decide --json`` document passes ``verify``; forged gammas do not.
+"""Every document with a certificate passes ``verify``; forged ones do not.
 
 The gamma checks of ``verify`` run on integers (one common denominator,
 Gauss's lemma for divisibility).  The forgeries below show they are no
@@ -8,18 +8,21 @@ to match keeps the identity but divides no longer, and 2*gamma with
 doubled cofactors keeps both but is not monic.
 """
 
+import ast
 import contextlib
 import copy
 import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from finsep import check
 from finsep.cli import run
 from finsep.poly import IntPoly, format_poly
 
@@ -162,15 +165,16 @@ def test_decide_documents_check_their_verdict(relators):
 @SETTINGS
 @given(presentations)
 def test_separable_witness_documents_verify(relators):
+    # witness documents of both verdicts carry decide's verdict fields
     doc = _witness(relators)
     report = _verify(doc)
+    assert report["all_ok"] is True
+    names = {c["name"] for c in report["checks"]}
     if doc["separable"]:
-        assert report["all_ok"] is True
         assert {VERDICT, "witness k is the coefficient gcd",
-                "membership certificate"} <= {c["name"] for c in report["checks"]}
+                "membership certificate"} <= names
     else:
-        # a not-separable witness document carries no failure reason
-        assert report["all_ok"] is False
+        assert {VERDICT, f"failure reason is {doc['failure_reason']['kind']}"} <= names
 
 
 def test_a_separable_verdict_flipped_to_not_separable_is_invalid():
@@ -249,3 +253,230 @@ def test_a_malformed_verdict_is_an_input_error():
         forged = dict(doc, **{field: value})
         rc, _ = _run(["verify", "-"], json.dumps(forged))
         assert rc == 2, field
+
+
+# --- one checker per document kind -------------------------------------------
+
+def _document(command: str, relators, *extra: str) -> dict:
+    rc, doc = _run([command, "--json", *extra]
+                   + [f"--relator={format_poly(r)}" for r in relators])
+    assert rc == 0
+    return json.loads(doc)
+
+
+@SETTINGS
+@given(presentations, st.lists(multipliers, min_size=1, max_size=4), multipliers)
+def test_basis_nf_and_member_documents_verify(relators, cofactors, tail):
+    # a combination of the relators is a member; x * tail is any polynomial
+    # with zero constant term, reduced by nf
+    member = sum((c * r for c, r in zip(cofactors, relators)), IntPoly())
+    nonmember = IntPoly((0, 1))
+    for doc in (_document("basis", relators),
+                _document("nf", relators, f"--poly={format_poly(tail.shift(1))}"),
+                _document("member", relators, f"--poly={format_poly(member)}")):
+        assert _verify(doc)["all_ok"] is True, doc["command"]
+    doc = _document("member", relators, f"--poly={format_poly(nonmember)}")
+    if not doc["member"]:
+        # a non-member carries no certificate yet
+        assert _verify(doc)["checked"] == 0
+
+
+@SETTINGS
+@given(presentations)
+def test_invariants_documents_with_finite_torsion_verify(relators):
+    doc = _document("invariants", relators)
+    report = _verify(doc)
+    if doc["torsion"] is None:
+        # an infinite torsion is bound-relative and carries no certificate
+        assert report["checked"] == 0
+    else:
+        assert report["all_ok"] is True
+        assert "torsion is the torsion witness k" in {c["name"] for c in report["checks"]}
+
+
+def _poly_doc(*coeffs) -> dict:
+    return {"coeffs": list(coeffs), "text": ""}
+
+
+def test_a_member_claim_for_another_polynomial_is_invalid():
+    doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 - x")
+    assert _verify(doc)["all_ok"] is True
+    doc["poly"] = _poly_doc(0, 5)
+    assert _failed(doc) == ["certificate claim is poly and member is true"]
+    doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 - x")
+    doc["member"] = False
+    assert _failed(doc) == ["certificate claim is poly and member is true"]
+
+
+def test_a_negative_witness_document_verifies():
+    # 2x^2 + x: gcd 1, gamma x^2 + x/2 is not integral
+    doc = _witness([IntPoly((0, 1, 2))])
+    assert doc["separable"] is False
+    report = _verify(doc)
+    assert report["all_ok"] is True
+    assert "failure reason is non_integer_gamma" in {c["name"] for c in report["checks"]}
+
+
+def test_a_basis_with_a_redundant_element_is_invalid():
+    # x^3 - x^2 = x * (x^2 - x) lies in the ideal and re-multiplies, but its
+    # lead does not properly divide the one below it and its tail -x^2 is
+    # not reduced
+    doc = _document("basis", [IntPoly((0, -1, 1))])
+    basis = doc["basis"]
+    basis["elements"].append(_poly_doc(0, 0, -1, 1))
+    basis["element_cofactors"].append([_poly_doc(0, 1)])
+    for row in basis["relator_quotients"]:
+        row.append(_poly_doc())
+    assert _failed(doc) == ["basis leads are positive and properly divide backward",
+                            "basis tails are reduced"]
+
+
+def test_a_basis_out_of_order_or_not_closed_is_invalid():
+    # the relators 4x, 2x^2 + x themselves: leads 4 and 2, tails reduced,
+    # but x * 4x = 4x^2 reduces to 2x, not zero, so the ideal holds 2x
+    # and the staircase rows do not span it
+    doc = _document("basis", [IntPoly((0, 4)), IntPoly((0, 1, 2))])
+    one, zero = _poly_doc(1), _poly_doc()
+    doc["basis"] = {"elements": [_poly_doc(0, 4), _poly_doc(0, 1, 2)],
+                    "element_cofactors": [[one, zero], [zero, one]],
+                    "relator_quotients": [[one, zero], [zero, one]]}
+    assert _failed(doc) == ["basis consecutive shifts reduce to zero"]
+    doc["basis"]["elements"].reverse()
+    assert "basis degrees strictly ascend" in _failed(doc)
+
+
+def test_a_zero_basis_element_is_a_failed_check():
+    # a zero element has no lead to reduce by; the checks fail, none raises
+    doc = _document("nf", [IntPoly((0, 2))], "--poly=x")
+    doc["basis"]["elements"][0]["coeffs"] = []
+    assert {"basis leads are positive and properly divide backward",
+            "normal form is reduced"} <= set(_failed(doc))
+
+
+def test_an_unreduced_normal_form_is_invalid():
+    doc = _document("nf", [IntPoly((0, -1, 1))], "--poly=x^3 + x")
+    assert doc["normal_form"]["coeffs"] == [0, 2]
+    doc["normal_form"] = _poly_doc(0, 1, 0, 1)
+    doc["quotients"] = [_poly_doc() for _ in doc["quotients"]]
+    assert _failed(doc) == ["normal form is reduced"]
+
+
+def test_forged_invariants_are_invalid():
+    doc = _document("invariants", [IntPoly((0, 0, 2)), IntPoly((0, 0, 0, 1))])
+    assert _verify(doc)["all_ok"] is True
+    doc.update(torsion=999, algebraic_degree=7, torsion_exponent=42)
+    assert _failed(doc) == ["torsion is the torsion witness k",
+                            "algebraic degree <= torsion exponent <= deg phi",
+                            "algebraic degree is the degree of the minimal polynomial"]
+    doc = _document("invariants", [IntPoly((0, 0, 2)), IntPoly((0, 0, 0, 1))])
+    doc["minimal_content"] += 1
+    assert _failed(doc) == ["minimal content * primitive is the minimal polynomial"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("schema"),
+    lambda d: d.update(schema="finsep/2"),
+    lambda d: d.pop("command"),
+    lambda d: d.update(command="verify"),
+    lambda d: d.update(command=["decide"]),
+    lambda d: d.pop("relators"),
+])
+def test_a_document_without_a_known_schema_and_command_is_an_input_error(edit):
+    doc = _decide([IntPoly((0, -1, 1))])
+    edit(doc)
+    assert _run(["verify", "-"], json.dumps(doc))[0] == 2
+
+
+def test_the_checker_imports_nothing_that_produces_certificates():
+    tree = ast.parse(Path(check.__file__).read_text(encoding="utf-8"))
+    helpers = {"gcd_list", "is_probable_prime", "MR_PROOF_BOUND"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("poly", "intarith"), node.module
+            if node.module == "intarith":
+                assert {a.name for a in node.names} <= helpers
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] in sys.stdlib_module_names
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names
+
+
+# --- mutated documents are input errors or failed checks, never faults -------
+
+def _corpus() -> list[dict]:
+    x2_x, six = IntPoly((0, -1, 1)), IntPoly((0, -6, 6))
+    return [
+        _decide([x2_x]), _decide([IntPoly((0, 1, 2))]), _decide([IntPoly((0, 0, 4))]),
+        _decide([]), _witness([six]), _witness([IntPoly((0, 1, 2))]),
+        _document("invariants", [x2_x.shift(1), six]),
+        _document("basis", [IntPoly((0, 1, 0, 2)), IntPoly((0, 0, 1, 2))]),
+        # monomial elements 2x and x^2: one perturbation makes an element zero
+        _document("basis", [IntPoly((0, 2)), IntPoly((0, 0, 1))]),
+        _document("nf", [x2_x], "--poly=x^3 + x"),
+        _document("member", [x2_x], "--poly=x^3 - x"),
+        _document("member", [x2_x], "--poly=x"),
+        _document("quotient", [x2_x], "--modulus=4"),
+        _document("separate", [x2_x], "--target=x", "--bound=4"),
+    ]
+
+
+CORPUS = _corpus()
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, its own () included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+OTHER_TYPES = (None, True, "x", 7, 1.5, [], {})
+
+
+COMMANDS = ("decide", "invariants", "basis", "nf", "member", "witness",
+            "quotient", "separate", "verify", "other", None, 7, [], {})
+
+
+def _mutate(doc: dict, data) -> None:
+    """One mutation: drop a field, change a JSON type, swap the command or
+    perturb an integer."""
+    mutation = data.draw(st.sampled_from(("drop", "retype", "command", "perturb")))
+    paths = [p for p in _paths(doc) if p]
+    ints = [p for p in paths if type(_at(doc, p)) is int]
+    if mutation == "command" or not paths:
+        doc["command"] = data.draw(st.sampled_from(COMMANDS))
+    elif mutation == "perturb" and ints:
+        path = data.draw(st.sampled_from(ints))
+        _at(doc, path[:-1])[path[-1]] += data.draw(st.integers(-3, 3))
+    else:
+        path = data.draw(st.sampled_from(paths))
+        parent = _at(doc, path[:-1])
+        if mutation == "drop":
+            del parent[path[-1]]
+        else:
+            old = parent[path[-1]]
+            parent[path[-1]] = data.draw(st.sampled_from(
+                [v for v in OTHER_TYPES if type(v) is not type(old)]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(len(CORPUS))), st.integers(1, 3), st.data())
+def test_a_mutated_document_never_faults(index, mutations, data):
+    # run catches input errors (exit 2) and faults of the program (exit 3);
+    # anything else would escape it as a traceback
+    doc = copy.deepcopy(CORPUS[index])
+    for _ in range(mutations):
+        _mutate(doc, data)
+    rc, report = _run(["verify", "-", "--json"], json.dumps(doc))
+    assert rc in (0, 2)
+    if rc == 0:
+        assert json.loads(report)["checked"] >= 0
