@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .intarith import MR_PROOF_BOUND, gcd_list, is_probable_prime
-from .poly import IntPoly, RatPoly, _divide, clear_denominators, content_split
+from .poly import IntPoly, RatPoly, clear_denominators, content_split
 
 SCHEMA = "finsep/1"
 
@@ -65,9 +65,19 @@ def _pairs(value, what: str) -> list[tuple[int, int]]:
 
 def is_combination(claim: IntPoly, cofactors, generators) -> bool:
     """Whether claim == sum(cofactors[i] * generators[i]); a cofactor list
-    of another length than the generators' is rejected, never padded."""
-    products = (c * g for c, g in zip(cofactors, generators))
-    return len(cofactors) == len(generators) and sum(products, IntPoly()) == claim
+    of another length than the generators' is rejected, never padded.
+    The products are summed into one list that starts at -claim."""
+    if len(cofactors) != len(generators):
+        return False
+    acc = [-x for x in claim.coeffs]
+    for c, g in zip(cofactors, generators):
+        c, g = c.coeffs, g.coeffs
+        acc += [0] * (len(c) + len(g) - len(acc))
+        for i, a in enumerate(c):
+            if a:
+                for t, b in enumerate(g, i):
+                    acc[t] += a * b
+    return not any(acc)
 
 
 def relation_checks(name: str, certificate: str, k: int, phi: IntPoly,
@@ -263,8 +273,20 @@ def _invariants(doc: dict, relators) -> list:
 
 
 def _reduces_to(p: IntPoly, elements, target: IntPoly) -> bool:
-    """Whether p reduces to target; a zero element has no lead to divide by."""
-    return all(elements) and _divide(p, elements, False)[0] == target
+    """Whether p reduces to target: each term from the top, by the element
+    of largest degree not above it, to the least-nonnegative residue of
+    its lead.  A zero element has no lead to divide by."""
+    if not all(elements):
+        return False
+    rem = list(p.coeffs)
+    for d in range(len(rem) - 1, 0, -1):
+        below = [e for e in elements if e.degree <= d]
+        if below and rem[d]:
+            e = max(below, key=lambda e: e.degree)
+            k = rem[d] // e.lead
+            for t, b in enumerate(e.coeffs, d - e.degree):
+                rem[t] -= k * b
+    return IntPoly(rem) == target
 
 
 def _basis(doc: dict, relators) -> list:

@@ -9,23 +9,23 @@ against such a basis (least-nonnegative residues) gives unique normal forms,
 so membership in V is decidable, and every answer ships a cofactor
 certificate that re-multiplies exactly.
 
-One division, ``poly._divide``, does all reduction: it returns the normal
-form and, when asked, the quotients over the elements it divides by.  One
+One division, ``poly._divide``, does all reduction: one top-down walk over
+the elements returns the normal form and, when asked, the quotients.  One
 completion, ``_complete``, builds every basis.  It works on rows
 (poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]), or on
 bare rows (poly,) when no certificate is wanted.  Every step decides on
 the poly alone, and a row's cofactors are built only once its reduced
 poly is known to be nonzero: reducing a row divides its poly, and only a
 nonzero remainder gets the row's cofactors, shifted or combined as its
-poly was, minus the quotients' fold (``_fold``) of the table rows'
-cofactors.  A row that reduces to zero adds nothing to the basis, so its
-certificate is never needed.  ``canonical_basis`` runs it with cofactors
-and is cached;
+poly was, minus the quotients' fold (``_fold``, one list per cofactor) of
+the table rows' cofactors.  A row that reduces to zero adds nothing to
+the basis, so its certificate is never needed.  ``canonical_basis`` runs
+it with cofactors and is cached on the presentation's hash, computed once;
 membership folds the division's quotients over its basis cofactors, and
-every certificate is re-checked before it is returned.
-``basis_elements`` runs it on bare rows, uncached, for callers that need
-only the elements (the finite quotients of the separation search).  A
-failed re-check raises ``SelfCheckError``.
+every certificate is re-checked (``check.is_combination``) before it is
+returned.  ``basis_elements`` runs it on bare rows, uncached, for callers
+that need only the elements (the finite quotients of the separation
+search).  A failed re-check raises ``SelfCheckError``.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in V
 for some monic phi of bounded degree.  The strong basis already holds V in
@@ -88,6 +88,11 @@ class Presentation:
                 )
             kept.append(r)
         object.__setattr__(self, "relators", tuple(kept))
+        # hashed once: canonical_basis looks every presentation up in its cache
+        object.__setattr__(self, "_hash", hash(tuple(r.coeffs for r in kept)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def max_degree(self) -> int:
@@ -107,12 +112,20 @@ class MembershipCertificate:
 
 
 def _fold(quotients, rows) -> tuple[IntPoly, ...]:
-    """Componentwise sum of quotients[i] * rows[i] over rows of one width."""
-    sums = [IntPoly()] * (len(rows[0]) if rows else 0)
+    """Componentwise sum of quotients[i] * rows[i] over rows of one width,
+    each component summed into one list."""
+    sums = [[] for _ in (rows[0] if rows else ())]
     for q, row in zip(quotients, rows):
+        q = q.coeffs
         if q:
-            sums = [s + q * p for s, p in zip(sums, row)]
-    return tuple(sums)
+            for acc, p in zip(sums, row):
+                p = p.coeffs
+                acc += [0] * (len(q) + len(p) - len(acc))
+                for i, a in enumerate(q):
+                    if a:
+                        for t, b in enumerate(p, i):
+                            acc[t] += a * b
+    return tuple(map(_intpoly, sums))
 
 
 # row operations are linear, so a row keeps poly == sum(cof_j * relators[j])
@@ -386,7 +399,8 @@ class _Echelon:
     with its input and has no fixed dimension.  Rows optionally carry a
     sparse tail {index: coefficient} of bookkeeping coordinates, also kept
     in [0, N), that follows every row operation, so reducing a vector to
-    zero also yields its expression over the tracked generators mod N.
+    zero also yields its expression over the tracked generators mod N.  An
+    operation between two rows without tails skips it: the tail stays zero.
     """
 
     def __init__(self, modulus: int):
@@ -408,13 +422,15 @@ class _Echelon:
             if b % a == 0:
                 q = b // a
                 vec = [(x - q * y) % n for x, y in zip(vec, row)]
-                tail = _lin(1, tail, -q, rtail, n)
+                if rtail:
+                    tail = _lin(1, tail, -q, rtail, n)
             else:
                 g, u, v = xgcd(a, b)
                 self.rows[j] = [(u * x + v * y) % n for x, y in zip(row, vec)]
-                self.tails[j] = _lin(u, rtail, v, tail, n)
                 vec = [((a // g) * y - (b // g) * x) % n for x, y in zip(row, vec)]
-                tail = _lin(-(b // g), rtail, a // g, tail, n)
+                if tail or rtail:
+                    self.tails[j] = _lin(u, rtail, v, tail, n)
+                    tail = _lin(-(b // g), rtail, a // g, tail, n)
             _trim(vec)
 
     def solve(self, vec) -> dict[int, int] | None:
@@ -429,7 +445,7 @@ class _Echelon:
                 return None
             q = vec[j] // row[j]
             vec = _trim([(x - q * y) % n for x, y in zip(vec, row)])
-            if self.tails[j]:
+            if self.tails.get(j):
                 out = _lin(1, out, q, self.tails[j], n)
         return out
 

@@ -18,7 +18,6 @@ remainder gives exactly the Q result; ``Fraction`` enters only there.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -171,40 +170,39 @@ def _divide(
 ) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
 
-    ``elements`` ascend strictly in degree.  Terms are reduced from the top
-    down by the element of largest degree not above them, to the
-    least-nonnegative residue of that element's lead.  With ``quotients``
-    false the quotients are not built and () is returned in their place.
+    ``elements`` ascend strictly in degree from degree 1 up.  Terms are
+    reduced from the top down by the element of largest degree not above
+    them, to the least-nonnegative residue of that element's lead: one walk
+    takes the elements from the top, each reducing the degrees left down to
+    its own, and writes its quotient into a list sized at its first
+    (highest) shift.  With ``quotients`` false the quotients are not built
+    and () is returned in their place.
     """
     if not elements:
         return g, ()
-    degrees = [e.degree for e in elements]
     rem = list(g.coeffs)
-    qs = [dict() for _ in elements] if quotients else None
-    for d in range(len(rem) - 1, 0, -1):
-        c = rem[d]
-        if not c:
-            continue
-        i = bisect_right(degrees, d)
-        if i == 0:
-            continue
-        i -= 1
-        q, r = divmod(c, elements[i].lead)
-        if not q:
-            continue
-        shift = d - degrees[i]
-        for j, b in enumerate(elements[i].coeffs):
-            rem[shift + j] -= q * b
-        rem[d] = r
-        if qs is not None:
-            qs[i][shift] = qs[i].get(shift, 0) + q
-    if qs is None:
-        return IntPoly(rem), ()
-    qpolys = tuple(
-        IntPoly([qd.get(s, 0) for s in range(max(qd, default=-1) + 1)])
-        for qd in qs
-    )
-    return IntPoly(rem), qpolys
+    top = len(rem) - 1
+    qs = []
+    for e in reversed(elements):
+        e = e.coeffs
+        n, lead = len(e) - 1, e[-1]
+        q = []
+        for d in range(top, n - 1, -1):
+            k = rem[d] // lead
+            if k:
+                s = d - n
+                for t, b in enumerate(e, s):
+                    rem[t] -= k * b  # leaves rem[d] its residue
+                if quotients:
+                    if not q:
+                        q = [0] * (s + 1)
+                    q[s] = k
+        top = min(top, n - 1)
+        qs.append(q)
+    if not quotients:
+        return _intpoly(rem), ()
+    zero = IntPoly()
+    return _intpoly(rem), tuple(_intpoly(q) if q else zero for q in reversed(qs))
 
 
 class RatPoly:

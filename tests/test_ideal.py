@@ -24,6 +24,7 @@ from finsep.ideal import (
     normal_form,
     reduce_with_quotients,
 )
+from finsep.check import _reduces_to
 from finsep.invariants import certified_relation
 
 
@@ -667,6 +668,67 @@ def test_tracked_completion_is_byte_identical_at_degree_20():
             [_coeffs(row) for row in basis.relator_quotients]]
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == "0453e7d7f1e1adccc5ae53cb222d4b3c9f43439ba2118bffe653d7a88771628f"
+
+
+
+def _random_poly(rng, degree, bound, constant=False):
+    return IntPoly([rng.randint(-bound, bound) if constant or i else 0
+                    for i in range(degree + 1)])
+
+
+def _identity_corpus(seed=21):
+    """Presentations with six queries each, about half of them members:
+    pairs (x^2 - x)*f, (x^2 - x)*g shaped as the member-queries pools, and
+    1 to 3 random relators of degree <= 10 scaled by contents up to 30."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(60):
+        if i % 2 == 0:
+            relators = [ip(0, -1, 1) * _random_poly(rng, d, 1000, constant=True)
+                        for d in (4, 3)]
+        else:
+            relators = [_random_poly(rng, rng.randint(1, 10), 9).scale(rng.randint(1, 30))
+                        for _ in range(rng.randint(1, 3))]
+        queries = []
+        for _ in range(6):
+            g = IntPoly()
+            for r in relators:
+                g = g + _random_poly(rng, rng.randint(0, 2), 9, constant=True) * r
+            if rng.random() < 0.5:
+                g = g + IntPoly.term(rng.randint(-100, 100), rng.randint(1, 12))
+            queries.append(g)
+        cases.append((Presentation(relators), queries))
+    return cases
+
+
+def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
+    # digest of the basis elements and cofactors, and of each query's normal
+    # form, quotients and membership cofactors, as computed when the division
+    # looked each degree up by bisection and the folds summed IntPolys
+    data = []
+    for p, queries in _identity_corpus():
+        basis = canonical_basis(p)
+        data.append(_coeffs(basis.elements))
+        data.append([_coeffs(row) for row in basis.element_cofactors])
+        for g in queries:
+            nf, quotients = reduce_with_quotients(g, basis)
+            member, cert = membership(g, p)
+            data.append([list(nf.coeffs), _coeffs(quotients),
+                         _coeffs(cert.cofactors) if member else None])
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "965b5060805b0980bc1fc5b80949321b060680a32ded04f363fbcf2570cd737a"
+
+
+def test_check_reducer_agrees_with_the_division():
+    # check.py reduces with code of its own, so the basis and nf checks do
+    # not judge the division with the division
+    rng = random.Random(22)
+    for p, queries in _identity_corpus():
+        elements = canonical_basis(p).elements
+        for g in queries + [IntPoly(e.coeffs[:-1]) for e in elements]:
+            nf = normal_form(g, canonical_basis(p))
+            assert _reduces_to(g, elements, nf)
+            assert not _reduces_to(g, elements, nf + IntPoly.term(1, rng.randint(0, 12)))
 
 
 # exact bases and certificates pinned as computed before the completion and
