@@ -140,9 +140,12 @@ def _factorization_check(factorization, g: int) -> tuple[bool, tuple[str, bool]]
     return ok and all(e == 1 for _, e in pairs), (name, ok)
 
 
-def _gamma_checks(gamma: RatPoly, cofactors, relators) -> list:
-    """The checks that pin gamma as the monic gcd of the relators over Q."""
-    cofactors = [_ratpoly(c) for c in _json(cofactors, list, "gamma_cofactors")]
+def _gamma_checks(gamma: RatPoly, doc: dict, relators) -> list:
+    """The checks that pin gamma as the monic gcd of the relators over Q,
+    and the lcm of its cofactors' denominators."""
+    cofactors = _json(doc["gamma_cofactors"], list, "gamma_cofactors")
+    cofactors = [_ratpoly(c) for c in cofactors]
+    lcm = math.lcm(*(c.denominator for p in cofactors for c in p.coeffs))
     # one common denominator l carries the identity over to Z:
     # sum((l*c_j) * r_j) == l*gamma
     _, (l_gamma, *l_cofactors) = clear_denominators([gamma, *cofactors])
@@ -154,7 +157,9 @@ def _gamma_checks(gamma: RatPoly, cofactors, relators) -> list:
     divides = monic and all(map(content_split(l_gamma).primitive.divides, relators))
     return [("gamma bezout identity", is_combination(l_gamma, l_cofactors, relators)),
             ("gamma is monic", monic),
-            ("gamma divides every relator", divides)]
+            ("gamma divides every relator", divides),
+            ("denominator lcm is the lcm of the gamma cofactor denominators",
+             _json(doc["denominator_lcm"], int, "denominator_lcm") == lcm)]
 
 
 def _reason_checks(reason: dict, gamma: RatPoly | None, relators) -> list:
@@ -187,7 +192,7 @@ def _verdict(doc: dict, relators, separable: bool, k: int | None) -> list:
     then the lowest non-integer coefficient of gamma.
     """
     gamma = _ratpoly(doc["gamma"]) if relators else None
-    checks = _gamma_checks(gamma, doc["gamma_cofactors"], relators) if relators else []
+    checks = _gamma_checks(gamma, doc, relators) if relators else []
     reason = None if separable else doc.get("failure_reason")
     if reason:
         checks += _reason_checks(_json(reason, dict, "failure_reason"), gamma, relators)
@@ -197,7 +202,9 @@ def _verdict(doc: dict, relators, separable: bool, k: int | None) -> list:
     sqfree = False
     if relators:
         sqfree, check = _factorization_check(doc["coefficient_gcd_factorization"], g)
-        checks.append(check)
+        flag = _json(doc["coefficient_gcd_squarefree"], bool, "the squarefree flag")
+        checks += [check, ("coefficient gcd squarefree flag matches the factorization",
+                           flag == sqfree)]
     integral = gamma is not None and gamma.is_integral()
     ok = separable == (sqfree and integral)
     checks.append(("separable is gcd squarefree and gamma integral", ok))

@@ -9,52 +9,42 @@ against such a basis (least-nonnegative residues) gives unique normal forms,
 so membership in V is decidable, and every answer ships a cofactor
 certificate that re-multiplies exactly.
 
-One division, ``poly._divide``, does all reduction: one top-down walk over
-the elements returns the normal form and, when asked, the quotients.  One
-completion, ``_complete``, builds every basis.  It works on rows
-(poly, cof_1, ..., cof_n) with poly == sum(cof_j * relators[j]), or on
-bare rows (poly,) when no certificate is wanted.  Every step decides on
-the poly alone, and a row's cofactors are built only once its reduced
-poly is known to be nonzero: reducing a row divides its poly, and only a
-nonzero remainder gets the row's cofactors, shifted or combined as its
-poly was, minus the quotients' fold (``_fold``, one list per cofactor) of
-the table rows' cofactors.  A row that reduces to zero adds nothing to
-the basis, so its certificate is never needed.  ``canonical_basis`` runs
-it with cofactors and is cached on the presentation's hash, computed once;
-membership folds the division's quotients over its basis cofactors, and
-every certificate is re-checked (``check.is_combination``) before it is
-returned.  ``basis_elements`` runs it on bare rows, uncached, for callers
-that need only the elements (the finite quotients of the separation
-search).  A failed re-check raises ``SelfCheckError``.
+One division does all reduction: one top-down walk over the elements,
+``poly._divide_coeffs`` on coefficient lists, returns the normal form and,
+when asked, the quotients; ``poly._divide`` is its IntPoly wrapper.  One
+completion, ``_complete``, builds every basis on plain int lists, with
+IntPolys made once, from the rows it returns.  It works on rows
+[poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
+bare rows [poly] when no certificate is wanted; a row's cofactors are
+built only once its reduced poly is known to be nonzero.
+``canonical_basis`` runs it with cofactors and is cached on the
+presentation's hash; membership folds the division's quotients over the
+basis cofactors (``_fold_into``), and every certificate is re-checked
+(``check.is_combination``) before it is returned.  ``basis_elements``
+runs it on bare rows, uncached, for callers that need only the elements
+(the finite quotients of the separation search).  A failed re-check
+raises ``SelfCheckError``.
 
-The monic-multiple search decides, degree by degree, whether k*phi lies in V
-for some monic phi of bounded degree.  The strong basis already holds V in
-echelon form, one staircase row x^(n-d) * t_d per degree n, and only the
-row of degree n has pivot n, so a degree is decided modulo k: the row's
-lead must divide k, and the k/lead multiple of its part below n must lie
-in the span over Z/k of the lower staircase rows, one ``_Echelon(k)``
-whose coordinates stay in [0, k).  No k*x^i rows are held, and no entry
-reaches k.  With k = 1 the span is zero, so the answer is the top basis
-element when it is monic, read off with no echelon at all.  The search
-starts at the algebraic degree (the lowest basis degree): no nonzero
-member of V lies below it.  The search reads basis elements only and
-builds no certificate; the relations handed out are certified once each,
-by ``invariants.certified_relation``.
-
-One helper, ``staircase_row``, builds the staircase rows, and one echelon
-over Z/N, ``_Echelon``, holds their span for both lattices of the
-library: this search (N = k) and the subring span of a finite quotient
-(``quotients._SubringSpan``, N = q).
+The monic-multiple search decides, degree by degree, whether k*phi lies in
+V for some monic phi of bounded degree, modulo k over the staircase rows
+x^(n-d) * t_d of the strong basis, from the algebraic degree up (the
+argument is in ``monic_multiple_search``).  It reads basis elements only;
+the relations handed out are certified once each, by
+``invariants.certified_relation``.  One helper, ``staircase_row``, builds
+the staircase rows, and one echelon over Z/N, ``_Echelon``, holds their
+span for both lattices of the library: this search (N = k) and the
+subring span of a finite quotient (``quotients._SubringSpan``, N = q).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .check import is_combination
 from .intarith import SelfCheckError, xgcd
-from .poly import IntPoly, _divide, _intpoly, _trim
+from .poly import _COEFFS, IntPoly, _divide, _divide_coeffs, _intpoly, _trim
 
 
 class ConstantTermError(ValueError):
@@ -111,59 +101,54 @@ class MembershipCertificate:
         return is_combination(self.claim, self.cofactors, presentation.relators)
 
 
-def _fold(quotients, rows) -> tuple[IntPoly, ...]:
-    """Componentwise sum of quotients[i] * rows[i] over rows of one width,
-    each component summed into one list."""
-    sums = [[] for _ in (rows[0] if rows else ())]
+def _fold_into(sums: list, quotients, rows) -> list:
+    """Add quotients[i] * rows[i] componentwise into the lists ``sums``, over
+    coefficient sequences, each component into one list; left untrimmed."""
     for q, row in zip(quotients, rows):
-        q = q.coeffs
         if q:
             for acc, p in zip(sums, row):
-                p = p.coeffs
                 acc += [0] * (len(q) + len(p) - len(acc))
                 for i, a in enumerate(q):
                     if a:
                         for t, b in enumerate(p, i):
                             acc[t] += a * b
-    return tuple(map(_intpoly, sums))
+    return sums
 
 
-# row operations are linear, so a row keeps poly == sum(cof_j * relators[j])
-
-def _combine(terms, j: int) -> IntPoly:
-    """Component j of the row sum(a * x^s * row) over terms (a, s, row)."""
-    if len(terms) == 1 and terms[0][:2] == (1, 0):
-        return terms[0][2][j]  # a row taken as it is needs no copy
-    out = [0] * max(s + len(row[j].coeffs) for _, s, row in terms)
+def _combine(terms, j: int) -> list:
+    """Component j of sum(a * x^s * row) over terms (a, s, row), a fresh list."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        _, s, row = terms[0]
+        return [0] * s + row[j] if row[j] else []
+    out = [0] * max(s + len(row[j]) for _, s, row in terms)
     for a, s, row in terms:
-        for i, c in enumerate(row[j].coeffs, s):
+        for i, c in enumerate(row[j], s):
             out[i] += a * c
-    return _intpoly(out)
+    return _trim(out)
 
 
-def _reduce_row(poly: IntPoly, terms, table: dict) -> tuple[IntPoly, ...]:
-    """Full normal form of a row against the table, cofactors carried.
+def _reduce_row(poly: list, terms, table: dict, degs) -> list | None:
+    """Full normal form of a row against the table rows of degrees ``degs``.
 
     The row is poly == sum(a * x^s * row[0]) over ``terms`` (a, s, row),
-    and its cofactors are the same sum over row[1:].  Only the poly is
-    divided first.  When its normal form is zero the row comes back as
-    (0,) and no cofactor is built: it adds nothing to the table.  Otherwise
-    the cofactors are summed and the quotients' fold (``_fold``) of the
-    table rows' cofactors is subtracted from them.
+    and its cofactors are the same sum over row[1:].  Only the poly, a list
+    handed over, is divided first, in place.  A zero normal form returns
+    None and builds no cofactor; otherwise the cofactors are summed, minus
+    the quotients' fold (``_fold_into``) of the table rows' cofactors.
     """
-    held = [table[d] for d in sorted(table)]
+    held = [table[d] for d in reversed(degs)]
     width = len(terms[0][2])
-    nf, quotients = _divide(poly, [h[0] for h in held], width > 1)
-    if nf.is_zero():
-        return (nf,)
+    quotients = _divide_coeffs(poly, [h[0] for h in held], width > 1)
+    if not _trim(poly):
+        return None
     cofactors = [_combine(terms, j) for j in range(1, width)]
-    if held:
-        folded = _fold(quotients, [h[1:] for h in held])
-        cofactors = [c - f for c, f in zip(cofactors, folded)]
-    return (nf, *cofactors)
+    if cofactors:
+        negated = [[-k for k in q] for q in quotients]
+        _fold_into(cofactors, negated, [h[1:] for h in held])
+    return [poly, *map(_trim, cofactors)]
 
 
-def _insert(poly: IntPoly, terms, table: dict) -> None:
+def _insert(poly: list, terms, table: dict, degs: list) -> None:
     """Reduce a row (as in ``_reduce_row``) and merge what is left into the table.
 
     When the degree slot is occupied the two leads are combined by extended
@@ -171,30 +156,30 @@ def _insert(poly: IntPoly, terms, table: dict) -> None:
     that degree and re-enter through reduction recursively, each one's
     cofactors built only if it does not reduce to zero.
     """
-    row = _reduce_row(poly, terms, table)
-    while not row[0].is_zero():
-        if row[0].lead < 0:
-            row = tuple(-p for p in row)
-        d = row[0].degree
-        if d not in table:
+    row = _reduce_row(poly, terms, table, degs)
+    while row:
+        if row[0][-1] < 0:
+            row = [[-c for c in p] for p in row]
+        d = len(row[0]) - 1
+        held = table.get(d)
+        if held is None:
             table[d] = row
+            insort(degs, d)
             return
-        held = table[d]
-        a = held[0].lead
-        c = row[0].lead
+        a, c = held[0][-1], row[0][-1]
         # row is fully reduced, so 0 < c < a and the gcd strictly shrinks a
         g, u, v = xgcd(a, c)
         pair = ((u, 0, held), (v, 0, row))
-        new = tuple(_combine(pair, j) for j in range(len(row)))
+        new = [_combine(pair, j) for j in range(len(row))]
         held_terms = ((1, 0, held), (-(a // g), 0, new))
         row_terms = ((1, 0, row), (-(c // g), 0, new))
         rem_held, rem_row = _combine(held_terms, 0), _combine(row_terms, 0)
-        if not (new[0].degree == d and new[0].lead == g < a
-                and rem_held.degree < d and rem_row.degree < d):
+        if not (len(new[0]) - 1 == d and new[0][-1] == g < a
+                and len(rem_held) <= d and len(rem_row) <= d):
             raise SelfCheckError(f"Euclid merge at degree {d} kept its lead")
         table[d] = new
-        _insert(rem_held, held_terms, table)
-        row = _reduce_row(rem_row, row_terms, table)
+        _insert(rem_held, held_terms, table, degs)
+        row = _reduce_row(rem_row, row_terms, table, degs)
 
 
 @dataclass(frozen=True)
@@ -224,14 +209,16 @@ class CanonicalBasis:
         return not self.elements
 
 
-def _complete(rows) -> list[tuple[IntPoly, ...]]:
+def _complete(rows) -> list[list]:
     """Complete relator rows to the rows of the strong basis, ascending.
 
-    Rows are (poly,) or (poly, cof_1, ..., cof_n); every decision reads
-    the poly alone, so both widths give the same polys.  A shift or a
-    Euclid remainder is formed as a poly and handed to ``_reduce_row``
+    Rows are [poly] or [poly, cof_1, ..., cof_n], trimmed coefficient
+    lists kept linear, poly == sum(cof_j * relators[j]), in a table from
+    degree to row whose degrees one list holds ascending.  Every decision
+    reads the poly alone, so both widths give the same polys.  A shift or
+    a Euclid remainder is formed as a poly and handed to ``_reduce_row``
     with the terms its cofactors are summed from, so a kept row gets the
-    same cofactors as when they are built up front, and a row reducing to
+    same cofactors as when they are built up front, and one reducing to
     zero builds none.
 
     Only the shifts x^(e-d) * t_d between consecutive table degrees d < e
@@ -259,44 +246,36 @@ def _complete(rows) -> list[tuple[IntPoly, ...]]:
     Testing every pair instead gives the same elements, but each wasted
     Euclid merge multiplies the tracked cofactors.
     """
-    table: dict[int, tuple[IntPoly, ...]] = {}
-    work = list(rows)
+    table, degs, work = {}, [], list(rows)
     while work:
         for row in work:
-            _insert(row[0], ((1, 0, row),), table)
+            _insert(row[0][:], ((1, 0, row),), table, degs)
         # test consecutive shift overlaps; a nonzero residue re-enters
-        work = []
-        degs = sorted(table)
-        for d, e in zip(degs, degs[1:]):
-            shift = e - d
-            r = _reduce_row(table[d][0].shift(shift), ((1, shift, table[d]),), table)
-            if not r[0].is_zero():
-                work.append(r)
+        work = [r for d, e in zip(degs, degs[1:]) if (r := _reduce_row(
+            [0] * (e - d) + table[d][0], ((1, e - d, table[d]),), table, degs))]
 
     # drop entries made redundant by an equal lead at lower degree
-    degs = sorted(table)
-    kept: dict[int, tuple[IntPoly, ...]] = {}
+    kept: dict[int, list] = {}
     prev_lead = None
     for d in degs:
-        if table[d][0].lead == prev_lead:
-            continue
-        kept[d] = table[d]
-        prev_lead = table[d][0].lead
-    kept_polys = [kept[d][0] for d in sorted(kept)]
+        if table[d][0][-1] != prev_lead:
+            kept[d] = table[d]
+            prev_lead = table[d][0][-1]
+    kdegs = list(kept)
     for d in degs:
-        if d not in kept and not _divide(
-            table[d][0], kept_polys, False
-        )[0].is_zero():
+        bare = ((1, 0, table[d][:1]),)  # the poly alone: no cofactor is built
+        if d not in kept and _reduce_row(table[d][0][:], bare, kept, kdegs):
             raise SelfCheckError(f"dropped degree-{d} entry is not redundant")
 
-    # tail auto-reduction: leads are safe because no other entry divides them
-    for d in sorted(kept, reverse=True):
-        entry = kept.pop(d)
-        reduced = _reduce_row(entry[0], ((1, 0, entry),), kept)
-        if reduced[0].degree != d or reduced[0].lead != entry[0].lead:
+    # tail auto-reduction, from the top, of each entry by the entries below
+    # it (those above leave it as it is); no other entry divides its lead
+    for i, d in reversed(list(enumerate(kdegs))):
+        poly = kept[d][0]
+        reduced = _reduce_row(poly[:], ((1, 0, kept[d]),), kept, kdegs[:i])
+        if not reduced or len(reduced[0]) - 1 != d or reduced[0][-1] != poly[-1]:
             raise SelfCheckError(f"tail reduction changed the degree-{d} lead")
         kept[d] = reduced
-    return [kept[d] for d in sorted(kept)]
+    return list(kept.values())
 
 
 def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
@@ -306,7 +285,8 @@ def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
     lead, Euclid and redundancy checks, and every relator must reduce to
     zero; there is no certificate to re-multiply.
     """
-    elements = tuple(row[0] for row in _complete((r,) for r in presentation.relators))
+    rows = _complete([list(r.coeffs)] for r in presentation.relators)
+    elements = tuple(_intpoly(row[0]) for row in rows)
     for j, r in enumerate(presentation.relators):
         if not _divide(r, elements, False)[0].is_zero():
             raise SelfCheckError(f"relator {j} does not reduce to zero")
@@ -317,16 +297,12 @@ def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
 def canonical_basis(presentation: Presentation) -> CanonicalBasis:
     """Complete the relators to a strong basis with unique normal forms."""
     relators = presentation.relators
-    n = len(relators)
-    zero, one = IntPoly(), IntPoly((1,))
-    rows = _complete(
-        (r, *(one if j == i else zero for j in range(n)))
-        for i, r in enumerate(relators)
-    )
+    rows = [tuple(map(_intpoly, row)) for row in _complete(
+        [list(r.coeffs), *([1] if j == i else [] for j in range(len(relators)))]
+        for i, r in enumerate(relators))]
     for row in rows:
-        if row[0].constant != 0 or not MembershipCertificate(
-            row[1:], row[0]
-        ).verify(presentation):
+        cert = MembershipCertificate(row[1:], row[0])
+        if row[0].constant != 0 or not cert.verify(presentation):
             raise SelfCheckError(f"degree-{row[0].degree} element fails a check")
     elements = tuple(row[0] for row in rows)
     back = []
@@ -335,12 +311,8 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
         if not nf.is_zero():
             raise SelfCheckError(f"relator {j} does not reduce to zero")
         back.append(quotients)
-    return CanonicalBasis(
-        presentation=presentation,
-        elements=elements,
-        element_cofactors=tuple(row[1:] for row in rows),
-        relator_quotients=tuple(back),
-    )
+    return CanonicalBasis(presentation, elements, tuple(row[1:] for row in rows),
+                          tuple(back))
 
 
 def reduce_with_quotients(
@@ -363,9 +335,9 @@ def membership(
     nf, quotients = reduce_with_quotients(g, basis)
     if not nf.is_zero():
         return False, None
-    cert = MembershipCertificate(
-        cofactors=_fold(quotients, basis.element_cofactors), claim=g
-    )
+    cofactors = _fold_into([[] for _ in presentation.relators], map(_COEFFS, quotients),
+                           map(partial(map, _COEFFS), basis.element_cofactors))
+    cert = MembershipCertificate(tuple(map(_intpoly, cofactors)), g)
     if not cert.verify(presentation):
         raise SelfCheckError("membership certificate fails to re-multiply")
     return True, cert

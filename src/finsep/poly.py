@@ -21,8 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from .intarith import gcd_list, lcm_list
+
+_COEFFS = attrgetter("coeffs")  # a polynomial's coefficient tuple
 
 
 class ZeroPolynomialError(ValueError):
@@ -31,6 +34,8 @@ class ZeroPolynomialError(ValueError):
 
 def _trim(coeffs: list) -> list:
     """Drop trailing zeros in place, so the last entry is the lead."""
+    if coeffs and not coeffs[-1] and not any(coeffs):
+        coeffs.clear()  # a zero result, cleared at C speed
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -39,6 +44,13 @@ def _trim(coeffs: list) -> list:
 def _intpoly(coeffs: list) -> "IntPoly":
     """An IntPoly over a fresh list of ints, which is trimmed in place."""
     p = object.__new__(IntPoly)
+    _SET_COEFFS(p, tuple(_trim(coeffs)))
+    return p
+
+
+def _ratpoly(coeffs: list) -> "RatPoly":
+    """A RatPoly over a fresh list of Fractions, which is trimmed in place."""
+    p = object.__new__(RatPoly)
     object.__setattr__(p, "coeffs", tuple(_trim(coeffs)))
     return p
 
@@ -61,7 +73,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim([int(c) for c in coeffs])))
+        _SET_COEFFS(self, tuple(_trim([int(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -165,26 +177,18 @@ class IntPoly:
         return f"IntPoly({format_poly(self)!r})"
 
 
-def _divide(
-    g: IntPoly, elements, quotients: bool = True
-) -> tuple[IntPoly, tuple[IntPoly, ...]]:
-    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
+_SET_COEFFS = IntPoly.coeffs.__set__  # the slot itself, past the immutability guard
 
-    ``elements`` ascend strictly in degree from degree 1 up.  Terms are
-    reduced from the top down by the element of largest degree not above
-    them, to the least-nonnegative residue of that element's lead: one walk
-    takes the elements from the top, each reducing the degrees left down to
-    its own, and writes its quotient into a list sized at its first
-    (highest) shift.  With ``quotients`` false the quotients are not built
-    and () is returned in their place.
-    """
-    if not elements:
-        return g, ()
-    rem = list(g.coeffs)
+
+def _divide_coeffs(rem: list, descending, quotients: bool = True) -> list:
+    """The list core of ``_divide``: reduce rem in place, left untrimmed.
+    ``descending`` yields the elements' coefficient sequences from the top
+    degree down, each reducing the degrees left down to its own; their
+    quotients come back as lists in that order, each sized at its first
+    (highest) shift, and empty when ``quotients`` is false."""
     top = len(rem) - 1
     qs = []
-    for e in reversed(elements):
-        e = e.coeffs
+    for e in descending:
         n, lead = len(e) - 1, e[-1]
         q = []
         for d in range(top, n - 1, -1):
@@ -199,10 +203,26 @@ def _divide(
                     q[s] = k
         top = min(top, n - 1)
         qs.append(q)
+    return qs
+
+
+def _divide(g: IntPoly, elements, quotients: bool = True) -> tuple[IntPoly, tuple]:
+    """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
+
+    ``elements`` ascend strictly in degree from degree 1 up.  Terms are
+    reduced from the top down by the element of largest degree not above
+    them, to the least-nonnegative residue of that element's lead, in one
+    walk (``_divide_coeffs``).  With ``quotients`` false the quotients are
+    not built and () is returned in their place.
+    """
+    if not elements:
+        return g, ()
+    rem = list(g.coeffs)
+    qs = _divide_coeffs(rem, map(_COEFFS, reversed(elements)), quotients)
     if not quotients:
         return _intpoly(rem), ()
     zero = IntPoly()
-    return _intpoly(rem), tuple(_intpoly(q) if q else zero for q in reversed(qs))
+    return _intpoly(rem), tuple([_intpoly(q) if q else zero for q in reversed(qs)])
 
 
 class RatPoly:
@@ -211,7 +231,8 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", tuple(_trim([Fraction(c) for c in coeffs])))
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -390,11 +411,11 @@ def gcd_q(polys) -> RationalGcd:
         if common != 1:
             g = _intpoly([x // common for x in g.coeffs])
             cofactors = [_intpoly([x // common for x in c.coeffs]) for c in cofactors]
-    lead = g.lead
-    gamma = RatPoly(Fraction(x, lead) for x in g.coeffs)
-    cofactors = tuple(RatPoly(Fraction(x, lead) for x in c.coeffs) for c in cofactors)
+    lead, zero = g.lead, Fraction(0)
+    gamma, *cofactors = (_ratpoly([Fraction(x, lead) if x else zero for x in p.coeffs])
+                         for p in (g, *cofactors))
     l = lcm_list(c.denominator for cof in cofactors for c in cof.coeffs)
-    return RationalGcd(gamma, cofactors, l)
+    return RationalGcd(gamma, tuple(cofactors), l)
 
 
 def format_poly(p) -> str:

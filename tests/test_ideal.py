@@ -635,26 +635,27 @@ def _seeded_degree_20_pair():
 
 def test_completion_folds_cofactors_only_for_nonzero_remainders(monkeypatch):
     # a tracked reduction that ends at zero adds nothing to the basis, so
-    # the table rows' cofactors are folded only for a nonzero remainder
+    # the table rows' cofactors are folded only for a nonzero remainder;
+    # the completion's own division and fold are the list kernels
     remainders, folds = [], []
-    divide, fold = ideal_module._divide, ideal_module._fold
+    divide, fold = ideal_module._divide_coeffs, ideal_module._fold_into
 
-    def counting_divide(g, elements, quotients=True):
-        nf, qs = divide(g, elements, quotients)
-        if quotients and elements:
-            remainders.append(not nf.is_zero())
-        return nf, qs
+    def counting_divide(rem, descending, quotients=True):
+        qs = divide(rem, descending, quotients)
+        if quotients:
+            remainders.append(any(rem))
+        return qs
 
-    def counting_fold(quotients, rows):
-        folds.append(len(rows))
-        return fold(quotients, rows)
+    def counting_fold(sums, quotients, rows):
+        folds.append(len(sums))
+        return fold(sums, quotients, rows)
 
-    monkeypatch.setattr(ideal_module, "_divide", counting_divide)
-    monkeypatch.setattr(ideal_module, "_fold", counting_fold)
+    monkeypatch.setattr(ideal_module, "_divide_coeffs", counting_divide)
+    monkeypatch.setattr(ideal_module, "_fold_into", counting_fold)
     canonical_basis.cache_clear()
     canonical_basis(_seeded_degree_20_pair())
     canonical_basis.cache_clear()
-    assert sum(remainders) < len(remainders)  # some reductions end at zero
+    assert 0 < sum(remainders) < len(remainders)  # some reductions end at zero
     assert len(folds) == sum(remainders)
 
 

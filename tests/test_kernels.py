@@ -1,9 +1,13 @@
-"""The division and cofactor-sum kernels against naive references.
+"""The division, cofactor-sum and completion kernels against naive references.
 
-``poly._divide``, ``ideal._fold`` and ``check.is_combination`` work on raw
-coefficient lists.  The references here are written term by term in
-``IntPoly`` arithmetic, so they share no list code with the kernels.
+``poly._divide``, ``ideal._fold_into``, ``ideal._complete`` and
+``check.is_combination`` work on raw coefficient lists.  The references
+here are written term by term in ``IntPoly`` arithmetic, so they share no
+list code with the kernels.
 """
+
+import hashlib
+import random
 
 import pytest
 
@@ -11,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
-from finsep.ideal import _fold
+from finsep.ideal import Presentation, _fold_into, basis_elements, canonical_basis
 from finsep.poly import IntPoly, _divide
 
 SETTINGS = settings(
@@ -84,20 +88,24 @@ def test_divide_edge_cases():
 def folds(draw):
     width = draw(st.integers(1, 3))
     n = draw(st.integers(0, 4))
+    start = draw(st.lists(polys, min_size=width, max_size=width))
     quotients = draw(st.lists(polys, min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(polys, min_size=width, max_size=width).map(tuple),
                          min_size=n, max_size=n))
-    return quotients, rows
+    return start, quotients, rows
 
 
 @SETTINGS
 @given(folds())
 def test_fold_agrees_with_intpoly_arithmetic(case):
-    quotients, rows = case
-    expected = [IntPoly()] * (len(rows[0]) if rows else 0)
+    # the sums start from the lists they are added into
+    start, quotients, rows = case
+    expected = start
     for q, row in zip(quotients, rows):
         expected = [s + q * p for s, p in zip(expected, row)]
-    assert _fold(quotients, rows) == tuple(expected)
+    sums = _fold_into([list(p.coeffs) for p in start], [q.coeffs for q in quotients],
+                      [[p.coeffs for p in row] for row in rows])
+    assert [IntPoly(s) for s in sums] == expected
 
 
 @SETTINGS
@@ -114,3 +122,92 @@ def test_is_combination_accepts_the_sum_and_nothing_else(pairs, delta):
     assert not is_combination(claim, cofactors + [IntPoly()], generators)
     if pairs:
         assert not is_combination(claim, cofactors[:-1], generators)
+
+
+@st.composite
+def relator_lists(draw):
+    """1 to 3 relators of degree <= 8 with zero constant terms, each a
+    content in 1..30 times a polynomial with a nonzero lead."""
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 8))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+        lead = draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))
+        c = draw(st.integers(1, 30))
+        relators.append(IntPoly([0] + [c * x for x in tail] + [c * lead]))
+    return relators
+
+
+def _combination(cofactors, generators):
+    total = IntPoly()
+    for c, g in zip(cofactors, generators):
+        total = total + c * g
+    return total
+
+
+@SETTINGS
+@given(relator_lists())
+def test_completion_gives_a_strong_basis_with_certificates(relators):
+    p = Presentation(relators)
+    canonical_basis.cache_clear()
+    basis = canonical_basis(p)
+    elements = basis.elements
+    # bare rows and tracked rows decide alike
+    assert basis_elements(p) == elements
+    assert all(e.lead > 0 and e.constant == 0 for e in elements)
+    for t, u in zip(elements, elements[1:]):
+        assert t.degree < u.degree and t.lead % u.lead == 0 and t.lead > u.lead
+        assert _divide(t.shift(u.degree - t.degree), elements, False)[0].is_zero()
+    for r, quotients in zip(p.relators, basis.relator_quotients):
+        assert _divide(r, elements, False)[0].is_zero()
+        assert _combination(quotients, elements) == r
+    for e, cofactors in zip(elements, basis.element_cofactors):
+        assert _combination(cofactors, p.relators) == e
+    canonical_basis.cache_clear()
+
+
+def _completion_corpus(seed=28):
+    """Presentations of the shapes the workloads complete: x^e - x scaled
+    by a content or paired with c(x^m - x), 6f and 6(x^2 + x)g, and 1 to 3
+    random relators of degree <= 10 with contents up to 30."""
+    rng = random.Random(seed)
+
+    def poly(degree, bound):
+        lead = rng.choice((-1, 1)) * rng.randint(1, bound)
+        return IntPoly([0] + [rng.randint(-bound, bound) for _ in range(degree - 1)]
+                       + [lead])
+
+    def x_power_minus_x(e, c=1):
+        return IntPoly([0, -c] + [0] * (e - 2) + [c])
+
+    cases = []
+    for i in range(90):
+        kind = i % 3
+        if kind == 0:
+            e = rng.randint(3, 40)
+            cases.append([x_power_minus_x(e, rng.randint(1, 12))] if i % 2 else
+                         [x_power_minus_x(e), x_power_minus_x(rng.randint(2, e - 1),
+                                                              rng.randint(2, 13))])
+        elif kind == 1:
+            d = rng.randint(4, 8)
+            cases.append([poly(d, 1000).scale(6),
+                          (IntPoly((0, 1, 1)) * poly(d, 1000)).scale(6)])
+        else:
+            cases.append([poly(rng.randint(1, 10), 9).scale(rng.randint(1, 30))
+                          for _ in range(rng.randint(1, 3))])
+    return [Presentation(c) for c in cases]
+
+
+def test_completion_outputs_are_byte_identical_on_a_seeded_corpus():
+    # digest of the elements, element cofactors, relator quotients and
+    # bare elements, as computed when the completion ran on IntPoly rows
+    data = []
+    canonical_basis.cache_clear()
+    for p in _completion_corpus():
+        basis = canonical_basis(p)
+        for polys in (basis.elements, *basis.element_cofactors,
+                      *basis.relator_quotients, basis_elements(p)):
+            data.append([list(q.coeffs) for q in polys])
+    canonical_basis.cache_clear()
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "ba6d60e01622f246a37bb1768dc9b7470d5e716129b64728a5ae638808c2f962"

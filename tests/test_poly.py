@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from finsep.cli import _poly_json
 from finsep.poly import (
     IntPoly,
     RatPoly,
@@ -159,6 +160,26 @@ def test_gcd_q_properties_random():
             if not p.is_zero():
                 oracle = _euclid_gcd_oracle(oracle, [Fraction(c) for c in p.coeffs])
         assert oracle == list(gamma.coeffs)
+
+
+def test_gcd_q_values_match_ratpolys_built_the_public_way():
+    # gcd_q makes each Fraction once and shares one Fraction(0); its gamma
+    # and cofactors must hold the values, hashes and JSON text of RatPolys
+    # built through RatPoly(...) from their integers over one denominator
+    rng = random.Random(28)
+    for _ in range(200):
+        polys = [random_intpoly(rng, max_degree=5, max_coeff=9)
+                 for _ in range(rng.randint(1, 3))]
+        if all(p.is_zero() for p in polys):
+            continue
+        res = gcd_q(polys)
+        l, cleared = clear_denominators([res.gamma, *res.cofactors])
+        for p, ints in zip((res.gamma, *res.cofactors), cleared):
+            public = RatPoly(Fraction(x, l) for x in ints.coeffs)
+            assert p == public and hash(p) == hash(public)
+            assert all(type(c) is Fraction for c in p.coeffs)
+            assert _poly_json(p) == _poly_json(public)
+            assert RatPoly(p.coeffs) == p and RatPoly(p.coeffs).coeffs == p.coeffs
 
 
 def test_gcd_q_common_divisor_divides_gamma():

@@ -215,6 +215,36 @@ def test_a_forged_coefficient_gcd_is_invalid(field, value, check):
     assert check in _failed(doc)
 
 
+SQUAREFREE_FLAG = "coefficient gcd squarefree flag matches the factorization"
+DENOMINATOR_LCM = "denominator lcm is the lcm of the gamma cofactor denominators"
+
+
+@pytest.mark.parametrize("make", [_decide, _witness])
+@pytest.mark.parametrize("field,value,check", [
+    ("coefficient_gcd_squarefree", False, SQUAREFREE_FLAG),
+    ("denominator_lcm", 77, DENOMINATOR_LCM),
+    ("denominator_lcm", 1, DENOMINATOR_LCM),
+])
+def test_a_forged_squarefree_flag_or_denominator_lcm_is_invalid(make, field, value,
+                                                                 check):
+    # 6x^2 - 6x: gcd 6 = 2 * 3 is squarefree, and gamma = x^2 - x has the
+    # Bezout cofactor 1/6, so the denominator lcm is 6
+    doc = make([IntPoly((0, -6, 6))])
+    assert doc["coefficient_gcd_squarefree"] is True and doc["denominator_lcm"] == 6
+    assert {SQUAREFREE_FLAG, DENOMINATOR_LCM} <= set(_check_names(doc))
+    doc[field] = value
+    assert _failed(doc) == [check]
+
+
+def test_a_not_squarefree_document_checks_its_flag():
+    # 4x^2 - 4x: the gcd 4 = 2^2 is not squarefree, and the flag says so
+    doc = _decide([IntPoly((0, -4, 4))])
+    assert doc["coefficient_gcd_squarefree"] is False
+    assert _verify(doc)["all_ok"] is True
+    doc["coefficient_gcd_squarefree"] = True
+    assert _failed(doc) == [SQUAREFREE_FLAG]
+
+
 TAIL = "tail coefficients are phi's descending tail"
 SPLIT_PRIMES = "torsion split parts are distinct primes with product k"
 SPLIT_BEZOUT = "torsion split p_i*k_i = k and sum z_i*k_i = 1"
@@ -249,7 +279,8 @@ def test_a_wrong_failure_reason_is_invalid():
 def test_a_malformed_verdict_is_an_input_error():
     doc = _decide([IntPoly((0, -6, 6))])
     for field, value in (("separable", "yes"), ("coefficient_gcd", "6"),
-                         ("coefficient_gcd_factorization", [[2]])):
+                         ("coefficient_gcd_factorization", [[2]]),
+                         ("coefficient_gcd_squarefree", 1), ("denominator_lcm", "6")):
         forged = dict(doc, **{field: value})
         rc, _ = _run(["verify", "-"], json.dumps(forged))
         assert rc == 2, field
