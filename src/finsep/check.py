@@ -1,13 +1,14 @@
 """Certificate checks of finsep documents, one checker per document kind.
 
 ``check_document`` looks a document's ``command`` up in ``KINDS`` and
-returns that kind's named checks, each (name, ok).  A field the kind must
-carry that is missing or of the wrong JSON type raises ``KeyError`` or
-``ValueError``, an input error; a wrong value fails a check.  The checks
-use polynomial arithmetic and the gcd and primality helpers only, so no
-code that produced a certificate judges it, and the library's own
-re-checks call ``is_combination``, ``relation_checks`` and
-``split_checks``.
+returns that kind's named checks, each (name, ok), and when there are any,
+one more: every polynomial's text is its coefficients formatted.  A field
+the kind must carry that is missing or of the wrong JSON type raises
+``KeyError`` or ``ValueError``, an input error; a wrong value fails a
+check.  The checks use polynomial arithmetic and formatting and the gcd
+and primality helpers only, so no code that produced a certificate judges
+it, and the library's own re-checks call ``is_combination``,
+``relation_checks`` and ``split_checks``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .intarith import MR_PROOF_BOUND, gcd_list, is_probable_prime
-from .poly import IntPoly, RatPoly, clear_denominators, content_split
+from .poly import IntPoly, RatPoly, clear_denominators, content_split, format_poly
 
 SCHEMA = "finsep/1"
 
@@ -351,6 +352,24 @@ def _member(doc: dict, relators) -> list:
             ("certificate claim is poly and member is true", claim == poly and member)]
 
 
+def _text_check(doc: dict) -> tuple[str, bool]:
+    """The check that every polynomial {coeffs, text} in the document reads
+    as its coefficients: its text is their ``format_poly``."""
+    ok, stack = True, [doc]
+    while stack and ok:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, dict) and "coeffs" in value:
+            coeffs = _coeffs(value)
+            poly = (IntPoly(coeffs) if all(type(c) is int for c in coeffs)
+                    else RatPoly(map(_fraction, coeffs)))
+            ok = format_poly(poly) == value.get("text")
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    return ("every polynomial text is its coefficients formatted", ok)
+
+
 # one checker per document kind; a quotient's structure and a separation
 # carry no certificate yet
 KINDS = {
@@ -382,4 +401,6 @@ def check_document(doc) -> list[tuple[str, bool]]:
     relators = _polys(doc["relators"], "relators")
     if any(r.constant for r in relators):
         raise ValueError("a relator has a nonzero constant term")
-    return KINDS[kind](doc, [r for r in relators if r])
+    checks = KINDS[kind](doc, [r for r in relators if r])
+    # a kind that returns no check carries no certificate, and gains none
+    return checks + [_text_check(doc)] if checks else checks

@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from .intarith import FactoringBudgetError, SelfCheckError
@@ -77,26 +76,12 @@ class DigitLimitError(ValueError):
     """Raised when a number in a polynomial has more than ``MAX_COEFF_DIGITS`` digits."""
 
 
-@dataclass(frozen=True)
-class PolyExpr:
-    """A parsed polynomial as a term list, degrees distinct, descending."""
+def parse_poly(text: str) -> IntPoly:
+    """Parse a polynomial expression; duplicate degrees merge by addition.
 
-    terms: tuple[tuple[int, int], ...]
-
-    def to_poly(self) -> IntPoly:
-        degree = max((d for _, d in self.terms), default=-1)
-        if degree > MAX_DEGREE:
-            raise DegreeLimitError(
-                f"degree {degree} exceeds the limit of {MAX_DEGREE}"
-            )
-        coeffs = [0] * (degree + 1)
-        for c, d in self.terms:
-            coeffs[d] = c
-        return IntPoly(coeffs)
-
-
-def parse_poly(text: str) -> PolyExpr:
-    """Parse a polynomial expression; duplicate degrees merge by addition."""
+    The degree is checked against ``MAX_DEGREE`` before the coefficient
+    list is allocated.
+    """
     merged: dict[int, int] = {}
     i, n = 0, len(text)
 
@@ -163,10 +148,14 @@ def parse_poly(text: str) -> PolyExpr:
             "nonzero constant terms are forbidden: defining relations hold "
             "between powers of the generator only"
         )
-    terms = tuple(
-        (c, d) for d, c in sorted(merged.items(), reverse=True) if c != 0
-    )
-    return PolyExpr(terms)
+    merged = {d: c for d, c in merged.items() if c}
+    degree = max(merged, default=-1)
+    if degree > MAX_DEGREE:
+        raise DegreeLimitError(f"degree {degree} exceeds the limit of {MAX_DEGREE}")
+    coeffs = [0] * (degree + 1)
+    for d, c in merged.items():
+        coeffs[d] = c
+    return IntPoly(coeffs)
 
 
 def _read_relator_file(path: str) -> list[IntPoly]:
@@ -177,7 +166,7 @@ def _read_relator_file(path: str) -> list[IntPoly]:
             if not line:
                 continue
             try:
-                out.append(parse_poly(line).to_poly())
+                out.append(parse_poly(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -188,7 +177,7 @@ def _gather_presentation(args) -> Presentation:
     if args.file:
         relators.extend(_read_relator_file(args.file))
     for text in args.relator or []:
-        relators.append(parse_poly(text).to_poly())
+        relators.append(parse_poly(text))
     dropped = sum(1 for r in relators if r.is_zero())
     if dropped:
         print(
@@ -332,7 +321,7 @@ def _cmd_basis(args, p: Presentation) -> tuple[dict, list[str]]:
 
 
 def _cmd_nf(args, p: Presentation) -> tuple[dict, list[str]]:
-    g = parse_poly(args.poly).to_poly()
+    g = parse_poly(args.poly)
     basis = canonical_basis(p)
     nf, quotients = reduce_with_quotients(g, basis)
     fields = {
@@ -345,7 +334,7 @@ def _cmd_nf(args, p: Presentation) -> tuple[dict, list[str]]:
 
 
 def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
-    g = parse_poly(args.poly).to_poly()
+    g = parse_poly(args.poly)
     member, cert = membership(g, p)
     fields = {
         "poly": _poly_json(g),
@@ -404,8 +393,8 @@ def _cmd_quotient(args, p: Presentation) -> tuple[dict, list[str]]:
 
 
 def _cmd_separate(args, p: Presentation) -> tuple[dict, list[str]]:
-    target = parse_poly(args.target).to_poly()
-    gens = [parse_poly(t).to_poly() for t in args.gen or []]
+    target = parse_poly(args.target)
+    gens = [parse_poly(t) for t in args.gen or []]
     result = separate(p, target, gens, args.bound)
     fields = {
         "target": _poly_json(target),

@@ -1,11 +1,11 @@
 """Dense univariate polynomials over Z, and rational ones as values.
 
 Coefficients are stored ascending by degree with no trailing zeros, so the
-zero polynomial is the empty coefficient tuple.  ``IntPoly`` holds plain
-ints and carries all the arithmetic; ``RatPoly`` holds
-``fractions.Fraction`` and is a value type only (coefficients, degree,
-lead, equality and formatting), the shape of a rational gcd and its
-cofactors.  Both are immutable.
+zero polynomial is the empty coefficient tuple.  ``IntPoly`` and
+``RatPoly`` share one immutable value type (coefficients, degree, lead,
+equality, hashing and formatting).  ``IntPoly`` holds plain ints and
+carries all the arithmetic; ``RatPoly`` holds ``fractions.Fraction``, the
+shape of a rational gcd and its cofactors.
 
 The rational gcd (``gcd_q``) runs on integers only.  Its Euclid is the
 primitive polynomial remainder sequence (Collins 1967, Brown 1971): each
@@ -51,7 +51,7 @@ def _intpoly(coeffs: list) -> "IntPoly":
 def _ratpoly(coeffs: list) -> "RatPoly":
     """A RatPoly over a fresh list of Fractions, which is trimmed in place."""
     p = object.__new__(RatPoly)
-    object.__setattr__(p, "coeffs", tuple(_trim(coeffs)))
+    _SET_COEFFS(p, tuple(_trim(coeffs)))
     return p
 
 
@@ -67,25 +67,16 @@ def _mul(a, b) -> list:
     return out
 
 
-class IntPoly:
-    """Polynomial with integer coefficients."""
+class _PolyValue:
+    """The value type of a polynomial: its coefficient tuple, ascending with
+    no trailing zeros, and nothing that computes.  ``_zero`` is the
+    coefficient of a degree outside the tuple."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        _SET_COEFFS(self, tuple(_trim([int(c) for c in coeffs])))
+    _zero = 0
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    @staticmethod
-    def term(coeff: int, degree: int) -> "IntPoly":
-        """The monomial coeff * x**degree."""
-        return IntPoly([0] * degree + [coeff])
-
-    @staticmethod
-    def x() -> "IntPoly":
-        return IntPoly((0, 1))
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -96,25 +87,52 @@ class IntPoly:
         return len(self.coeffs) - 1
 
     @property
-    def lead(self) -> int:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
+    def lead(self):
+        """Leading coefficient (zero for the zero polynomial)."""
+        return self.coeffs[-1] if self.coeffs else self._zero
+
+    def __getitem__(self, degree: int):
+        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else self._zero
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_poly(self)!r})"
+
+
+_SET_COEFFS = _PolyValue.coeffs.__set__  # the slot itself, past the immutability guard
+
+
+class IntPoly(_PolyValue):
+    """Polynomial with integer coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        _SET_COEFFS(self, tuple(_trim([int(c) for c in coeffs])))
+
+    @staticmethod
+    def term(coeff: int, degree: int) -> "IntPoly":
+        """The monomial coeff * x**degree."""
+        return IntPoly([0] * degree + [coeff])
+
+    @staticmethod
+    def x() -> "IntPoly":
+        return IntPoly((0, 1))
 
     @property
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def __getitem__(self, degree: int) -> int:
-        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -143,9 +161,6 @@ class IntPoly:
             return self
         return IntPoly((0,) * degrees + self.coeffs)
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     @property
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
@@ -172,12 +187,6 @@ class IntPoly:
                 for j in range(n):
                     rem[i - n + j] -= q * d[j]
         return not any(rem[:n])
-
-    def __repr__(self):
-        return f"IntPoly({format_poly(self)!r})"
-
-
-_SET_COEFFS = IntPoly.coeffs.__set__  # the slot itself, past the immutability guard
 
 
 def _divide_coeffs(rem: list, descending, quotients: bool = True) -> list:
@@ -225,49 +234,18 @@ def _divide(g: IntPoly, elements, quotients: bool = True) -> tuple[IntPoly, tupl
     return _intpoly(rem), tuple([_intpoly(q) if q else zero for q in reversed(qs)])
 
 
-class RatPoly:
+class RatPoly(_PolyValue):
     """Polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = Fraction(0)
 
     def __init__(self, coeffs=()):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatPoly is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __getitem__(self, degree: int) -> Fraction:
-        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("RatPoly", self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        _SET_COEFFS(self, tuple(_trim(coeffs)))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"RatPoly({format_poly(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -419,31 +397,26 @@ def gcd_q(polys) -> RationalGcd:
 
 
 def format_poly(p) -> str:
-    """Canonical text form: descending degree, '^' powers, e.g. '2x^3 - 4x'."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for d in range(p.degree, -1, -1):
-        c = p[d]
+    """Canonical text form: descending degree, '^' powers, e.g. '2x^3 - 4x'.
+
+    A rational coefficient that is not an integer reads '(n/d)'; an int
+    and a ``Fraction`` both carry their numerator and denominator.
+    """
+    coeffs, terms = p.coeffs, []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if d == 0:
-            body = _format_coeff(mag)
-        elif mag == 1:
-            body = "x" if d == 1 else f"x^{d}"
+        num, den = c.numerator, c.denominator
+        mag = -num if num < 0 else num
+        if den != 1:
+            body = f"({mag}/{den})"
         else:
-            body = f"{_format_coeff(mag)}x" + ("" if d == 1 else f"^{d}")
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def _format_coeff(c) -> str:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"({c.numerator}/{c.denominator})"
-    return str(int(c))
+            body = "" if mag == 1 and d else str(mag)
+        if d:
+            body += "x" if d == 1 else f"x^{d}"
+        terms.append(("- " if num < 0 else "+ ") + body)
+    if not terms:
+        return "0"
+    text = " ".join(terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -10,16 +10,16 @@ of x) is a ring homomorphism, which makes every successful separation an
 explicit, checkable certificate.
 
 The search builds each quotient from ``basis_elements``: the same ladder as
-the canonical basis, completed without cofactors and not cached.  It does
-not build one quotient per candidate modulus: it splits the candidates into
-consecutive batches, builds one quotient at the lcm N of each batch, and
-decides every modulus q of the batch by one solve over Z/q against the
-subring span of the mod-N quotient (R/qR is a quotient of R/NR when q
-divides N; the proof is in ``separate``).  Only the first modulus that
-separates gets its own quotient, and only that one gets the certified
-``canonical_basis`` (``FiniteRing.basis``), built and checked against its
-ladder before the result is returned.  Products in the quotient reduce the
-high half of the convolution through a table of the normal forms of
+the canonical basis, completed without cofactors and not cached, from which
+``FiniteRing`` derives the rest.  It does not build one quotient per
+candidate modulus: it splits the candidates into consecutive batches,
+builds one quotient at the lcm N of each batch, and decides every modulus q
+of the batch by one solve over Z/q against the subring span of the mod-N
+quotient (R/qR is a quotient of R/NR when q divides N; the proof is in
+``separate``).  Only the first modulus that separates gets its own
+quotient, built once from the certified ``canonical_basis`` that it
+carries as ``FiniteRing.basis``.  Products in the quotient reduce the high
+half of the convolution through a table of the normal forms of
 x^n .. x^(2n-2), then divide once below degree n.
 """
 
@@ -77,79 +77,63 @@ def _extended(presentation: Presentation, q: int) -> Presentation:
     return Presentation(presentation.relators + (IntPoly((0, q)),))
 
 
-class _OnDemandBasis:
-    """The ``basis`` field of FiniteRing: as passed, or built on first read.
-
-    Its own instance is the field's default, which means "not built yet";
-    the built basis is kept in the ring's ``__dict__``.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, ring, owner=None):
-        if ring is None:
-            return self
-        if self.name not in ring.__dict__:
-            ring.__dict__[self.name] = ring._certified_basis()
-        return ring.__dict__[self.name]
-
-    def __set__(self, ring, basis):
-        if basis is not self:
-            ring.__dict__[self.name] = basis
-
-
 @dataclass(frozen=True)
 class FiniteRing:
     """The quotient ring with carrier enumerable from its normal forms.
 
-    Elements are coefficient tuples over ``standard_monomials``; the entry
-    for degree d ranges over 0 .. position_moduli[i]-1, where each position
-    modulus divides q.  For prime q every retained position carries the
-    full Z/q, so the carrier has q**len(standard_monomials) elements; in
-    general it has the product of the position moduli.
+    Built from the presentation, the modulus q and the ``ladder`` (the
+    elements of the canonical basis of the relators plus q*x, topped by a
+    monic element of degree n, ``monic_degree``), it derives the rest.
+    Elements are coefficient tuples over ``standard_monomials``, x^1 ..
+    x^(n-1); the entry for degree d ranges over 0 .. position_moduli[i]-1,
+    the lead of the ladder element of largest degree not above d, which
+    divides q.  The carrier has the product of the position moduli as its
+    size, q**len(standard_monomials) for prime q.  ``power_forms[i]`` holds
+    the normal form of x^(n+i) as coefficients of degrees 0 .. n-1.
 
-    ``ladder`` holds the elements of the extended ideal's canonical basis;
-    ``power_forms[i]`` holds the normal form of x^(n+i), n the monic
-    degree, as coefficients of degrees 0 .. n-1.  ``basis`` is the
-    certified canonical basis of the relators plus q*x; unless one is
-    passed in, it is built on first read and must have the ladder as its
-    elements.
+    ``basis`` is the certified canonical basis of the relators plus q*x on
+    the quotient ``separate`` returns, and None from ``build_quotient``.
+    A basis other than the ladder, a lead not dividing q, a top that is not
+    monic and a position modulus of 1 raise ``SelfCheckError``.
     """
 
     presentation: Presentation
     modulus: int
-    standard_monomials: tuple[int, ...]
-    position_moduli: tuple[int, ...]
-    monic_degree: int
     ladder: tuple[IntPoly, ...] = field(repr=False)
-    basis: CanonicalBasis = field(
-        default=_OnDemandBasis(), repr=False, compare=False
-    )
+    basis: CanonicalBasis | None = field(default=None, repr=False, compare=False)
+    standard_monomials: tuple[int, ...] = field(init=False)
+    position_moduli: tuple[int, ...] = field(init=False)
+    monic_degree: int = field(init=False)
     power_forms: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        n = self.monic_degree
+        q, ladder = self.modulus, self.ladder
+        if self.basis is not None and self.basis.elements != ladder:
+            raise SelfCheckError(f"mod-{q} basis differs from its ladder")
+        if any(q % e.lead for e in ladder) or ladder[-1].lead != 1:
+            raise SelfCheckError(f"the mod-{q} ladder has a lead not dividing {q} "
+                                 "or no monic top")
+        n = ladder[-1].degree
+        leads, moduli, m = {e.degree: e.lead for e in ladder}, [], q
+        for d in range(1, n):
+            m = leads.get(d, m)
+            moduli.append(m)
+        if not all(m > 1 for m in moduli):
+            raise SelfCheckError(f"a mod-{q} position modulus is 1")
         forms, power = [], IntPoly.term(1, n - 1)
         for _ in range(n - 1):
-            power, _ = _divide(power.shift(1), self.ladder, False)
+            power, _ = _divide(power.shift(1), ladder, False)
             forms.append(power.coeffs + (0,) * (n - len(power.coeffs)))
+        object.__setattr__(self, "standard_monomials", tuple(range(1, n)))
+        object.__setattr__(self, "position_moduli", tuple(moduli))
+        object.__setattr__(self, "monic_degree", n)
         object.__setattr__(self, "power_forms", tuple(forms))
-
-    def _certified_basis(self) -> CanonicalBasis:
-        basis = canonical_basis(_extended(self.presentation, self.modulus))
-        if basis.elements != self.ladder:
-            raise SelfCheckError(f"mod-{self.modulus} basis differs from its ladder")
-        return basis
 
     @property
     def carrier_size(self) -> int:
-        size = 1
-        for m in self.position_moduli:
-            size *= m
-        return size
+        return math.prod(self.position_moduli)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.standard_monomials)
@@ -203,37 +187,21 @@ def build_quotient(
 ) -> FiniteRing | InfiniteQuotient:
     """Quotient by the relators together with q times everything.
 
-    The ladder comes from ``basis_elements`` and nothing is cached; the
-    certified basis is built only when ``FiniteRing.basis`` is read.
+    The ladder comes from ``basis_elements`` and nothing is cached; no
+    certified basis is built, so ``FiniteRing.basis`` is None.
     """
     if q < 2:
         raise InvalidModulusError(f"modulus must be >= 2, got {q}")
     ladder = basis_elements(_extended(presentation, q))
-    degrees = [e.degree for e in ladder]
-    leads = [e.lead for e in ladder]
-    if any(q % lead for lead in leads):
+    if any(q % e.lead for e in ladder):
         raise SelfCheckError(f"a mod-{q} ladder lead does not divide {q}")
-    if leads[-1] != 1:
+    if ladder[-1].lead != 1:
         return InfiniteQuotient(
             presentation=presentation,
             modulus=q,
-            obstruction=tuple(zip(degrees, leads)),
+            obstruction=tuple((e.degree, e.lead) for e in ladder),
         )
-    n = degrees[-1]
-    moduli = []
-    for d in range(1, n):
-        i = max((j for j, e in enumerate(degrees) if e <= d), default=None)
-        moduli.append(q if i is None else leads[i])
-    if not all(m > 1 for m in moduli):
-        raise SelfCheckError(f"a mod-{q} position modulus is 1")
-    return FiniteRing(
-        presentation=presentation,
-        modulus=q,
-        standard_monomials=tuple(range(1, n)),
-        position_moduli=tuple(moduli),
-        monic_degree=n,
-        ladder=ladder,
-    )
+    return FiniteRing(presentation, q, ladder)
 
 
 class _SubringSpan:
@@ -392,13 +360,6 @@ def _batches(moduli):
         yield batch, lcm
 
 
-def _finite_quotient(presentation: Presentation, q: int, content: int) -> FiniteRing:
-    ring = build_quotient(presentation, q)
-    if isinstance(ring, InfiniteQuotient):
-        raise SelfCheckError(f"mod-{q} quotient is infinite, content {content}")
-    return ring
-
-
 def separate(
     presentation: Presentation,
     target: IntPoly,
@@ -445,12 +406,13 @@ def separate(
     the ``_Echelon(q)`` holds.
 
     A modulus whose solve succeeds does not separate and gets no quotient.
-    The first one whose solve fails gets its own quotient, its span and
-    its materialized closure; that the target's image lies outside them
-    is checked again, and the quotient's certified basis is built and
-    checked before the result is returned.  No other modulus gets one.  A
-    built quotient that is infinite raises ``SelfCheckError``.  The
-    modulus bound is reported when none succeeds; a bound above
+    The first one whose solve fails gets its own quotient, built once from
+    the certified ``canonical_basis`` of the relators plus q*x, with its
+    span and its materialized closure; that the target's image lies
+    outside them is checked again before the result is returned.  No other
+    modulus gets one.  A quotient that comes out infinite, at a batch lcm
+    or at the returned modulus, raises ``SelfCheckError``.  The modulus
+    bound is reported when none succeeds; a bound above
     ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any work.
 
     A sweep of the whole bound 10**6 (relator x^5 + x^3 - 3x^2 + 2x,
@@ -464,7 +426,9 @@ def separate(
     content = gcd_list(c for r in presentation.relators for c in r.coeffs)
     candidates = [q for q in modulus_order(modulus_bound) if math.gcd(q, content) == 1]
     for batch, lcm in _batches(candidates):
-        wide = _finite_quotient(presentation, lcm, content)
+        wide = build_quotient(presentation, lcm)
+        if isinstance(wide, InfiniteQuotient):
+            raise SelfCheckError(f"mod-{lcm} quotient is infinite, content {content}")
         wide_img = wide.image(target)
         rows = list(_SubringSpan(wide, subring_generators).echelon.rows.values())
         for q in batch:
@@ -473,13 +437,13 @@ def separate(
                 echelon.add(row)
             if echelon.solve(wide_img) is not None:
                 continue
-            ring = _finite_quotient(presentation, q, content)
+            basis = canonical_basis(_extended(presentation, q))
+            ring = FiniteRing(presentation, q, basis.elements, basis)
             img = ring.image(target)
             span = _SubringSpan(ring, subring_generators)
             closure = span.materialize()
             if img in closure:
                 raise SelfCheckError(f"mod-{q} target image lies in the closure")
-            ring.basis  # certify the returned quotient now, not on first read
             return SeparationResult(
                 found=True,
                 quotient=ring,

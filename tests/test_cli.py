@@ -40,18 +40,18 @@ DIGIT_LIMIT_PAIR = (
 
 
 def test_parse_examples():
-    assert parse_poly("2x^3 - 4x").terms == ((2, 3), (-4, 1))
-    assert parse_poly("x^2 - x").terms == ((1, 2), (-1, 1))
-    assert parse_poly("x").to_poly() == ip(0, 1)
-    assert parse_poly("-x").to_poly() == ip(0, -1)
-    assert parse_poly("  7x^2+   x ").to_poly() == ip(0, 1, 7)
-    assert parse_poly("+3x").to_poly() == ip(0, 3)
-    assert parse_poly("0").to_poly() == IntPoly()
+    assert parse_poly("2x^3 - 4x") == ip(0, -4, 0, 2)
+    assert parse_poly("x^2 - x") == ip(0, -1, 1)
+    assert parse_poly("x") == ip(0, 1)
+    assert parse_poly("-x") == ip(0, -1)
+    assert parse_poly("  7x^2+   x ") == ip(0, 1, 7)
+    assert parse_poly("+3x") == ip(0, 3)
+    assert parse_poly("0") == IntPoly()
 
 
 def test_parse_merges_duplicate_degrees():
-    assert parse_poly("x + x").to_poly() == ip(0, 2)
-    assert parse_poly("x^2 - x^2 + x").to_poly() == ip(0, 1)
+    assert parse_poly("x + x") == ip(0, 2)
+    assert parse_poly("x^2 - x^2 + x") == ip(0, 1)
 
 
 def test_parse_rejects_constant_terms():
@@ -60,7 +60,7 @@ def test_parse_rejects_constant_terms():
     with pytest.raises(ConstantTermError):
         parse_poly("5")
     # a zero constant term is fine
-    assert parse_poly("x + 0").to_poly() == ip(0, 1)
+    assert parse_poly("x + 0") == ip(0, 1)
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -96,9 +96,9 @@ def test_parse_print_roundtrip():
         p = IntPoly(coeffs)
         if p.is_zero():
             continue
-        expr = parse_poly(format_poly(p))
-        assert expr.to_poly() == p
-        assert parse_poly(format_poly(expr.to_poly())).terms == expr.terms
+        parsed = parse_poly(format_poly(p))
+        assert parsed == p
+        assert parse_poly(format_poly(parsed)) == parsed
 
 
 def test_run_decide_text(capsys):
@@ -130,7 +130,7 @@ def test_run_rejects_oversized_inputs_before_allocating(capsys):
     assert run(["separate", "--relator", "x^2 - x", "--target", "x",
                 "--bound", str(MAX_MODULUS_BOUND + 1)]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
-    assert parse_poly(f"x^{MAX_DEGREE}").to_poly().degree == MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
 
 
 def test_run_rejects_overlong_numbers_before_converting(capsys):
@@ -431,9 +431,10 @@ def test_verify_catches_a_forged_gamma(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     del doc["witness"]
     doc["separable"] = False
-    doc["gamma"] = {"coeffs": ["0", "-1/2", "-1/2", "1"], "text": ""}
-    doc["gamma_cofactors"] = [{"coeffs": ["1/2", "1"], "text": ""},
-                              {"coeffs": [], "text": ""}]
+    doc["gamma"] = {"coeffs": ["0", "-1/2", "-1/2", "1"],
+                    "text": "x^3 - (1/2)x^2 - (1/2)x"}
+    doc["gamma_cofactors"] = [{"coeffs": ["1/2", "1"], "text": "x + (1/2)"},
+                              {"coeffs": [], "text": "0"}]
     doc["denominator_lcm"] = 2
     doc["failure_reason"] = {"kind": "non_integer_gamma", "prime": None,
                              "coefficient_index": 1, "coefficient": "-1/2"}
@@ -516,15 +517,18 @@ def test_verify_catches_a_forged_basis(tmp_path, capsys):
 
 
 def test_verify_rejects_a_document_without_certificates(tmp_path, capsys):
-    assert run(["quotient", "--relator", "x^2 - x", "--modulus", "2",
-                "--json"]) == 0
-    path = tmp_path / "quotient.json"
-    path.write_text(capsys.readouterr().out)
-    assert run(["verify", str(path), "--json"]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["checked"] == 0 and result["all_ok"] is False
-    assert run(["verify", str(path)]) == 0
-    assert "all valid" not in capsys.readouterr().out
+    # a quotient's structure and a found separation carry no certificate,
+    # so neither gains the text check
+    for argv in (["quotient", "--relator", "x^2 - x", "--modulus", "2"],
+                 ["separate", "--relator", "x^2 - x", "--target", "x"]):
+        assert run(argv + ["--json"]) == 0
+        path = tmp_path / "document.json"
+        path.write_text(capsys.readouterr().out)
+        assert run(["verify", str(path), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["checked"] == 0 and result["all_ok"] is False
+        assert run(["verify", str(path)]) == 0
+        assert "all valid" not in capsys.readouterr().out
 
 
 def test_parser_rejects_missing_subcommand():

@@ -202,3 +202,26 @@ def test_format_poly():
     assert format_poly(ip(0, -1)) == "-x"
     assert format_poly(ip(5)) == "5"
     assert format_poly(RatPoly((0, Fraction(1, 2), 1))) == "x^2 + (1/2)x"
+    assert format_poly(RatPoly((Fraction(-3, 4), 0, Fraction(-1, 2)))) == "-(1/2)x^2 - (3/4)"
+    assert format_poly(RatPoly((Fraction(1), Fraction(-1)))) == "-x + 1"
+    assert format_poly(ip(-1, 0, -1)) == "-x^2 - 1"
+    assert format_poly(ip(0, 10**30, -1)) == f"-x^2 + {10**30}x"
+
+
+def test_intpoly_and_ratpoly_keep_their_own_value_semantics():
+    # one shared value type; each class keeps its own equality, hash,
+    # repr, immutability message and zero coefficient
+    i, r = ip(0, -1, 2), RatPoly((0, -1, 2))
+    assert i != r and r != i and i.coeffs == r.coeffs
+    assert hash(i) == hash(("IntPoly", (0, -1, 2)))
+    assert hash(r) == hash(("RatPoly", (Fraction(0), Fraction(-1), Fraction(2))))
+    assert repr(i) == "IntPoly('2x^2 - x')" and repr(r) == "RatPoly('2x^2 - x')"
+    for p, name in ((i, "IntPoly"), (r, "RatPoly")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            p.coeffs = ()
+        assert p and p.degree == 2 and p.lead == 2 and p[1] == -1 and p[7] == 0
+        assert not p.is_monic() and not p.is_zero()
+    assert IntPoly().lead == 0 and type(IntPoly().lead) is int
+    assert RatPoly().lead == 0 and type(RatPoly().lead) is Fraction
+    assert type(IntPoly()[2]) is int and type(RatPoly()[2]) is Fraction
+    assert RatPoly((0, 1)).is_monic() and not RatPoly() and RatPoly().degree == -1

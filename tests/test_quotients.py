@@ -208,14 +208,19 @@ def test_quotient_is_infinite_exactly_when_the_modulus_meets_the_content():
 def test_separate_builds_no_quotient_that_meets_the_content(monkeypatch):
     # every built modulus is coprime to the content; a batch builds one
     # quotient, at its lcm, and only the returned modulus gets its own,
-    # built last
-    built = []
+    # completed once through canonical_basis after the batch that holds it
+    built, completed = [], []
 
     def recording_build(presentation, q):
         built.append(q)
         return build_quotient(presentation, q)
 
+    def recording_basis(presentation):
+        completed.append(presentation)
+        return canonical_basis(presentation)
+
     monkeypatch.setattr(quotients, "build_quotient", recording_build)
+    monkeypatch.setattr(quotients, "canonical_basis", recording_basis)
     coprime = [q for q in modulus_order(30) if math.gcd(q, 6) == 1]
     cases = [
         (pres((0, -6, 0, 6), (0, 0, 6, 12)), ip(0, 1), [ip(0, 0, 1)], False),
@@ -227,14 +232,16 @@ def test_separate_builds_no_quotient_that_meets_the_content(monkeypatch):
         lcms = [lcm for _, lcm in quotients._batches(coprime)]
         for p, target, gens, found in cases:
             built.clear()
+            completed.clear()
             res = separate(p, target, gens, 30)
             assert res.found == found
             assert built and all(math.gcd(q, 6) == 1 for q in built)
-            wide = built[:-1] if found else built
-            assert wide == lcms[:len(wide)]
+            assert built == lcms[:len(built)]
             if found:
-                assert built[-1] == res.modulus == 13
-                assert wide[-1] % res.modulus == 0
+                assert res.modulus == 13 and built[-1] % res.modulus == 0
+                assert completed == [Presentation(p.relators + (ip(0, 13),))]
+            else:
+                assert completed == []
     assert len(lcms) > 1
 
 
@@ -447,11 +454,36 @@ def test_returned_basis_equals_a_fresh_canonical_basis():
 
 
 def test_basis_must_match_the_ladder():
-    ring = build_quotient(pres((0, -1, 0, 1), (0, -6, 6)), 4)
-    forged = FiniteRing(ring.presentation, ring.modulus, ring.standard_monomials,
-                        ring.position_moduli, ring.monic_degree, ring.ladder[1:])
+    # {x^3 - x, 6x^2 - 6x} mod 4 has the ladder 4x, 2x^2 + 2x, x^3 + 3x
+    p = pres((0, -1, 0, 1), (0, -6, 6))
+    ring = build_quotient(p, 4)
+    basis = canonical_basis(Presentation(p.relators + (ip(0, 4),)))
+    assert ring.basis is None
+    assert FiniteRing(p, 4, ring.ladder, basis) == ring
     with pytest.raises(SelfCheckError):
-        forged.basis
+        FiniteRing(p, 4, ring.ladder[1:], basis)
+    # a top lead that is not 1, and a position modulus of 1
+    with pytest.raises(SelfCheckError):
+        FiniteRing(p, 4, ring.ladder[:-1])
+    with pytest.raises(SelfCheckError):
+        FiniteRing(p, 4, (ip(0, 1), ip(0, 0, 1)))
+
+
+def test_a_ladder_lead_not_dividing_the_modulus_raises(monkeypatch):
+    # a finite ladder and an infinite one, each with the lead 3 at q = 4
+    for ladder in ((ip(0, 4), ip(0, 1, 3), ip(0, 0, 0, 1)), (ip(0, 4), ip(0, 1, 3))):
+        monkeypatch.setattr(quotients, "basis_elements", lambda p: ladder)
+        with pytest.raises(SelfCheckError, match="does not divide"):
+            build_quotient(pres((0, -1, 0, 1)), 4)
+        with pytest.raises(SelfCheckError):
+            FiniteRing(pres((0, -1, 0, 1)), 4, ladder)
+
+
+def test_an_infinite_batch_quotient_raises(monkeypatch):
+    # a ladder of q*x alone, as if the relators had vanished mod q
+    monkeypatch.setattr(quotients, "basis_elements", lambda p: p.relators[-1:])
+    with pytest.raises(SelfCheckError, match="infinite"):
+        separate(pres((0, -1, 1)), ip(0, 1), [ip(0, 2)], 8)
 
 
 def test_separate_rejects_constant_terms():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsep import check
 from finsep.cli import run
-from finsep.poly import IntPoly, format_poly
+from finsep.poly import IntPoly, RatPoly, format_poly
 
 coefficients = st.integers(-12, 12)
 # a shared factor with zero constant term makes most gammas nontrivial
@@ -87,7 +87,7 @@ def _scaled(poly_json: dict, multiplier: tuple) -> dict:
     for i, c in enumerate(coeffs):
         for j, m in enumerate(multiplier):
             out[i + j] += c * m
-    return {"coeffs": [str(c) for c in out], "text": ""}
+    return {"coeffs": [str(c) for c in out], "text": format_poly(RatPoly(out))}
 
 
 @SETTINGS
@@ -192,7 +192,7 @@ def test_a_non_squarefree_content_claimed_separable_is_invalid():
     assert doc["separable"] is False
     del doc["failure_reason"]
     doc["separable"] = True
-    poly = lambda *c: {"coeffs": list(c), "text": ""}
+    poly = _poly_doc
     doc["witness"] = {"k": 4, "phi": poly(0, -1, 1), "certificate": {
         "cofactors": [poly(1)], "claim": poly(0, -4, 4)}}
     assert _failed(doc) == [VERDICT]
@@ -234,6 +234,25 @@ def test_a_forged_squarefree_flag_or_denominator_lcm_is_invalid(make, field, val
     assert {SQUAREFREE_FLAG, DENOMINATOR_LCM} <= set(_check_names(doc))
     doc[field] = value
     assert _failed(doc) == [check]
+
+
+TEXT = "every polynomial text is its coefficients formatted"
+
+
+def test_a_polynomial_text_that_misreads_its_coefficients_is_invalid():
+    # 6x^3 - 6x, 10x^2 + 4x: phi's and gamma's coefficients are kept, so
+    # every certificate still holds; only their texts say otherwise
+    edits = {("witness", "phi"): "x^7 + 5x", ("gamma",): "x^9"}
+    for chosen in ([("witness", "phi")], [("gamma",)], list(edits)):
+        doc = _decide([IntPoly((0, -6, 0, 6)), IntPoly((0, 4, 10))])
+        assert doc["separable"] is True and _verify(doc)["all_ok"] is True
+        assert TEXT in _check_names(doc)
+        for keys in chosen:
+            poly = doc
+            for key in keys:
+                poly = poly[key]
+            poly["text"] = edits[keys]
+        assert _failed(doc) == [TEXT]
 
 
 def test_a_not_squarefree_document_checks_its_flag():
@@ -326,7 +345,8 @@ def test_invariants_documents_with_finite_torsion_verify(relators):
 
 
 def _poly_doc(*coeffs) -> dict:
-    return {"coeffs": list(coeffs), "text": ""}
+    """A JSON integer polynomial, its text matching its coefficients."""
+    return {"coeffs": list(coeffs), "text": format_poly(IntPoly(coeffs))}
 
 
 def test_a_member_claim_for_another_polynomial_is_invalid():
