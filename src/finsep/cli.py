@@ -12,7 +12,7 @@ Pollard-rho effort budget (``FactoringBudgetError``), with ``factoring
 budget exceeded:`` on stderr; exit 141 (128 + SIGPIPE) means the reader
 of stdout went away, as with ``| head``, and prints nothing more.  A
 degree above ``MAX_DEGREE``, a number written with more than
-``MAX_COEFF_DIGITS`` digits or a modulus bound above
+``MAX_COEFF_DIGITS`` digits or a modulus bound below 1 or above
 ``quotients.MAX_MODULUS_BOUND`` is an input error.
 With --json the output follows a stable schema whose certificates can be
 fed back to the ``verify`` subcommand.  Every document opens with

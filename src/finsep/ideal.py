@@ -11,8 +11,9 @@ certificate that re-multiplies exactly.
 
 One division does all reduction: one top-down walk over the elements,
 ``poly._divide_coeffs`` on coefficient lists, returns the normal form and,
-when asked, the quotients; ``poly._divide`` is its IntPoly wrapper.  One
-completion, ``_complete``, builds every basis on plain int lists, with
+when asked, the quotients; ``poly._divide`` is its IntPoly wrapper, and
+``quotients.FiniteRing`` reduces its images, sums and products with it.
+One completion, ``_complete``, builds every basis on plain int lists, with
 IntPolys made once, from the rows it returns.  It works on rows
 [poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
 bare rows [poly] when no certificate is wanted; a row's cofactors are

@@ -18,9 +18,8 @@ of the batch by one solve over Z/q against the subring span of the mod-N
 quotient (R/qR is a quotient of R/NR when q divides N; the proof is in
 ``separate``).  Only the first modulus that separates gets its own
 quotient, built once from the certified ``canonical_basis`` that it
-carries as ``FiniteRing.basis``.  Products in the quotient reduce the high
-half of the convolution through a table of the normal forms of
-x^n .. x^(2n-2), then divide once below degree n.
+carries as ``FiniteRing.basis``.  Products, sums and images in the
+quotient each take one division of a coefficient list by the ladder.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ import math
 from dataclasses import dataclass, field
 
 from .intarith import SelfCheckError, gcd_list
-from .poly import IntPoly
+from .poly import _COEFFS, IntPoly, _divide_coeffs
 from .ideal import (
     CanonicalBasis,
     Presentation,
-    _divide,
     _Echelon,
     basis_elements,
     canonical_basis,
@@ -55,7 +53,7 @@ _BATCH_BITS = 1024
 
 
 class InvalidModulusError(ValueError):
-    """Raised for moduli below 2 and modulus bounds above the limit."""
+    """Raised for moduli below 2 and modulus bounds below 1 or above the limit."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,7 @@ class FiniteRing:
     x^(n-1); the entry for degree d ranges over 0 .. position_moduli[i]-1,
     the lead of the ladder element of largest degree not above d, which
     divides q.  The carrier has the product of the position moduli as its
-    size, q**len(standard_monomials) for prime q.  ``power_forms[i]`` holds
-    the normal form of x^(n+i) as coefficients of degrees 0 .. n-1.
+    size, q**len(standard_monomials) for prime q.
 
     ``basis`` is the certified canonical basis of the relators plus q*x on
     the quotient ``separate`` returns, and None from ``build_quotient``.
@@ -104,9 +101,6 @@ class FiniteRing:
     standard_monomials: tuple[int, ...] = field(init=False)
     position_moduli: tuple[int, ...] = field(init=False)
     monic_degree: int = field(init=False)
-    power_forms: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         q, ladder = self.modulus, self.ladder
@@ -122,14 +116,9 @@ class FiniteRing:
             moduli.append(m)
         if not all(m > 1 for m in moduli):
             raise SelfCheckError(f"a mod-{q} position modulus is 1")
-        forms, power = [], IntPoly.term(1, n - 1)
-        for _ in range(n - 1):
-            power, _ = _divide(power.shift(1), ladder, False)
-            forms.append(power.coeffs + (0,) * (n - len(power.coeffs)))
         object.__setattr__(self, "standard_monomials", tuple(range(1, n)))
         object.__setattr__(self, "position_moduli", tuple(moduli))
         object.__setattr__(self, "monic_degree", n)
-        object.__setattr__(self, "power_forms", tuple(forms))
 
     @property
     def carrier_size(self) -> int:
@@ -138,43 +127,41 @@ class FiniteRing:
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.standard_monomials)
 
+    def _reduce(self, coeffs: list) -> tuple[int, ...]:
+        """Normal form of a coefficient list, read on x^1 .. x^(n-1)."""
+        n = self.monic_degree
+        coeffs += [0] * (n - len(coeffs))
+        _divide_coeffs(coeffs, map(_COEFFS, reversed(self.ladder)), False)
+        if coeffs[0] or any(coeffs[n:]):
+            raise SelfCheckError(f"a mod-{self.modulus} normal form leaves the "
+                                 "standard monomials")
+        return tuple(coeffs[1:n])
+
     def image(self, p: IntPoly) -> tuple[int, ...]:
         """Image of an integer polynomial (zero constant term) in the quotient."""
         if p.constant != 0:
             raise ValueError("quotient elements come from zero-constant polynomials")
-        nf, _ = _divide(p, self.ladder, False)
-        if not (nf.degree < self.monic_degree and nf.constant == 0):
-            raise SelfCheckError(f"normal form {nf!r} leaves the standard monomials")
-        return tuple(nf[d] for d in self.standard_monomials)
+        return self._reduce(list(p.coeffs))
 
     def to_poly(self, u: tuple[int, ...]) -> IntPoly:
-        coeffs = [0] * (self.monic_degree)
-        for d, c in zip(self.standard_monomials, u):
-            coeffs[d] = c
-        return IntPoly(coeffs)
+        return IntPoly((0, *u))
 
     def generator(self) -> tuple[int, ...]:
         return self.image(IntPoly.x())
 
     def add(self, u, v) -> tuple[int, ...]:
-        return self.image(self.to_poly(u) + self.to_poly(v))
+        return self._reduce([0, *(a + b for a, b in zip(u, v))])
 
     def neg(self, u) -> tuple[int, ...]:
-        return self.image(-self.to_poly(u))
+        return self._reduce([0, *(-a for a in u)])
 
     def mul(self, u, v) -> tuple[int, ...]:
-        n = self.monic_degree
-        product = [0] * (2 * n - 1)
-        for i, a in zip(self.standard_monomials, u):
+        product = [0] * (2 * self.monic_degree - 1)
+        for i, a in enumerate(u, 1):
             if a:
-                for j, b in zip(self.standard_monomials, v):
+                for j, b in enumerate(v, 1):
                     product[i + j] += a * b
-        low = product[:n]
-        for c, form in zip(product[n:], self.power_forms):
-            if c:
-                for d, t in enumerate(form):
-                    low[d] += c * t
-        return self.image(IntPoly(low))
+        return self._reduce(product)
 
     def elements(self):
         """Iterate the whole carrier (use only when it is small)."""
@@ -273,8 +260,7 @@ class _SubringSpan:
                 if t:
                     for j, c in enumerate(row):
                         vec[j] += t * c
-            poly = IntPoly([0] + vec)
-            out.append(ring.image(poly))
+            out.append(ring._reduce([0] + vec))
         closure = frozenset(out)
         if len(closure) != self.size():
             raise SelfCheckError("subring closure size disagrees with its lattice")
@@ -319,6 +305,8 @@ def modulus_order(bound: int) -> list[int]:
     does, and by induction some prime-power factor of q does, which is
     tried before q would be.
     """
+    if bound < 1:
+        raise InvalidModulusError(f"modulus bound must be >= 1, got {bound}")
     if bound > MAX_MODULUS_BOUND:
         raise InvalidModulusError(
             f"modulus bound {bound} exceeds the limit of {MAX_MODULUS_BOUND}"
@@ -412,7 +400,7 @@ def separate(
     outside them is checked again before the result is returned.  No other
     modulus gets one.  A quotient that comes out infinite, at a batch lcm
     or at the returned modulus, raises ``SelfCheckError``.  The modulus
-    bound is reported when none succeeds; a bound above
+    bound is reported when none succeeds; a bound below 1 or above
     ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any work.
 
     A sweep of the whole bound 10**6 (relator x^5 + x^3 - 3x^2 + 2x,

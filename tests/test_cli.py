@@ -133,6 +133,13 @@ def test_run_rejects_oversized_inputs_before_allocating(capsys):
     assert parse_poly(f"x^{MAX_DEGREE}").degree == MAX_DEGREE
 
 
+def test_run_rejects_a_modulus_bound_below_1(capsys):
+    for bound in ("0", "-5"):
+        assert run(["separate", "--relator", "x^2 - x", "--target", "x",
+                    "--bound", bound]) == 2
+        assert capsys.readouterr().err.startswith("error: modulus bound must be >= 1")
+
+
 def test_run_rejects_overlong_numbers_before_converting(capsys):
     # a digit run one past the cap is an input error naming the limit, for
     # a coefficient and for an exponent alike, raised before the run is

@@ -148,16 +148,21 @@ def test_ring_axioms_exhaustive_small_carriers():
         exhaustive_ring_axioms(ring)
 
 
-def test_table_mul_matches_image_of_the_product():
-    # the power-table product against the plain polynomial product, on
-    # every pair of every small carrier
+def test_list_arithmetic_matches_images_of_polynomial_arithmetic():
+    # mul, add and neg reduce coefficient lists without building an
+    # IntPoly; each must agree with the image of the same operation done
+    # on polynomials, on every pair of every small carrier
     for p, q in SMALL_CARRIERS + PRIME_POWER_CARRIERS:
         ring = build_quotient(p, q)
         assert ring.carrier_size <= 512
         elements = list(ring.elements())
+        for u in elements:
+            assert ring.neg(u) == ring.image(-ring.to_poly(u)), (p, q, u)
         for u, v in itertools.product(elements, repeat=2):
             want = ring.image(ring.to_poly(u) * ring.to_poly(v))
             assert ring.mul(u, v) == want, (p, q, u, v)
+            want = ring.image(ring.to_poly(u) + ring.to_poly(v))
+            assert ring.add(u, v) == want, (p, q, u, v)
     assert any(len(set(build_quotient(p, q).position_moduli)) > 1
                for p, q in PRIME_POWER_CARRIERS)
 
@@ -469,6 +474,21 @@ def test_basis_must_match_the_ladder():
         FiniteRing(p, 4, (ip(0, 1), ip(0, 0, 1)))
 
 
+def test_a_normal_form_off_the_window_raises():
+    # a forged lowest element 2x + 1 carries a constant term into the
+    # normal forms of 2x and -x
+    ring = FiniteRing(pres(), 2, (ip(1, 2), ip(0, 0, 1)))
+    for reduce in (lambda: ring.image(ip(0, 2)), lambda: ring.add((1,), (1,)),
+                   lambda: ring.neg((1,))):
+        with pytest.raises(SelfCheckError, match="leaves the standard monomials"):
+            reduce()
+    # a ladder whose monic top went missing leaves x^3 above the window
+    ring = build_quotient(pres((0, -1, 0, 1), (0, -6, 6)), 4)
+    object.__setattr__(ring, "ladder", ring.ladder[:-1])
+    with pytest.raises(SelfCheckError, match="leaves the standard monomials"):
+        ring.image(ip(0, 0, 0, 1))
+
+
 def test_a_ladder_lead_not_dividing_the_modulus_raises(monkeypatch):
     # a finite ladder and an infinite one, each with the lead 3 at q = 4
     for ladder in ((ip(0, 4), ip(0, 1, 3), ip(0, 0, 0, 1)), (ip(0, 4), ip(0, 1, 3))):
@@ -540,7 +560,11 @@ def test_malcev_crt_coherence():
 def test_modulus_order():
     order = modulus_order(16)
     assert order == [2, 3, 5, 7, 11, 13, 4, 8, 9, 16]
+    # bound 1 is a valid empty search; a bound below 1 is an input error
     assert modulus_order(1) == []
+    for bound in (0, -5):
+        with pytest.raises(InvalidModulusError, match="must be >= 1"):
+            modulus_order(bound)
     # primes come first, then prime powers; composites are never tried
     kinds = []
     for q in order:
