@@ -67,16 +67,17 @@ def _pairs(value, what: str) -> list[tuple[int, int]]:
 def is_combination(claim: IntPoly, cofactors, generators) -> bool:
     """Whether claim == sum(cofactors[i] * generators[i]); a cofactor list
     of another length than the generators' is rejected, never padded.
-    The products are summed into one list that starts at -claim."""
+    The products are summed into one list that starts at -claim, a pass per
+    nonzero generator coefficient (a generator's zero constant costs none)."""
     if len(cofactors) != len(generators):
         return False
     acc = [-x for x in claim.coeffs]
     for c, g in zip(cofactors, generators):
         c, g = c.coeffs, g.coeffs
         acc += [0] * (len(c) + len(g) - len(acc))
-        for i, a in enumerate(c):
-            if a:
-                for t, b in enumerate(g, i):
+        for i, b in enumerate(g):
+            if b:
+                for t, a in enumerate(c, i):
                     acc[t] += a * b
     return not any(acc)
 
@@ -258,21 +259,26 @@ def _witness(doc: dict, relators) -> list:
 
 
 def _invariants(doc: dict, relators) -> list:
-    """The torsion witness of a finite torsion, and what it bounds: the
-    exponent is the least degree of a monic phi over every k, and no member
-    of V lies below the algebraic degree.  An infinite torsion, minimality
-    and the search bound carry no certificate."""
+    """The torsion and exponent witnesses of a finite torsion, and what
+    they bound: the exponent is the degree of a monic phi over some k, and
+    no member of V lies below the algebraic degree.  An infinite torsion,
+    minimality (no monic phi below the exponent, which needs the basis in
+    the document) and the search bound carry no certificate."""
     if doc["torsion_witness"] is None:
         return []
     k, phi, checks = _relation(doc["torsion_witness"], "torsion witness",
                                "torsion witness certificate", relators)
+    _, phi_e, exponent_checks = _relation(doc["exponent_witness"], "exponent witness",
+                                          "exponent witness certificate", relators)
     minimal, primitive = _poly(doc["minimal_polynomial"]), _poly(doc["minimal_primitive"])
     content, degree, exponent, torsion = (_json(doc[f], int, f) for f in (
         "minimal_content", "algebraic_degree", "torsion_exponent", "torsion"))
-    return checks + [
+    return checks + exponent_checks + [
         ("torsion is the torsion witness k", torsion == k),
         ("algebraic degree <= torsion exponent <= deg phi",
          degree <= exponent <= phi.degree),
+        ("torsion exponent is the degree of the exponent witness phi",
+         exponent == phi_e.degree),
         ("algebraic degree is the degree of the minimal polynomial",
          degree == minimal.degree),
         ("minimal content * primitive is the minimal polynomial",

@@ -291,6 +291,9 @@ def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
         "torsion_witness": (
             _relation_json(inv.torsion_witness) if inv.torsion_witness else None
         ),
+        "exponent_witness": (
+            _relation_json(inv.exponent_witness) if inv.exponent_witness else None
+        ),
         "search_bound": inv.search_bound,
     }
     fmt = lambda x: "infinite" if x is None else x

@@ -19,8 +19,11 @@ IntPolys made once, from the rows it returns.  It works on rows
 bare rows [poly] when no certificate is wanted; a row's cofactors are
 built only once its reduced poly is known to be nonzero.
 ``canonical_basis`` runs it with cofactors and is cached on the
-presentation's hash; membership folds the division's quotients over the
-basis cofactors (``_fold_into``), and every certificate is re-checked
+presentation's hash.  The basis keeps the coefficient rows the read path
+walks: ``normal_form`` and ``reduce_with_quotients`` divide on its
+elements' rows, and ``membership`` divides through ``reduce_with_quotients``
+(the function a tracer counts) and folds the quotients over its cofactor
+rows (``_fold_into``).  Every certificate is re-checked
 (``check.is_combination``) before it is returned.  ``basis_elements``
 runs it on bare rows, uncached, for callers that need only the elements
 (the finite quotients of the separation search).  A failed re-check
@@ -40,8 +43,8 @@ subring span of a finite quotient (``quotients._SubringSpan``, N = q).
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .check import is_combination
 from .intarith import SelfCheckError, xgcd
@@ -191,12 +194,24 @@ class CanonicalBasis:
     coefficients dividing backward; ``element_cofactors[i]`` expresses
     elements[i] over the relators, and ``relator_quotients[j]`` expresses
     relators[j] over the elements.
+
+    Derived once: ``division_rows``, the elements' coefficient tuples from
+    the top degree down (``poly._divide`` walks them), and
+    ``cofactor_rows[i]``, those of element_cofactors[i] (``membership``).
     """
 
     presentation: Presentation
     elements: tuple[IntPoly, ...]
     element_cofactors: tuple[tuple[IntPoly, ...], ...]
     relator_quotients: tuple[tuple[IntPoly, ...], ...]
+    division_rows: tuple = field(init=False, repr=False, compare=False)
+    cofactor_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "division_rows",
+                           tuple(map(_COEFFS, reversed(self.elements))))
+        object.__setattr__(self, "cofactor_rows", tuple(
+            tuple(map(_COEFFS, row)) for row in self.element_cofactors))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -288,8 +303,9 @@ def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
     """
     rows = _complete([list(r.coeffs)] for r in presentation.relators)
     elements = tuple(_intpoly(row[0]) for row in rows)
+    descending = tuple(map(_COEFFS, reversed(elements)))
     for j, r in enumerate(presentation.relators):
-        if not _divide(r, elements, False)[0].is_zero():
+        if not _divide(r, descending, False)[0].is_zero():
             raise SelfCheckError(f"relator {j} does not reduce to zero")
     return elements
 
@@ -306,9 +322,10 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
         if row[0].constant != 0 or not cert.verify(presentation):
             raise SelfCheckError(f"degree-{row[0].degree} element fails a check")
     elements = tuple(row[0] for row in rows)
+    descending = tuple(map(_COEFFS, reversed(elements)))
     back = []
     for j, r in enumerate(relators):
-        nf, quotients = _divide(r, elements)
+        nf, quotients = _divide(r, descending)
         if not nf.is_zero():
             raise SelfCheckError(f"relator {j} does not reduce to zero")
         back.append(quotients)
@@ -320,12 +337,12 @@ def reduce_with_quotients(
     g: IntPoly, basis: CanonicalBasis
 ) -> tuple[IntPoly, tuple[IntPoly, ...]]:
     """Unique normal form of g plus quotients over the basis elements."""
-    return _divide(g, basis.elements)
+    return _divide(g, basis.division_rows)
 
 
 def normal_form(g: IntPoly, basis: CanonicalBasis) -> IntPoly:
     """Unique normal form of g against the basis."""
-    return _divide(g, basis.elements, False)[0]
+    return _divide(g, basis.division_rows, False)[0]
 
 
 def membership(
@@ -337,7 +354,7 @@ def membership(
     if not nf.is_zero():
         return False, None
     cofactors = _fold_into([[] for _ in presentation.relators], map(_COEFFS, quotients),
-                           map(partial(map, _COEFFS), basis.element_cofactors))
+                           basis.cofactor_rows)
     cert = MembershipCertificate(tuple(map(_intpoly, cofactors)), g)
     if not cert.verify(presentation):
         raise SelfCheckError("membership certificate fails to re-multiply")

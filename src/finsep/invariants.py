@@ -73,7 +73,8 @@ class TorsionData:
 
 @dataclass(frozen=True)
 class RingInvariants:
-    """All invariants of the generator, None standing for infinite/absent."""
+    """All invariants of the generator, None standing for infinite/absent;
+    ``exponent_witness`` is ``TorsionData.exponent_witness``."""
 
     algebraic_degree: int | None
     minimal_polynomial: IntPoly | None
@@ -82,6 +83,7 @@ class RingInvariants:
     torsion: int | None
     torsion_exponent: int | None
     torsion_witness: MonicRelation | None
+    exponent_witness: MonicRelation | None
     search_bound: int
 
 
@@ -199,6 +201,7 @@ def ring_invariants(presentation: Presentation) -> RingInvariants:
             torsion=None,
             torsion_exponent=None,
             torsion_witness=None,
+            exponent_witness=None,
             search_bound=0,
         )
     split = content_split(mp)
@@ -211,6 +214,7 @@ def ring_invariants(presentation: Presentation) -> RingInvariants:
         torsion=data.tau,
         torsion_exponent=data.exponent,
         torsion_witness=data.witness,
+        exponent_witness=data.exponent_witness,
         search_bound=data.bound,
     )
 

@@ -119,7 +119,11 @@ class IntPoly(_PolyValue):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        _SET_COEFFS(self, tuple(_trim([int(c) for c in coeffs])))
+        # a list first: tuple(iterator) resizes, and resized tuples fill free lists
+        coeffs = list(map(int, coeffs))
+        if coeffs and not coeffs[-1]:
+            _trim(coeffs)
+        _SET_COEFFS(self, tuple(coeffs))
 
     @staticmethod
     def term(coeff: int, degree: int) -> "IntPoly":
@@ -198,40 +202,42 @@ def _divide_coeffs(rem: list, descending, quotients: bool = True) -> list:
     top = len(rem) - 1
     qs = []
     for e in descending:
-        n, lead = len(e) - 1, e[-1]
-        q = []
-        for d in range(top, n - 1, -1):
-            k = rem[d] // lead
-            if k:
-                s = d - n
-                for t, b in enumerate(e, s):
-                    rem[t] -= k * b  # leaves rem[d] its residue
-                if quotients:
-                    if not q:
-                        q = [0] * (s + 1)
-                    q[s] = k
-        top = min(top, n - 1)
+        n, q = len(e) - 1, []
+        if n <= top:  # an element above every degree left reduces nothing
+            lead = e[-1]
+            for d in range(top, n - 1, -1):
+                k = rem[d] // lead
+                if k:
+                    s = d - n
+                    for t, b in enumerate(e, s):
+                        rem[t] -= k * b  # leaves rem[d] its residue
+                    if quotients:
+                        if not q:
+                            q = [0] * (s + 1)
+                        q[s] = k
+            top = n - 1
         qs.append(q)
     return qs
 
 
-def _divide(g: IntPoly, elements, quotients: bool = True) -> tuple[IntPoly, tuple]:
+def _divide(g: IntPoly, descending, quotients: bool = True) -> tuple[IntPoly, tuple]:
     """Normal form of g plus quotients: g == nf + sum(q[i] * elements[i]).
 
-    ``elements`` ascend strictly in degree from degree 1 up.  Terms are
-    reduced from the top down by the element of largest degree not above
-    them, to the least-nonnegative residue of that element's lead, in one
-    walk (``_divide_coeffs``).  With ``quotients`` false the quotients are
-    not built and () is returned in their place.
+    ``descending`` holds the coefficients of elements that ascend strictly
+    in degree from degree 1 up, from the top one down.  Terms are reduced
+    from the top down by the element of largest degree not above them, to
+    the least-nonnegative residue of that element's lead, in one walk
+    (``_divide_coeffs``).  Quotients ascend, an empty one the shared zero;
+    with ``quotients`` false () is returned in their place.
     """
-    if not elements:
-        return g, ()
     rem = list(g.coeffs)
-    qs = _divide_coeffs(rem, map(_COEFFS, reversed(elements)), quotients)
+    qs = _divide_coeffs(rem, descending, quotients)
     if not quotients:
         return _intpoly(rem), ()
-    zero = IntPoly()
-    return _intpoly(rem), tuple([_intpoly(q) if q else zero for q in reversed(qs)])
+    return _intpoly(rem), tuple([_intpoly(q) if q else _ZERO for q in reversed(qs)])
+
+
+_ZERO = IntPoly()
 
 
 class RatPoly(_PolyValue):

@@ -16,9 +16,10 @@ candidate modulus: it splits the candidates into consecutive batches,
 builds one quotient at the lcm N of each batch, and decides every modulus q
 of the batch by one solve over Z/q against the subring span of the mod-N
 quotient (R/qR is a quotient of R/NR when q divides N; the proof is in
-``separate``).  Only the first modulus that separates gets its own
-quotient, built once from the certified ``canonical_basis`` that it
-carries as ``FiniteRing.basis``.  Products, sums and images in the
+``separate``).  A batch whose mod-N span holds the target's image is
+decided whole by that one solve: no modulus of it separates.  Only the
+first modulus that separates gets its own quotient, built once from the
+certified ``canonical_basis`` that it carries as ``FiniteRing.basis``.  Products, sums and images in the
 quotient each take one division of a coefficient list by the ladder.
 """
 
@@ -46,9 +47,9 @@ MAX_MODULUS_BOUND = 10**6
 
 # the bit length the lcm of one batch of ``separate``'s candidate moduli may
 # reach.  A wider batch builds fewer quotients, each costlier: the sweep of
-# the whole bound 10**6 timed in ``separate`` took about 6.9 s with a cap of
-# 256 bits, 4.5 s at 1,024, 4.5-5.5 s at 4,096, 7.4-8.9 s at 16,384 and
-# 272 s with no cap.  Every sweep up to bound 708 fits one batch.
+# the whole bound 10**6 timed in ``separate`` took about 1.7 s with a cap of
+# 256 bits, 0.9 s at 1,024, 1.1 s at 4,096, 2.3 s at 16,384 and, before a
+# batch was decided by one solve, 272 s with no cap.  Bounds to 708 fit one batch.
 _BATCH_BITS = 1024
 
 
@@ -393,6 +394,11 @@ def separate(
     exactly when it lies in the span's rows + q*Z^dim, the lattice that
     the ``_Echelon(q)`` holds.
 
+    One solve in the span's own ``_Echelon(N)``, which holds rows +
+    N*Z^dim, decides a whole batch first: each q of the batch divides N,
+    so rows + N*Z^dim lies inside rows + q*Z^dim, and when t lies in the
+    former no modulus of the batch separates and none gets an echelon.
+
     A modulus whose solve succeeds does not separate and gets no quotient.
     The first one whose solve fails gets its own quotient, built once from
     the certified ``canonical_basis`` of the relators plus q*x, with its
@@ -405,7 +411,7 @@ def separate(
 
     A sweep of the whole bound 10**6 (relator x^5 + x^3 - 3x^2 + 2x,
     target (x^2 + x)^2 + (x^3 + 2x^2), generators x^2 + x and x^3 + 2x^2)
-    takes about 4.5 s on one core of a Xeon server.
+    takes about 1.1 s on one core of a 2-core Intel Xeon.
     """
     subring_generators = list(subring_generators)
     for p in [target, *subring_generators]:
@@ -418,7 +424,10 @@ def separate(
         if isinstance(wide, InfiniteQuotient):
             raise SelfCheckError(f"mod-{lcm} quotient is infinite, content {content}")
         wide_img = wide.image(target)
-        rows = list(_SubringSpan(wide, subring_generators).echelon.rows.values())
+        span = _SubringSpan(wide, subring_generators)
+        if span.contains(wide_img):
+            continue  # no modulus of the batch separates
+        rows = list(span.echelon.rows.values())
         for q in batch:
             echelon = _Echelon(q)
             for row in rows:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -718,6 +719,23 @@ def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
                          _coeffs(cert.cofactors) if member else None])
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == "965b5060805b0980bc1fc5b80949321b060680a32ded04f363fbcf2570cd737a"
+
+
+def test_membership_folds_the_cofactor_rows_of_the_basis_it_reads(monkeypatch):
+    # the basis derives its cofactor rows from element_cofactors when it is
+    # built, so a basis rebuilt by replace must fold its own, wrong, rows
+    p = Presentation([ip(0, -1, 0, 1), ip(0, -6, 6)])
+    basis = canonical_basis(p)
+    g = basis.elements[-1]  # its one nonzero quotient is 1, on the top element
+    assert membership(g, p)[0]
+    rows = list(basis.element_cofactors)
+    rows[-1] = (rows[-1][0] + ip(0, 1), *rows[-1][1:])
+    wrong = dataclasses.replace(basis, element_cofactors=tuple(rows))
+    assert wrong.division_rows == basis.division_rows
+    assert wrong.cofactor_rows[-1][0] == (rows[-1][0]).coeffs != basis.cofactor_rows[-1][0]
+    monkeypatch.setattr(ideal_module, "canonical_basis", lambda presentation: wrong)
+    with pytest.raises(ideal_module.SelfCheckError):
+        membership(g, p)
 
 
 def test_check_reducer_agrees_with_the_division():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
 from finsep.ideal import Presentation, _fold_into, basis_elements, canonical_basis
-from finsep.poly import IntPoly, _divide
+from finsep.poly import IntPoly, _divide as _divide_rows
 
 SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -33,6 +33,11 @@ def ladders(draw):
     degrees = sorted(draw(st.sets(st.integers(1, 8), max_size=4)))
     return [IntPoly([0, *draw(st.lists(coefficients, min_size=d - 1, max_size=d - 1)),
                      draw(st.integers(1, 30))]) for d in degrees]
+
+
+def _divide(g, elements, quotients=True):
+    """``poly._divide`` on the elements' coefficient tuples, top degree first."""
+    return _divide_rows(g, tuple(e.coeffs for e in reversed(elements)), quotients)
 
 
 def _naive_divide(g, elements):
@@ -122,6 +127,18 @@ def test_is_combination_accepts_the_sum_and_nothing_else(pairs, delta):
     assert not is_combination(claim, cofactors + [IntPoly()], generators)
     if pairs:
         assert not is_combination(claim, cofactors[:-1], generators)
+
+
+def test_a_forged_cofactor_fails_against_zero_low_generator_coefficients():
+    # the passes of the generator's zero coefficients are skipped; a change
+    # to any cofactor coefficient still moves the sum
+    g = IntPoly((0, 0, 0, 2, 1))
+    c = IntPoly((1, -3, 0, 5))
+    assert is_combination(c * g, [c], [g])
+    for i in range(len(c.coeffs) + 1):
+        forged = IntPoly([a + (j == i) for j, a in enumerate(c.coeffs + (0,))])
+        assert not is_combination(c * g, [forged], [g])
+        assert not is_combination(c * g, [c, forged - c], [g, g])
 
 
 @st.composite

@@ -35,6 +35,17 @@ def test_arith_examples():
 
 def test_trailing_zero_trim_and_degree():
     assert IntPoly((0, 1, 0, 0)).coeffs == (0, 1)
+    # a list, a tuple and a generator convert and trim alike, to a tuple of ints
+    for coeffs in ([0, 1, 0, 0], (0, True, 0.0, 0), (c for c in (0, 1, 0, 0)),
+                   ["0", "1", "0"]):
+        p = IntPoly(coeffs)
+        assert p.coeffs == (0, 1) and all(type(c) is int for c in p.coeffs)
+    assert IntPoly([0, 0]).coeffs == IntPoly(iter(())).coeffs == ()
+    assert IntPoly((2, 0, 3)).coeffs == (2, 0, 3)
+    with pytest.raises(ValueError):
+        IntPoly(["x"])
+    with pytest.raises(TypeError):
+        IntPoly([0, None])
     assert IntPoly().degree == -1
     assert IntPoly().lead == 0
     assert ip(0, 0, 5).degree == 2 and ip(0, 0, 5).lead == 5

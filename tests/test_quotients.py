@@ -312,6 +312,25 @@ def test_batched_separate_matches_a_per_modulus_sweep(monkeypatch):
     assert found >= 30 and multi >= 50
 
 
+def test_an_inside_target_decides_each_batch_with_one_echelon(monkeypatch):
+    # the target lies in the subring, so each batch's mod-N span holds its
+    # image and no modulus of the batch gets an echelon of its own
+    built = []
+
+    class CountingEchelon(quotients._Echelon):
+        def __init__(self, modulus):
+            built.append(modulus)
+            super().__init__(modulus)
+
+    monkeypatch.setattr(quotients, "_Echelon", CountingEchelon)
+    monkeypatch.setattr(quotients, "_BATCH_BITS", 12)
+    res = separate(pres((0, 2, -3, 1, 0, 1)), ip(0, 0, 3, 3, 1),
+                   [ip(0, 1, 1), ip(0, 0, 2, 1)], 100)
+    assert not res.found and res.bound_exhausted == 100
+    lcms = [lcm for _, lcm in quotients._batches(modulus_order(100))]  # content 1
+    assert len(lcms) > 1 and built == lcms
+
+
 def test_span_of_one_generator_multiplies_once_per_inserted_element(monkeypatch):
     ring = build_quotient(pres((0, -1, 0, 0, 0, 1)), 2)
     calls = {"mul": 0, "add": 0}

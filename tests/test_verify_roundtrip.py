@@ -418,10 +418,28 @@ def test_forged_invariants_are_invalid():
     doc.update(torsion=999, algebraic_degree=7, torsion_exponent=42)
     assert _failed(doc) == ["torsion is the torsion witness k",
                             "algebraic degree <= torsion exponent <= deg phi",
+                            "torsion exponent is the degree of the exponent witness phi",
                             "algebraic degree is the degree of the minimal polynomial"]
     doc = _document("invariants", [IntPoly((0, 0, 2)), IntPoly((0, 0, 0, 1))])
     doc["minimal_content"] += 1
     assert _failed(doc) == ["minimal content * primitive is the minimal polynomial"]
+
+
+def test_a_raised_torsion_exponent_is_invalid():
+    # the torsion witness's phi has degree 3, so only the exponent witness
+    # pins the exponent 2; a forged exponent witness fails its own checks
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    assert (doc["torsion_exponent"], doc["exponent_witness"]["phi"]["coeffs"]) == (2, [0, -1, 1])
+    assert _verify(doc)["all_ok"] is True
+    doc["torsion_exponent"] = 3
+    assert _failed(doc) == ["torsion exponent is the degree of the exponent witness phi"]
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    doc["exponent_witness"]["certificate"]["cofactors"][0] = _poly_doc(0, 1)
+    assert _failed(doc) == ["exponent witness certificate"]
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    doc["exponent_witness"]["phi"] = _poly_doc(0, -1, 2)
+    assert _failed(doc) == ["exponent witness claim is k*phi",
+                            "exponent witness phi is monic, zero constant"]
 
 
 @pytest.mark.parametrize("edit", [
