@@ -2,7 +2,9 @@
 
 ``check_document`` looks a document's ``command`` up in ``KINDS`` and
 returns that kind's named checks, each (name, ok), and when there are any,
-one more: every polynomial's text is its coefficients formatted.  A field
+one more: every polynomial's text is its coefficients formatted.  The
+checks of one document share a ``_Reader``, so each polynomial is parsed
+once, by whichever check reads it first.  A field
 the kind must carry that is missing or of the wrong JSON type raises
 ``KeyError`` or ``ValueError``, an input error; a wrong value fails a
 check.  The checks use polynomial arithmetic and formatting and the gcd
@@ -14,6 +16,7 @@ it, and the library's own re-checks call ``is_combination``,
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .intarith import MR_PROOF_BOUND, gcd_list, is_probable_prime
@@ -26,6 +29,9 @@ NO_RELATORS = "no_relators"
 NON_SQUAREFREE_GCD = "non_squarefree_gcd"
 NON_INTEGER_GAMMA = "non_integer_gamma"
 
+# a rational coefficient's string form, as ``str(Fraction)`` writes it
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def _json(value, kind: type, what: str):
     """value, if its JSON type is kind (a bool is no int); else an input error."""
@@ -35,26 +41,56 @@ def _json(value, kind: type, what: str):
 
 
 def _fraction(value) -> Fraction:
-    try:
+    """A rational coefficient in the form ``cli`` writes it: a JSON integer,
+    or a string "n" or "n/d" of ASCII digits, n with a leading "-" if
+    negative, each read with ``int``."""
+    if type(value) is int:
         return Fraction(value)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"bad rational number: {exc}") from None
+    match = _RATIONAL.fullmatch(_json(value, str, "a rational coefficient"))
+    if match is None:
+        raise ValueError(f"bad rational number {value!r:.50}")
+    num, den = match.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational number {value!r}: zero denominator") from None
 
 
 def _coeffs(obj) -> list:
     return _json(_json(obj, dict, "a polynomial").get("coeffs"), list, "coeffs")
 
 
-def _poly(obj) -> IntPoly:
-    return IntPoly(_json(c, int, "an integer coefficient") for c in _coeffs(obj))
+def _parse(obj) -> IntPoly | RatPoly:
+    """A polynomial {coeffs, text}: an IntPoly when every coefficient is a
+    JSON integer, else a RatPoly."""
+    coeffs = _coeffs(obj)
+    if set(map(type, coeffs)) <= {int}:
+        return IntPoly(coeffs)
+    return RatPoly(map(_fraction, coeffs))
 
 
-def _polys(value, what: str) -> list[IntPoly]:
-    return [_poly(p) for p in _json(value, list, what)]
+class _Reader(dict):
+    """The polynomials of one document by the identity of their JSON
+    objects, each parsed the first time a check asks for it."""
 
+    def __call__(self, obj) -> IntPoly | RatPoly:
+        poly = self.get(id(obj))
+        if poly is None:
+            poly = self[id(obj)] = _parse(obj)
+        return poly
 
-def _ratpoly(obj) -> RatPoly:
-    return RatPoly(map(_fraction, _coeffs(obj)))
+    def poly(self, obj) -> IntPoly:
+        poly = self(obj)
+        if type(poly) is RatPoly:
+            raise ValueError("a coefficient of an integer polynomial is not an int")
+        return poly
+
+    def polys(self, value, what: str) -> list[IntPoly]:
+        return [self.poly(p) for p in _json(value, list, what)]
+
+    def ratpoly(self, obj) -> RatPoly:
+        poly = self(obj)
+        return poly if type(poly) is RatPoly else RatPoly(poly.coeffs)
 
 
 def _pairs(value, what: str) -> list[tuple[int, int]]:
@@ -113,12 +149,14 @@ def split_checks(k: int, parts, bezout) -> list:
     return checks + [("torsion split p_i*k_i = k and sum z_i*k_i = 1", ok)]
 
 
-def _relation(w, name: str, certificate: str, relators) -> tuple[int, IntPoly, list]:
+def _relation(w, name: str, certificate: str, relators,
+              read) -> tuple[int, IntPoly, list]:
     """k, phi and the checks of a JSON relation {k, phi, certificate}."""
     w = _json(w, dict, name)
-    phi = _poly(w["phi"])
+    phi = read.poly(w["phi"])
     cert = _json(w["certificate"], dict, "a certificate")
-    claim, cofactors = _poly(cert["claim"]), _polys(cert["cofactors"], "cofactors")
+    claim = read.poly(cert["claim"])
+    cofactors = read.polys(cert["cofactors"], "cofactors")
     k = _json(w["k"], int, f"{name} k")
     return k, phi, relation_checks(name, certificate, k, phi, claim, cofactors, relators)
 
@@ -142,11 +180,11 @@ def _factorization_check(factorization, g: int) -> tuple[bool, tuple[str, bool]]
     return ok and all(e == 1 for _, e in pairs), (name, ok)
 
 
-def _gamma_checks(gamma: RatPoly, doc: dict, relators) -> list:
+def _gamma_checks(gamma: RatPoly, doc: dict, relators, read) -> list:
     """The checks that pin gamma as the monic gcd of the relators over Q,
     and the lcm of its cofactors' denominators."""
     cofactors = _json(doc["gamma_cofactors"], list, "gamma_cofactors")
-    cofactors = [_ratpoly(c) for c in cofactors]
+    cofactors = [read.ratpoly(c) for c in cofactors]
     lcm = math.lcm(*(c.denominator for p in cofactors for c in p.coeffs))
     # one common denominator l carries the identity over to Z:
     # sum((l*c_j) * r_j) == l*gamma
@@ -183,7 +221,7 @@ def _reason_checks(reason: dict, gamma: RatPoly | None, relators) -> list:
     return []
 
 
-def _verdict(doc: dict, relators, separable: bool, k: int | None) -> list:
+def _verdict(doc: dict, relators, separable: bool, k: int | None, read) -> list:
     """The checks that ``separable`` is the verdict the document's data imply.
 
     The coefficient gcd g is recomputed.  The factorization shows whether
@@ -193,8 +231,8 @@ def _verdict(doc: dict, relators, separable: bool, k: int | None) -> list:
     failure reason the data imply: no relators, then a square dividing g,
     then the lowest non-integer coefficient of gamma.
     """
-    gamma = _ratpoly(doc["gamma"]) if relators else None
-    checks = _gamma_checks(gamma, doc, relators) if relators else []
+    gamma = read.ratpoly(doc["gamma"]) if relators else None
+    checks = _gamma_checks(gamma, doc, relators, read) if relators else []
     reason = None if separable else doc.get("failure_reason")
     if reason:
         checks += _reason_checks(_json(reason, dict, "failure_reason"), gamma, relators)
@@ -228,23 +266,24 @@ def _verdict(doc: dict, relators, separable: bool, k: int | None) -> list:
     return checks + [(f"failure reason is {implied}", ok)]
 
 
-def _decide(doc: dict, relators) -> list:
+def _decide(doc: dict, relators, read) -> list:
     separable = _json(doc["separable"], bool, "separable")
     k, checks = None, []
     if separable:
         k, _, checks = _relation(doc["witness"], "witness", "witness certificate",
-                                 relators)
-    return checks + _verdict(doc, relators, separable, k)
+                                 relators, read)
+    return checks + _verdict(doc, relators, separable, k, read)
 
 
-def _witness(doc: dict, relators) -> list:
+def _witness(doc: dict, relators, read) -> list:
     """decide's verdict, and a separable one's relation k*phi, phi's tail
     and, when k > 1 or one is present, the torsion split of k (a missing
     one has no parts and fails both split checks)."""
     separable = _json(doc["separable"], bool, "separable")
     if not separable:
-        return _verdict(doc, relators, False, None)
-    k, phi, checks = _relation(doc, "witness", "membership certificate", relators)
+        return _verdict(doc, relators, False, None, read)
+    k, phi, checks = _relation(doc, "witness", "membership certificate",
+                               relators, read)
     n = phi.degree
     tail = _json(doc["tail_coefficients"], list, "tail_coefficients")
     checks.append(("tail coefficients are phi's descending tail",
@@ -255,10 +294,10 @@ def _witness(doc: dict, relators) -> list:
         bezout = [_json(z, int, "a Bezout coefficient")
                   for z in _json(split.get("bezout", []), list, "torsion split bezout")]
         checks += split_checks(k, parts, bezout)
-    return checks + _verdict(doc, relators, True, k)
+    return checks + _verdict(doc, relators, True, k, read)
 
 
-def _invariants(doc: dict, relators) -> list:
+def _invariants(doc: dict, relators, read) -> list:
     """The torsion and exponent witnesses of a finite torsion, and what
     they bound: the exponent is the degree of a monic phi over some k, and
     no member of V lies below the algebraic degree.  An infinite torsion,
@@ -267,10 +306,11 @@ def _invariants(doc: dict, relators) -> list:
     if doc["torsion_witness"] is None:
         return []
     k, phi, checks = _relation(doc["torsion_witness"], "torsion witness",
-                               "torsion witness certificate", relators)
+                               "torsion witness certificate", relators, read)
     _, phi_e, exponent_checks = _relation(doc["exponent_witness"], "exponent witness",
-                                          "exponent witness certificate", relators)
-    minimal, primitive = _poly(doc["minimal_polynomial"]), _poly(doc["minimal_primitive"])
+                                          "exponent witness certificate", relators, read)
+    minimal = read.poly(doc["minimal_polynomial"])
+    primitive = read.poly(doc["minimal_primitive"])
     content, degree, exponent, torsion = (_json(doc[f], int, f) for f in (
         "minimal_content", "algebraic_degree", "torsion_exponent", "torsion"))
     return checks + exponent_checks + [
@@ -303,7 +343,7 @@ def _reduces_to(p: IntPoly, elements, target: IntPoly) -> bool:
     return IntPoly(rem) == target
 
 
-def _basis(doc: dict, relators) -> list:
+def _basis(doc: dict, relators, read) -> list:
     """The cofactors show that the elements span the relator ideal V.  The
     rest is the criterion ``ideal._complete`` proves (Kandri-Rody and Kapur,
     J. Symbolic Comput., 1988, univariate): ascending degrees, positive
@@ -312,15 +352,15 @@ def _basis(doc: dict, relators) -> list:
     of V, so normal forms are unique.  Reduced tails make the basis unique.
     """
     basis = _json(doc["basis"], dict, "basis")
-    elements = _polys(basis["elements"], "elements")
+    elements = read.polys(basis["elements"], "elements")
     element_cofactors = _json(basis["element_cofactors"], list, "element_cofactors")
     relator_quotients = _json(basis["relator_quotients"], list, "relator_quotients")
     ok = len(element_cofactors) == len(elements) and all(
-        is_combination(e, _polys(cof, "a cofactor list"), relators)
+        is_combination(e, read.polys(cof, "a cofactor list"), relators)
         for e, cof in zip(elements, element_cofactors))
     checks = [("basis elements lie in the relator ideal", ok)]
     ok = len(relator_quotients) == len(relators) and all(
-        is_combination(r, _polys(quots, "a quotient list"), elements)
+        is_combination(r, read.polys(quots, "a quotient list"), elements)
         for r, quots in zip(relators, relator_quotients))
     checks.append(("relators lie in the basis ideal", ok))
     pairs = list(zip(elements, elements[1:]))
@@ -338,39 +378,38 @@ def _basis(doc: dict, relators) -> list:
     return checks
 
 
-def _nf(doc: dict, relators) -> list:
-    checks = _basis(doc, relators)
-    elements = _polys(doc["basis"]["elements"], "elements")
-    g, nf = _poly(doc["poly"]), _poly(doc["normal_form"])
-    ok = is_combination(g - nf, _polys(doc["quotients"], "quotients"), elements)
+def _nf(doc: dict, relators, read) -> list:
+    checks = _basis(doc, relators, read)
+    elements = read.polys(doc["basis"]["elements"], "elements")
+    g, nf = read.poly(doc["poly"]), read.poly(doc["normal_form"])
+    ok = is_combination(g - nf, read.polys(doc["quotients"], "quotients"), elements)
     return checks + [("normal form reconstruction", ok),
                      ("normal form is reduced", _reduces_to(nf, elements, nf))]
 
 
-def _member(doc: dict, relators) -> list:
+def _member(doc: dict, relators, read) -> list:
     """A certificate's claim must be the document's poly, and a member."""
-    poly, member = _poly(doc["poly"]), _json(doc["member"], bool, "member")
+    poly, member = read.poly(doc["poly"]), _json(doc["member"], bool, "member")
     if doc["certificate"] is None:
         return []
     cert = _json(doc["certificate"], dict, "a certificate")
-    claim, cofactors = _poly(cert["claim"]), _polys(cert["cofactors"], "cofactors")
+    claim = read.poly(cert["claim"])
+    cofactors = read.polys(cert["cofactors"], "cofactors")
     return [("membership certificate", is_combination(claim, cofactors, relators)),
             ("certificate claim is poly and member is true", claim == poly and member)]
 
 
-def _text_check(doc: dict) -> tuple[str, bool]:
+def _text_check(doc: dict, read) -> tuple[str, bool]:
     """The check that every polynomial {coeffs, text} in the document reads
-    as its coefficients: its text is their ``format_poly``."""
+    as its coefficients: its text is their ``format_poly``.  The reader
+    parses only the polynomials no kind checker asked for."""
     ok, stack = True, [doc]
     while stack and ok:
         value = stack.pop()
         if isinstance(value, list):
             stack.extend(value)
         elif isinstance(value, dict) and "coeffs" in value:
-            coeffs = _coeffs(value)
-            poly = (IntPoly(coeffs) if all(type(c) is int for c in coeffs)
-                    else RatPoly(map(_fraction, coeffs)))
-            ok = format_poly(poly) == value.get("text")
+            ok = format_poly(read(value)) == value.get("text")
         elif isinstance(value, dict):
             stack.extend(value.values())
     return ("every polynomial text is its coefficients formatted", ok)
@@ -385,8 +424,8 @@ KINDS = {
     "nf": _nf,
     "member": _member,
     "witness": _witness,
-    "quotient": lambda doc, relators: [],
-    "separate": lambda doc, relators: [],
+    "quotient": lambda doc, relators, read: [],
+    "separate": lambda doc, relators, read: [],
 }
 
 
@@ -404,9 +443,10 @@ def check_document(doc) -> list[tuple[str, bool]]:
     kind = doc.get("command")
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"no document kind is named {kind!r}")
-    relators = _polys(doc["relators"], "relators")
+    read = _Reader()
+    relators = read.polys(doc["relators"], "relators")
     if any(r.constant for r in relators):
         raise ValueError("a relator has a nonzero constant term")
-    checks = KINDS[kind](doc, [r for r in relators if r])
+    checks = KINDS[kind](doc, [r for r in relators if r], read)
     # a kind that returns no check carries no certificate, and gains none
-    return checks + [_text_check(doc)] if checks else checks
+    return checks + [_text_check(doc, read)] if checks else checks

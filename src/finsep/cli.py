@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .intarith import FactoringBudgetError, SelfCheckError
 from .poly import IntPoly, RatPoly, format_poly
@@ -192,6 +193,35 @@ def _poly_json(p) -> dict:
     else:
         coeffs = list(p.coeffs)
     return {"coeffs": coeffs, "text": format_poly(p)}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a document: dicts with string
+    keys, lists, strings, ints, bools and None.  A list of plain ints is
+    written with one join, so its coefficients are formatted at C speed."""
+    kind = type(value)
+    if kind is dict or kind is list:
+        brackets = "{}" if kind is dict else "[]"
+        if not value:
+            return brackets
+        inner = indent + "  "
+        if kind is dict:
+            items = (f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                     for k, v in value.items())
+        elif set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"a {kind.__name__} is not a JSON document value")
 
 
 def _certificate_json(cert: MembershipCertificate) -> dict:
@@ -452,11 +482,15 @@ def _cmd_witness(args, p: Presentation) -> tuple[dict, list[str]]:
 
 
 def _cmd_verify(args, _) -> tuple[dict, list[str]]:
-    if args.input == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if args.input == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except RecursionError:
+        # the decoder recurses once per nesting level of the input
+        raise ValueError("the document nests too deeply to be read") from None
     checks = check_document(doc)
     # a document without a single certificate proves nothing
     all_ok = bool(checks) and all(ok for _, ok in checks)
@@ -540,7 +574,7 @@ def _respond(args) -> None:
     doc = {"schema": SCHEMA, "command": args.command}
     if p is not None:
         doc["relators"] = [_poly_json(r) for r in p.relators]
-    print(json.dumps(doc | fields, indent=2))
+    print(_json_text(doc | fields))
 
 
 def _quiet_stdout() -> None:

@@ -429,6 +429,21 @@ def test_verify_rejects_a_malformed_document(malform, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_rejects_a_document_nested_too_deeply(tmp_path, capsys):
+    # the JSON decoder recurses once per level; its RecursionError on the
+    # input is an input error, alone or in one field of a valid document
+    assert run(["decide", "--relator", "x^2 - x", "--json"]) == 0
+    text = capsys.readouterr().out
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    for document in (deep, text.replace('"separable": true', f'"separable": {deep}')):
+        assert deep in document
+        path.write_text(document)
+        assert run(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_verify_catches_a_forged_gamma(tmp_path, capsys):
     # x^2 - x, x^3 - x is separable; this gamma satisfies its Bezout
     # identity, (x + 1/2)(x^2 - x) = x^3 - (1/2)x^2 - (1/2)x, and has a
@@ -575,3 +590,14 @@ def test_every_subcommand_prints_its_golden_document(monkeypatch, capsys):
         assert stdin == expected, line
     assert commands == {"decide", "invariants", "basis", "nf", "member",
                         "quotient", "separate", "witness", "verify"}
+
+
+def test_the_document_writer_re_encodes_every_golden_document():
+    # each --json block is json.dumps(..., indent=2), and so is its rewrite
+    documents = [text for line, text in _golden_blocks()
+                 if "--json" in line.split(" | finsep ")[-1]]
+    assert len(documents) >= 9
+    for text in documents:
+        value = json.loads(text)
+        assert json.dumps(value, indent=2) + "\n" == text
+        assert cli._json_text(value) + "\n" == text

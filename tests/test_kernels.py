@@ -3,11 +3,14 @@
 ``poly._divide``, ``ideal._fold_into``, ``ideal._complete`` and
 ``check.is_combination`` work on raw coefficient lists.  The references
 here are written term by term in ``IntPoly`` arithmetic, so they share no
-list code with the kernels.
+list code with the kernels.  The document writer ``cli._json_text`` is
+checked against ``json.dumps(..., indent=2)``.
 """
 
 import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -15,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
+from finsep.cli import _json_text
 from finsep.ideal import Presentation, _fold_into, basis_elements, canonical_basis
 from finsep.poly import IntPoly, _divide as _divide_rows
 
@@ -228,3 +232,32 @@ def test_completion_outputs_are_byte_identical_on_a_seeded_corpus():
     canonical_basis.cache_clear()
     digest = hashlib.sha256(repr(data).encode()).hexdigest()
     assert digest == "ba6d60e01622f246a37bb1768dc9b7470d5e716129b64728a5ae638808c2f962"
+
+
+# JSON document values: ints of any size (some above the 4,300-digit
+# int/str limit), bools, None and strings of any characters, in lists of
+# plain ints and in mixed lists and dicts
+big_ints = st.builds(lambda sign, k: sign * (10**4300 + k), st.sampled_from((1, -1)),
+                     st.integers(0, 10**6))
+json_ints = st.one_of(st.integers(), st.just(0), big_ints)
+json_values = st.recursive(
+    st.one_of(json_ints, st.booleans(), st.none(), st.text(), st.lists(json_ints)),
+    lambda children: st.one_of(st.lists(children),
+                               st.dictionaries(st.text(), children)),
+    max_leaves=20,
+)
+
+
+@SETTINGS
+@given(json_values)
+def test_the_document_writer_is_json_dumps_with_indent_2(value):
+    # the limit exists from Python 3.10.7 on; lift it as cli.run does
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        assert _json_text(value) == json.dumps(value, indent=2)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)

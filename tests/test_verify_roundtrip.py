@@ -46,6 +46,7 @@ SETTINGS = settings(
 
 
 def _run(argv, stdin_text=None) -> tuple[int, str]:
+    """Exit code and stdout; a --json answer must be json.dumps(..., indent=2)."""
     out, saved = io.StringIO(), sys.stdin
     if stdin_text is not None:
         sys.stdin = io.StringIO(stdin_text)
@@ -55,6 +56,8 @@ def _run(argv, stdin_text=None) -> tuple[int, str]:
             rc = run(argv)
     finally:
         sys.stdin = saved
+    if rc == 0 and "--json" in argv:
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
     return rc, out.getvalue()
 
 
@@ -240,10 +243,12 @@ TEXT = "every polynomial text is its coefficients formatted"
 
 
 def test_a_polynomial_text_that_misreads_its_coefficients_is_invalid():
-    # 6x^3 - 6x, 10x^2 + 4x: phi's and gamma's coefficients are kept, so
-    # every certificate still holds; only their texts say otherwise
-    edits = {("witness", "phi"): "x^7 + 5x", ("gamma",): "x^9"}
-    for chosen in ([("witness", "phi")], [("gamma",)], list(edits)):
+    # 6x^3 - 6x, 10x^2 + 4x: phi's, gamma's and a cofactor's coefficients
+    # are kept, so every certificate still holds; only their texts say
+    # otherwise.  Each is parsed by its kind checker before the text check
+    edits = {("witness", "phi"): "x^7 + 5x", ("gamma",): "x^9",
+             ("witness", "certificate", "cofactors", 0): "x^8"}
+    for chosen in [[keys] for keys in edits] + [list(edits)]:
         doc = _decide([IntPoly((0, -6, 0, 6)), IntPoly((0, 4, 10))])
         assert doc["separable"] is True and _verify(doc)["all_ok"] is True
         assert TEXT in _check_names(doc)
@@ -253,6 +258,64 @@ def test_a_polynomial_text_that_misreads_its_coefficients_is_invalid():
                 poly = poly[key]
             poly["text"] = edits[keys]
         assert _failed(doc) == [TEXT]
+
+
+def _polynomial_objects(doc: dict) -> list:
+    values = (_at(doc, path) for path in _paths(doc))
+    return [v for v in values if isinstance(v, dict) and "coeffs" in v]
+
+
+def test_verify_parses_each_polynomial_once(monkeypatch):
+    # a separable document (witness) and a not-separable one (failure
+    # reason); the kind checkers and the text check share one parse
+    parsed, parse = [], check._parse
+    monkeypatch.setattr(check, "_parse", lambda obj: parsed.append(id(obj)) or parse(obj))
+    for relators in ([IntPoly((0, -6, 0, 6)), IntPoly((0, 4, 10))], [IntPoly((0, 1, 2))]):
+        doc = _decide(relators)
+        parsed.clear()
+        checks = check.check_document(doc)
+        assert (TEXT, True) in checks and all(ok for _, ok in checks)
+        assert sorted(parsed) == sorted(map(id, _polynomial_objects(doc)))
+
+
+def _set_gamma(doc, value):
+    doc["gamma"]["coeffs"][1] = value
+
+
+def _set_gamma_cofactor(doc, value):
+    doc["gamma_cofactors"][0]["coeffs"][0] = value
+
+
+def _set_flagged(doc, value):
+    doc["failure_reason"]["coefficient"] = value
+
+
+@pytest.mark.parametrize("place", [_set_gamma, _set_gamma_cofactor, _set_flagged])
+@pytest.mark.parametrize("value", [0.5, True, "0.5", "1e3", "1/0", "+1/2", " 1/2",
+                                   "\u0661/\u0662"],
+                         ids=["float", "bool", "decimal", "exponent", "zero denominator",
+                              "plus sign", "space", "non-ASCII digits"])
+def test_a_rational_coefficient_in_another_form_is_an_input_error(place, value,
+                                                                  monkeypatch, capsys):
+    # 2x^2 + x: gamma x^2 + (1/2)x, its cofactor 1/2, flagged coefficient
+    # "1/2"; only a JSON integer or a string "n" or "n/d" of ASCII digits
+    # is read
+    doc = _decide([IntPoly((0, 1, 2))])
+    place(doc, value)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert run(["verify", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_a_rational_coefficient_may_be_a_json_integer():
+    # gamma x^2 - x of a separable document, and x^2 + (1/2)x of a
+    # not-separable one, with their integral coefficients as JSON integers
+    for relators in ([IntPoly((0, -1, 1))], [IntPoly((0, 1, 2))]):
+        doc = _decide(relators)
+        gamma = doc["gamma"]
+        gamma["coeffs"] = [c if "/" in c else int(c) for c in gamma["coeffs"]]
+        assert _verify(doc)["all_ok"] is True
 
 
 def test_a_not_squarefree_document_checks_its_flag():
