@@ -59,7 +59,6 @@ from .separability import (
     SeparabilityVerdict,
     TorsionSplit,
     UnitInputError,
-    combined_relator,
     decide,
     torsion_split,
     witness_theorem_part1,

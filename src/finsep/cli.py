@@ -589,9 +589,18 @@ def _quiet_stdout() -> None:
         devnull.close()
 
 
+# argparse takes a value that starts with "-" for an option, so a polynomial
+# such as "-5x" given as its own argument is joined to its flag first
+_EXPR_FLAGS = ("--relator", "--poly", "--target", "--gen")
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        value = argv[i]
+        if argv[i - 1] in _EXPR_FLAGS and value[:1] == "-" and value[:2] != "--":
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
+    args = build_parser().parse_args(argv)
     # certificate cofactors can exceed the int <-> str digit limit that
     # Python sets from 3.10.7 on; lift it for the command, restore it after
     limited = hasattr(sys, "set_int_max_str_digits")

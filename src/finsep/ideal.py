@@ -12,7 +12,7 @@ certificate that re-multiplies exactly.
 One division does all reduction: one top-down walk over the elements,
 ``poly._divide_coeffs`` on coefficient lists, returns the normal form and,
 when asked, the quotients; ``poly._divide`` is its IntPoly wrapper, and
-``quotients.FiniteRing`` reduces its images, sums and products with it.
+``quotients.FiniteRing`` reduces its images and products with it.
 One completion, ``_complete``, builds every basis on plain int lists, with
 IntPolys made once, from the rows it returns.  It works on rows
 [poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
@@ -212,17 +212,6 @@ class CanonicalBasis:
                            tuple(map(_COEFFS, reversed(self.elements))))
         object.__setattr__(self, "cofactor_rows", tuple(
             tuple(map(_COEFFS, row)) for row in self.element_cofactors))
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(e.degree for e in self.elements)
-
-    @property
-    def leads(self) -> tuple[int, ...]:
-        return tuple(e.lead for e in self.elements)
-
-    def is_empty(self) -> bool:
-        return not self.elements
 
 
 def _complete(rows) -> list[list]:
@@ -467,9 +456,9 @@ def monic_multiple_search(
     degrees below n, plus the members of V of degree <= n.  The basis
     is a strong basis, so V_(<=n) is spanned by the staircase rows s_m =
     x^(m-d) * t_d of degrees m0 <= m <= n (``staircase_row``; see
-    ``_complete``), where m0 = basis.degrees[0] is the algebraic degree:
-    every nonzero member of V reduces by some element, so none lies below
-    m0.  Only s_n has pivot n, so the coefficient of s_n in k*x^n is
+    ``_complete``), where m0 = basis.elements[0].degree is the algebraic
+    degree: every nonzero member of V reduces by some element, so none lies
+    below m0.  Only s_n has pivot n, so the coefficient of s_n in k*x^n is
     k / lead(s_n), and k*x^n lies in L_n exactly when
 
     - l = lead(s_n) divides k, and

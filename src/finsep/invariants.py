@@ -94,7 +94,7 @@ def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
     when the presentation has no nonzero relator (transcendental generator).
     """
     basis = canonical_basis(presentation)
-    if basis.is_empty():
+    if not basis.elements:
         return None
     return basis.elements[0]
 

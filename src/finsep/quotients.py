@@ -19,8 +19,9 @@ quotient (R/qR is a quotient of R/NR when q divides N; the proof is in
 ``separate``).  A batch whose mod-N span holds the target's image is
 decided whole by that one solve: no modulus of it separates.  Only the
 first modulus that separates gets its own quotient, built once from the
-certified ``canonical_basis`` that it carries as ``FiniteRing.basis``.  Products, sums and images in the
-quotient each take one division of a coefficient list by the ladder.
+certified ``canonical_basis`` that it carries as ``FiniteRing.basis``.
+Products and images in the quotient each take one division of a
+coefficient list by the ladder.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class FiniteRing:
     def carrier_size(self) -> int:
         return math.prod(self.position_moduli)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.standard_monomials)
-
     def _reduce(self, coeffs: list) -> tuple[int, ...]:
         """Normal form of a coefficient list, read on x^1 .. x^(n-1)."""
         n = self.monic_degree
@@ -150,12 +148,6 @@ class FiniteRing:
     def generator(self) -> tuple[int, ...]:
         return self.image(IntPoly.x())
 
-    def add(self, u, v) -> tuple[int, ...]:
-        return self._reduce([0, *(a + b for a, b in zip(u, v))])
-
-    def neg(self, u) -> tuple[int, ...]:
-        return self._reduce([0, *(-a for a in u)])
-
     def mul(self, u, v) -> tuple[int, ...]:
         product = [0] * (2 * self.monic_degree - 1)
         for i, a in enumerate(u, 1):
@@ -163,11 +155,6 @@ class FiniteRing:
                 for j, b in enumerate(v, 1):
                     product[i + j] += a * b
         return self._reduce(product)
-
-    def elements(self):
-        """Iterate the whole carrier (use only when it is small)."""
-        for combo in itertools.product(*(range(m) for m in self.position_moduli)):
-            yield combo
 
 
 def build_quotient(

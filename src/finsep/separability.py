@@ -22,9 +22,9 @@ from .intarith import (
     gcd_list,
     squarefree,
 )
-from .poly import IntPoly, RationalGcd, gcd_q
-from .ideal import Presentation
-from .invariants import MonicRelation, extract_monic_relation
+from .poly import RationalGcd, gcd_q
+from .ideal import Presentation, monic_multiple_search
+from .invariants import MonicRelation, certified_relation
 
 
 class NotSeparableError(ValueError):
@@ -65,20 +65,6 @@ class SeparabilityVerdict:
     positive_witness: MonicRelation | None = None
 
 
-def combined_relator(presentation: Presentation) -> IntPoly:
-    """Degree-shifted concatenation f1 + f2*x^n1 + f3*x^(n1+n2) + ...
-
-    The relators occupy disjoint degree ranges, so the content of the
-    result equals the gcd of all relator coefficients taken together.
-    """
-    g = IntPoly()
-    shift = 0
-    for f in presentation.relators:
-        g = g + f.shift(shift)
-        shift += f.degree
-    return g
-
-
 def decide(presentation: Presentation) -> SeparabilityVerdict:
     """Decide finite separability and construct the certificates."""
     if not presentation.relators:
@@ -111,11 +97,12 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
         )
         return verdict(separable=False, failure_reason=reason)
 
-    # the combined relator has content exactly k, and its degree bounds the
-    # least-degree monic phi; extraction certifies that phi once
-    witness = extract_monic_relation(presentation, combined_relator(presentation))
-    if witness.k != k:
-        raise SelfCheckError(f"positive witness has k={witness.k}, not {k}")
+    # the relators, shifted to disjoint degrees and summed, lie in V with content k
+    bound = sum(f.degree for f in presentation.relators)
+    phi = monic_multiple_search(presentation, k, bound)
+    if phi is None:
+        raise SelfCheckError(f"no monic multiple for k={k} within degree {bound}")
+    witness = certified_relation(presentation, k, phi)
     return verdict(separable=True, positive_witness=witness)
 
 

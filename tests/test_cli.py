@@ -140,6 +140,28 @@ def test_run_rejects_a_modulus_bound_below_1(capsys):
         assert capsys.readouterr().err.startswith("error: modulus bound must be >= 1")
 
 
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("decide", "--relator", "-5x", []),
+    ("decide", "--relator", "-x^2+x", ["--json"]),
+    ("member", "--poly", "-x^2+x", ["--relator", "x^2 - x"]),
+    ("separate", "--target", "-x", ["--relator", "x^2 - x", "--gen", "x"]),
+    ("separate", "--gen", "-2x", ["--relator", "x^2 - x", "--target", "x"]),
+])
+def test_a_polynomial_with_a_leading_minus_may_follow_its_flag(command, flag, value,
+                                                               rest, capsys):
+    # argparse would read the value as an option; given as its own argument
+    # it answers as it does when joined to its flag
+    assert run([command, f"{flag}={value}", *rest]) == 0
+    joined = capsys.readouterr().out
+    assert run([command, flag, value, *rest]) == 0
+    assert capsys.readouterr().out == joined
+    # a value that starts with "--" is still an option
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "--json", *rest])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_run_rejects_overlong_numbers_before_converting(capsys):
     # a digit run one past the cap is an input error naming the limit, for
     # a coefficient and for an exponent alike, raised before the run is
@@ -169,6 +191,12 @@ def test_run_internal_fault_exits_3(capsys, monkeypatch):
         ideal.canonical_basis.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
+    # so is a search that misses the relation the shifted relators guarantee
+    from finsep import separability
+
+    monkeypatch.setattr(separability, "monic_multiple_search", lambda p, k, bound: None)
+    assert run(["decide", "--relator", "6x^2 - 6x"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: no monic multiple")
 
 
 # relators whose torsion needs a 134-bit composite factored: two primes

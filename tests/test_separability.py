@@ -5,7 +5,8 @@ import pytest
 
 from finsep.poly import IntPoly, RatPoly
 from finsep.ideal import Presentation, canonical_basis, membership
-from finsep.invariants import torsion_data
+from finsep.intarith import gcd_list
+from finsep.invariants import extract_monic_relation, torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
@@ -13,7 +14,6 @@ from finsep.separability import (
     NotSeparableError,
     NotSquarefreeError,
     UnitInputError,
-    combined_relator,
     decide,
     torsion_split,
     witness_theorem_part1,
@@ -124,19 +124,28 @@ def test_witness_requires_separable():
         witness_theorem_part1(decide(pres((0, 4))))
 
 
-def test_combined_relator_content_matches_gcd():
+def test_the_witness_is_the_relation_extracted_from_the_shifted_relators():
+    # the relators, shifted into disjoint degree ranges and summed, form a
+    # member g of V whose content is the coefficient gcd; decide searches
+    # to deg g and certifies what extraction from g certifies
     rng = random.Random(40)
-    for _ in range(100):
-        p = Presentation([random_zero_const_poly(rng, 4, 9)
+    contents = (1, 2, 3, 6, 30)
+    checked = 0
+    while checked < 300:
+        k = contents[checked % len(contents)]
+        p = Presentation([random_zero_const_poly(rng, 4, 9).scale(k)
                           for _ in range(rng.randint(1, 3))])
-        if not p.relators:
+        v = decide(p)
+        if not v.separable or v.coefficient_gcd != k:
             continue
-        g = combined_relator(p)
+        g, shift = IntPoly(), 0
+        for r in p.relators:
+            g, shift = g + r.shift(shift), shift + r.degree
         member, cert = membership(g, p)
         assert member and cert.verify(p)
-        from finsep.intarith import gcd_list
-        flat = [c for r in p.relators for c in r.coeffs]
-        assert g.content == gcd_list(flat)
+        assert g.content == gcd_list(c for r in p.relators for c in r.coeffs) == k
+        assert v.positive_witness == extract_monic_relation(p, g)
+        checked += 1
 
 
 def test_verdict_invariance_under_redundant_members():
