@@ -42,26 +42,21 @@ from .ideal import (
     reduce_with_quotients,
 )
 from .invariants import (
-    HypothesisUnmetError,
     MonicRelation,
-    NotMemberError,
     RingInvariants,
     TorsionData,
-    extract_monic_relation,
     minimal_polynomial,
     ring_invariants,
     torsion_data,
 )
 from .separability import (
     FailureReason,
-    NotSeparableError,
     NotSquarefreeError,
     SeparabilityVerdict,
     TorsionSplit,
     UnitInputError,
     decide,
     torsion_split,
-    witness_theorem_part1,
 )
 from .quotients import (
     FiniteRing,

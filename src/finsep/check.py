@@ -267,34 +267,21 @@ def _verdict(doc: dict, relators, separable: bool, k: int | None, read) -> list:
 
 
 def _decide(doc: dict, relators, read) -> list:
+    """The verdict, and a separable one's relation k*phi and, when k > 1
+    or one is present, the torsion split of k (a missing one has no parts
+    and fails both split checks)."""
     separable = _json(doc["separable"], bool, "separable")
     k, checks = None, []
     if separable:
         k, _, checks = _relation(doc["witness"], "witness", "witness certificate",
                                  relators, read)
-    return checks + _verdict(doc, relators, separable, k, read)
-
-
-def _witness(doc: dict, relators, read) -> list:
-    """decide's verdict, and a separable one's relation k*phi, phi's tail
-    and, when k > 1 or one is present, the torsion split of k (a missing
-    one has no parts and fails both split checks)."""
-    separable = _json(doc["separable"], bool, "separable")
-    if not separable:
-        return _verdict(doc, relators, False, None, read)
-    k, phi, checks = _relation(doc, "witness", "membership certificate",
-                               relators, read)
-    n = phi.degree
-    tail = _json(doc["tail_coefficients"], list, "tail_coefficients")
-    checks.append(("tail coefficients are phi's descending tail",
-                   tail == [phi[n - i] for i in range(1, n)]))
-    if k > 1 or "torsion_split" in doc:
+    if separable and (k > 1 or "torsion_split" in doc):
         split = _json(doc.get("torsion_split", {}), dict, "torsion_split")
         parts = _pairs(split.get("parts", []), "torsion split parts")
         bezout = [_json(z, int, "a Bezout coefficient")
                   for z in _json(split.get("bezout", []), list, "torsion split bezout")]
         checks += split_checks(k, parts, bezout)
-    return checks + _verdict(doc, relators, True, k, read)
+    return checks + _verdict(doc, relators, separable, k, read)
 
 
 def _invariants(doc: dict, relators, read) -> list:
@@ -423,7 +410,6 @@ KINDS = {
     "basis": _basis,
     "nf": _nf,
     "member": _member,
-    "witness": _witness,
     "quotient": lambda doc, relators, read: [],
     "separate": lambda doc, relators, read: [],
 }

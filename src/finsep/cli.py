@@ -46,7 +46,6 @@ from .separability import (
     NO_RELATORS,
     decide,
     torsion_split,
-    witness_theorem_part1,
 )
 from .quotients import InfiniteQuotient, build_quotient, separate
 from .check import SCHEMA, check_document
@@ -251,9 +250,9 @@ def _basis_json(basis: CanonicalBasis) -> dict:
     }
 
 
-def _verdict(p: Presentation) -> tuple:
-    """decide's verdict with the fields and text lines that ``decide`` and
-    ``witness`` documents share: all but the witness k*phi."""
+def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
+    """decide's verdict with its data; a separable one's witness k*phi and,
+    for k > 1, the split of k into primes with a Bezout identity."""
     v = decide(p)
     fields = {"separable": v.separable, "coefficient_gcd": v.coefficient_gcd}
     lines = [f"separable: {'yes' if v.separable else 'no'}"]
@@ -291,17 +290,23 @@ def _verdict(p: Presentation) -> tuple:
                 f"reason: gamma coefficient {fr.coefficient} at degree "
                 f"{fr.coefficient_index} is not an integer"
             )
-    return v, fields, lines
-
-
-def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
-    v, fields, lines = _verdict(p)
-    if v.positive_witness is not None:
-        fields["witness"] = _relation_json(v.positive_witness)
-        w = v.positive_witness
+    w = v.positive_witness
+    if w is not None:
+        fields["witness"] = _relation_json(w)
         lines.append(
             f"witness: {w.k} * ({format_poly(w.phi)}) vanishes at the generator"
         )
+        if w.k > 1:
+            split = torsion_split(v.squarefree_witness)
+            fields["torsion_split"] = {
+                "parts": [list(t) for t in split.parts],
+                "bezout": list(split.bezout_coefficients),
+            }
+            lines.append(
+                "prime split: "
+                + ", ".join(f"(p={pi}, cofactor={ki})" for pi, ki in split.parts)
+                + f"; bezout {list(split.bezout_coefficients)}"
+            )
     return fields, lines
 
 
@@ -452,35 +457,6 @@ def _cmd_separate(args, p: Presentation) -> tuple[dict, list[str]]:
     return fields, lines
 
 
-def _cmd_witness(args, p: Presentation) -> tuple[dict, list[str]]:
-    v, fields, _ = _verdict(p)
-    if not v.separable:
-        return fields, ["not separable: no witness"]
-    k, tail = witness_theorem_part1(v)
-    fields |= {
-        "k": k,
-        "tail_coefficients": list(tail),
-        "phi": _poly_json(v.positive_witness.phi),
-        "certificate": _certificate_json(v.positive_witness.certificate),
-    }
-    lines = [
-        f"k = {k} (squarefree), phi = {format_poly(v.positive_witness.phi)}",
-        f"descending coefficients after the monic lead: {list(tail)}",
-    ]
-    if k > 1:
-        split = torsion_split(k)
-        fields["torsion_split"] = {
-            "parts": [list(t) for t in split.parts],
-            "bezout": list(split.bezout_coefficients),
-        }
-        lines.append(
-            "prime split: "
-            + ", ".join(f"(p={pi}, cofactor={ki})" for pi, ki in split.parts)
-            + f"; bezout {list(split.bezout_coefficients)}"
-        )
-    return fields, lines
-
-
 def _cmd_verify(args, _) -> tuple[dict, list[str]]:
     try:
         if args.input == "-":
@@ -534,7 +510,6 @@ _COMMANDS = (
                        "(repeatable; none means the zero subring)")),
         ("--bound", dict(type=int, default=64, help="modulus bound (default 64)")),
     )),
-    ("witness", "Theorem-shaped witness k, k1..k_(n-1)", ()),
 )
 
 
@@ -543,15 +518,17 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="finsep",
+        allow_abbrev=False,
         description="Decide finite separability of a monogenic ring "
         "presentation and compute its certificates.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text, extra in _COMMANDS:
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, options in _PRESENTATION_ARGS + extra:
             sub.add_argument(flag, **options)
-    sub = subs.add_parser("verify", help="re-verify certificates from JSON output")
+    sub = subs.add_parser("verify", allow_abbrev=False,
+                          help="re-verify certificates from JSON output")
     for flag, options in (
         ("input", dict(help="JSON file produced with --json, or - for stdin")),
         _JSON_ARG,

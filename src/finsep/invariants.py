@@ -28,16 +28,7 @@ from .ideal import (
     canonical_basis,
     membership,
     monic_multiple_search,
-    normal_form,
 )
-
-
-class HypothesisUnmetError(ValueError):
-    """Raised when no monic torsion relation is available for extraction."""
-
-
-class NotMemberError(ValueError):
-    """Raised when the given polynomial is not in the relator ideal."""
 
 
 @dataclass(frozen=True)
@@ -218,29 +209,3 @@ def ring_invariants(presentation: Presentation) -> RingInvariants:
         search_bound=data.bound,
     )
 
-
-def extract_monic_relation(
-    presentation: Presentation, g: IntPoly
-) -> MonicRelation:
-    """From a nonzero ideal member g, build k * phi in V with phi monic.
-
-    Here k is the content of g and phi is the least-degree monic phi with
-    k * phi in V, of degree at most deg g; this is guaranteed to succeed
-    whenever the minimal polynomial's primitive part is monic (i.e. some
-    monic torsion relation exists).  Membership of g is read off its
-    normal form; only the returned relation gets a certificate.
-    """
-    if g.is_zero():
-        raise NotMemberError("the zero polynomial carries no relation")
-    if not normal_form(g, canonical_basis(presentation)).is_zero():
-        raise NotMemberError(f"{g!r} is not in the relator ideal")
-    mp = minimal_polynomial(presentation)
-    if mp is None or not content_split(mp).primitive.is_monic():
-        raise HypothesisUnmetError(
-            "no monic torsion relation is available for this presentation"
-        )
-    k = content_split(g).content
-    phi = monic_multiple_search(presentation, k, g.degree)
-    if phi is None:
-        raise SelfCheckError("extraction is guaranteed under the hypotheses")
-    return certified_relation(presentation, k, phi)

@@ -10,6 +10,7 @@ pin the offending prime or the non-integer gcd coefficient.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from .intarith import (
     SelfCheckError,
     SquarefreeWitness,
     bezout,
-    factorize,
     gcd_list,
     squarefree,
 )
@@ -27,16 +27,12 @@ from .ideal import Presentation, monic_multiple_search
 from .invariants import MonicRelation, certified_relation
 
 
-class NotSeparableError(ValueError):
-    """Raised when a separable verdict was required."""
-
-
 class NotSquarefreeError(ValueError):
     """Raised when a squarefree integer was required."""
 
 
 class UnitInputError(ValueError):
-    """Raised when a torsion split is asked of 1 (or smaller)."""
+    """Raised when a torsion split is asked of 1."""
 
 
 @dataclass(frozen=True)
@@ -106,20 +102,6 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
     return verdict(separable=True, positive_witness=witness)
 
 
-def witness_theorem_part1(verdict: SeparabilityVerdict) -> tuple[int, tuple[int, ...]]:
-    """Present the positive witness as k and the trailing coefficient list.
-
-    With phi = x^n + k1*x^(n-1) + ... + k_(n-1)*x, returns (k, (k1, ...,
-    k_(n-1))); k is squarefree and k*phi vanishes at the generator.
-    """
-    if not verdict.separable:
-        raise NotSeparableError("no witness: the presentation is not separable")
-    phi = verdict.positive_witness.phi
-    n = phi.degree
-    tail = tuple(phi[n - i] for i in range(1, n))
-    return verdict.positive_witness.k, tail
-
-
 @dataclass(frozen=True)
 class TorsionSplit:
     """Squarefree k = p1*...*pn split for the CRT embedding.
@@ -138,15 +120,15 @@ class TorsionSplit:
         return all(ok for _, ok in checks)
 
 
-def torsion_split(k: int) -> TorsionSplit:
-    """Split squarefree k > 1 into prime parts with a Bezout identity."""
-    if k <= 1:
-        raise UnitInputError(f"torsion split needs k > 1, got {k}")
-    factors = factorize(k)
-    if any(e > 1 for _, e in factors):
+def torsion_split(sf: SquarefreeWitness) -> TorsionSplit:
+    """Split the squarefree k > 1 that sf factors into prime parts with a
+    Bezout identity; the factorization condition (i) made is reused."""
+    if not sf.factorization:
+        raise UnitInputError("torsion split needs k > 1, got 1")
+    k = math.prod(p**e for p, e in sf.factorization)
+    if not sf.is_squarefree:
         raise NotSquarefreeError(f"{k} is not squarefree")
-    primes = [p for p, _ in factors]
-    parts = tuple((p, k // p) for p in primes)
+    parts = tuple((p, k // p) for p, _ in sf.factorization)
     g, z = bezout([ki for _, ki in parts])
     split = TorsionSplit(k=k, parts=parts, bezout_coefficients=tuple(z))
     if g != 1 or not split.verify():

@@ -18,10 +18,11 @@ from finsep.ideal import (
     Presentation,
     canonical_basis,
     membership,
+    monic_multiple_search,
     normal_form,
     reduce_with_quotients,
 )
-from finsep.invariants import extract_monic_relation, torsion_data
+from finsep.invariants import certified_relation, torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
@@ -114,7 +115,7 @@ def test_criterion_1_verdict_corpus():
 
     v = verdicts["{6x}"]
     assert v.separable and v.coefficient_gcd == 6
-    split = torsion_split(6)
+    split = torsion_split(v.squarefree_witness)
     assert split.parts == ((2, 3), (3, 2))
     z = split.bezout_coefficients
     assert 3 * z[0] + 2 * z[1] == 1
@@ -312,7 +313,11 @@ def test_criterion_7_monic_relation_extraction():
             g = g + r * random_zero_const_poly(rng, 3, 8)
         if g.is_zero():
             continue
-        rel = extract_monic_relation(p, g)
+        # g is a member of V, so content(g) times some monic of degree at
+        # most deg g is one too: the search finds the least such monic
+        phi = monic_multiple_search(p, g.content, g.degree)
+        assert phi is not None
+        rel = certified_relation(p, g.content, phi)
         assert rel.k == g.content
         assert rel.phi.is_monic() and rel.phi.constant == 0
         assert rel.phi.degree <= g.degree

@@ -162,6 +162,85 @@ def test_a_polynomial_with_a_leading_minus_may_follow_its_flag(command, flag, va
     assert "expected one argument" in capsys.readouterr().err
 
 
+def _exit_code(argv) -> int:
+    """run's exit code; a usage error leaves argparse by SystemExit."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a presentation and the other arguments each subcommand needs to answer
+RUNNABLE = {
+    "decide": [], "invariants": [], "basis": [],
+    "nf": ["--poly", "x"], "member": ["--poly", "x"], "quotient": ["--modulus", "4"],
+    "separate": ["--target", "x", "--bound", "4"],
+}
+
+
+@pytest.mark.parametrize("command", [*RUNNABLE, "verify"])
+def test_an_abbreviated_flag_is_a_usage_error(command, tmp_path, capsys):
+    # a prefix of a flag is no flag, whatever its value starts with, so
+    # that each spelling either works or fails the same way
+    if command == "verify":
+        path = tmp_path / "decide.json"
+        assert run(["decide", "--relator", "x^2 - x", "--json"]) == 0
+        path.write_text(capsys.readouterr().out)
+        argv = ["verify", str(path)]
+    else:
+        argv = [command, "--relator", "x^2 - x", *RUNNABLE[command]]
+    assert run(argv) == 0
+    subcommands = next(a.choices for a in build_parser()._actions
+                       if a.dest == "command")
+    assert set(subcommands) == {*RUNNABLE, "verify"}
+    flags = [f for a in subcommands[command]._actions for f in a.option_strings
+             if f.startswith("--") and len(f) > 5]
+    assert flags
+    for flag in flags:
+        for value in ("x", "-5x"):
+            assert _exit_code([*argv, flag[:5], value]) == 2, (flag, value)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_retired_witness_command_and_kind_are_usage_errors(tmp_path, capsys):
+    assert _exit_code(["witness", "--relator", "6x^2 - 6x"]) == 2
+    assert "invalid choice: 'witness'" in capsys.readouterr().err
+    # a witness document, as finsep once wrote one, names a kind no more known
+    assert run(["decide", "--relator", "6x^2 - 6x", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    w = doc.pop("witness")
+    doc |= {"command": "witness", "k": w["k"], "tail_coefficients": [-1],
+            "phi": w["phi"], "certificate": w["certificate"]}
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert "no document kind is named 'witness'" in capsys.readouterr().err
+
+
+def test_a_unit_witness_carries_no_torsion_split(capsys):
+    assert run(["decide", "--relator", "x^2 - x", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"]["k"] == 1 and "torsion_split" not in doc
+    assert run(["decide", "--relator", "x^2 - x"]) == 0
+    assert "prime split" not in capsys.readouterr().out
+
+
+def test_decide_factors_the_coefficient_gcd_once(monkeypatch, capsys):
+    # K = 1000003 * 1000033: condition (i) factors K, and the torsion split
+    # reuses that factorization
+    calls, factorize = [], finsep.intarith.factorize
+    counted = lambda n: calls.append(n) or factorize(n)
+    # every finsep module that holds it by name
+    for module in [m for m in vars(finsep).values()
+                   if getattr(m, "factorize", None) is factorize]:
+        monkeypatch.setattr(module, "factorize", counted)
+    K = 1000003 * 1000033
+    assert run(["decide", "--relator", f"{K}x^2 - {K}x", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["torsion_split"]["parts"] == [[1000003, 1000033], [1000033, 1000003]]
+    assert calls == [K]
+
+
 def test_run_rejects_overlong_numbers_before_converting(capsys):
     # a digit run one past the cap is an input error naming the limit, for
     # a coefficient and for an exponent alike, raised before the run is
@@ -385,7 +464,7 @@ def test_run_invariants_json(capsys):
         ["member", "--relator", "x^2 - x", "--poly", "5x^2 - 5x", "--json"],
         ["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2", "--json"],
         ["nf", "--relator", "x^2 - x", "--poly", "x^3 + x", "--json"],
-        ["witness", "--relator", "6x", "--json"],
+        ["decide", "--relator", "6x", "--json"],
         ["invariants", "--relator", "2x^2 - 2x", "--relator", "x^3 - x^2",
          "--json"],
         ["decide", "--json"],
@@ -617,7 +696,7 @@ def test_every_subcommand_prints_its_golden_document(monkeypatch, capsys):
             stdin = capsys.readouterr().out
         assert stdin == expected, line
     assert commands == {"decide", "invariants", "basis", "nf", "member",
-                        "quotient", "separate", "witness", "verify"}
+                        "quotient", "separate", "verify"}
 
 
 def test_the_document_writer_re_encodes_every_golden_document():

@@ -1,13 +1,9 @@
 import random
 
-import pytest
-
 from finsep.poly import IntPoly, content_split
 from finsep.ideal import Presentation, membership, monic_multiple_search
 from finsep.invariants import (
-    HypothesisUnmetError,
-    NotMemberError,
-    extract_monic_relation,
+    certified_relation,
     minimal_polynomial,
     ring_invariants,
     torsion_data,
@@ -223,27 +219,36 @@ def test_ring_invariants_aggregate():
     assert inv.minimal_polynomial is None and inv.search_bound == 0
 
 
-def test_extract_monic_relation_examples():
+def relation_from_member(p, g):
+    """From a nonzero member g of V: k = content(g) and the least-degree
+    monic phi with k * phi in V, of degree at most deg g, certified."""
+    k = content_split(g).content
+    phi = monic_multiple_search(p, k, g.degree)
+    assert phi is not None
+    return certified_relation(p, k, phi)
+
+
+def test_relation_from_member_examples():
     p = pres((0, -1, 1))
-    rel = extract_monic_relation(p, ip(0, -3, 3))
+    rel = relation_from_member(p, ip(0, -3, 3))
     assert (rel.k, rel.phi) == (3, ip(0, -1, 1))
     assert rel.verify(p)
 
     p = pres((0, -1, 0, 1), (0, -1, 1))
     g = ip(0, -1, 0, 1).scale(2) + ip(0, -1, 1) * ip(0, 1)   # 3x^3 - x^2 - 2x
     assert g == ip(0, -2, -1, 3)
-    rel = extract_monic_relation(p, g)
+    rel = relation_from_member(p, g)
     assert rel.k == 1
     assert rel.phi.degree <= 3
     assert rel.verify(p)
 
     p = pres((0, 0, 2), (0, 0, 0, 1), (0, 6))
-    rel = extract_monic_relation(p, ip(0, 6))
+    rel = relation_from_member(p, ip(0, 6))
     assert (rel.k, rel.phi) == (6, ip(0, 1))
     assert rel.verify(p)
 
 
-def test_extract_monic_relation_random_members():
+def test_relation_from_member_random_members():
     rng = random.Random(35)
     done = 0
     while done < 60:
@@ -256,18 +261,8 @@ def test_extract_monic_relation_random_members():
             g = g + r * random_zero_const_poly(rng, 3, 5)
         if g.is_zero():
             continue
-        rel = extract_monic_relation(p, g)
+        rel = relation_from_member(p, g)
         assert rel.k == content_split(g).content
         assert rel.phi.degree <= g.degree
         assert rel.verify(p)
         done += 1
-
-
-def test_extract_monic_relation_errors():
-    with pytest.raises(NotMemberError):
-        extract_monic_relation(pres((0, -1, 1)), ip(0, 1))
-    with pytest.raises(NotMemberError):
-        extract_monic_relation(pres((0, -1, 1)), IntPoly())
-    # no monic torsion relation exists in <2x^2+x>
-    with pytest.raises(HypothesisUnmetError):
-        extract_monic_relation(pres((0, 1, 2)), ip(0, 1, 2))

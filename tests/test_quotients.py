@@ -545,7 +545,7 @@ def test_malcev_crt_coherence():
     ]:
         v = decide(p)
         assert v.separable and v.positive_witness.k > 1
-        split = torsion_split(v.positive_witness.k)
+        split = torsion_split(v.squarefree_witness)
         cofs = [ki for _, ki in split.parts]
         for q in moduli:
             ring = build_quotient(p, q)

@@ -4,19 +4,17 @@ from fractions import Fraction
 import pytest
 
 from finsep.poly import IntPoly, RatPoly
-from finsep.ideal import Presentation, canonical_basis, membership
-from finsep.intarith import gcd_list
-from finsep.invariants import extract_monic_relation, torsion_data
+from finsep.ideal import Presentation, canonical_basis, membership, monic_multiple_search
+from finsep.intarith import gcd_list, squarefree
+from finsep.invariants import certified_relation, torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
     NO_RELATORS,
-    NotSeparableError,
     NotSquarefreeError,
     UnitInputError,
     decide,
     torsion_split,
-    witness_theorem_part1,
 )
 
 
@@ -99,14 +97,12 @@ def test_decide_condition_order_prefers_squarefree_failure():
 
 
 def test_witness_examples():
-    k, tail = witness_theorem_part1(decide(pres((0, -1, 1))))
-    assert (k, tail) == (1, (-1,))
+    w = decide(pres((0, -1, 1))).positive_witness
+    assert (w.k, w.phi) == (1, ip(0, -1, 1))
 
     v = decide(pres((0, 0, 2)))
     assert v.separable
     assert (v.positive_witness.k, v.positive_witness.phi) == (2, ip(0, 0, 1))
-    k, tail = witness_theorem_part1(v)
-    assert (k, tail) == (2, (0,))
 
     # the rational gcd x^3 - x is not itself a relation here (only 6 times
     # it is); the least-degree monic relation at k = 1 is x^4 - x^2
@@ -119,15 +115,10 @@ def test_witness_examples():
     assert v.positive_witness.verify(p)
 
 
-def test_witness_requires_separable():
-    with pytest.raises(NotSeparableError):
-        witness_theorem_part1(decide(pres((0, 4))))
-
-
 def test_the_witness_is_the_relation_extracted_from_the_shifted_relators():
     # the relators, shifted into disjoint degree ranges and summed, form a
     # member g of V whose content is the coefficient gcd; decide searches
-    # to deg g and certifies what extraction from g certifies
+    # to deg g and certifies the relation that search from g yields
     rng = random.Random(40)
     contents = (1, 2, 3, 6, 30)
     checked = 0
@@ -144,7 +135,8 @@ def test_the_witness_is_the_relation_extracted_from_the_shifted_relators():
         member, cert = membership(g, p)
         assert member and cert.verify(p)
         assert g.content == gcd_list(c for r in p.relators for c in r.coeffs) == k
-        assert v.positive_witness == extract_monic_relation(p, g)
+        phi = monic_multiple_search(p, k, g.degree)
+        assert v.positive_witness == certified_relation(p, k, phi)
         checked += 1
 
 
@@ -236,21 +228,19 @@ def test_separable_decide_builds_one_certificate(monkeypatch):
 
 
 def test_torsion_split_examples():
-    split = torsion_split(6)
+    split = torsion_split(squarefree(6))
     assert split.parts == ((2, 3), (3, 2))
     z = split.bezout_coefficients
     assert 3 * z[0] + 2 * z[1] == 1
-    split = torsion_split(2)
+    split = torsion_split(squarefree(2))
     assert split.parts == ((2, 1),) and split.bezout_coefficients == (1,)
-    split = torsion_split(30)
+    split = torsion_split(squarefree(30))
     assert split.parts == ((2, 15), (3, 10), (5, 6))
     assert split.verify()
 
 
 def test_torsion_split_errors():
     with pytest.raises(NotSquarefreeError):
-        torsion_split(12)
+        torsion_split(squarefree(12))
     with pytest.raises(UnitInputError):
-        torsion_split(1)
-    with pytest.raises(UnitInputError):
-        torsion_split(0)
+        torsion_split(squarefree(1))

@@ -142,18 +142,13 @@ def test_gamma_not_monic_is_invalid(relators):
 
 # --- the verdict: separable, coefficient_gcd, its factorization, the reason --
 
-def _witness(relators) -> dict:
-    rc, doc = _run(["witness", "--json"]
-                   + [f"--relator={format_poly(r)}" for r in relators])
-    assert rc == 0
-    return json.loads(doc)
-
-
 def _check_names(doc: dict) -> set[str]:
     return {c["name"] for c in _verify(doc)["checks"]}
 
 
 VERDICT = "separable is gcd squarefree and gamma integral"
+SPLIT_PRIMES = "torsion split parts are distinct primes with product k"
+SPLIT_BEZOUT = "torsion split p_i*k_i = k and sum z_i*k_i = 1"
 
 
 @SETTINGS
@@ -167,15 +162,17 @@ def test_decide_documents_check_their_verdict(relators):
 
 @SETTINGS
 @given(presentations)
-def test_separable_witness_documents_verify(relators):
-    # witness documents of both verdicts carry decide's verdict fields
-    doc = _witness(relators)
+def test_decide_documents_of_both_verdicts_verify(relators):
+    # a separable document with k > 1 also carries the torsion split of k
+    doc = _decide(relators)
     report = _verify(doc)
     assert report["all_ok"] is True
     names = {c["name"] for c in report["checks"]}
     if doc["separable"]:
         assert {VERDICT, "witness k is the coefficient gcd",
-                "membership certificate"} <= names
+                "witness certificate"} <= names
+        split = doc["witness"]["k"] > 1
+        assert ({SPLIT_PRIMES, SPLIT_BEZOUT} <= names) == split == ("torsion_split" in doc)
     else:
         assert {VERDICT, f"failure reason is {doc['failure_reason']['kind']}"} <= names
 
@@ -189,8 +186,9 @@ def test_a_separable_verdict_flipped_to_not_separable_is_invalid():
 
 
 def test_a_non_squarefree_content_claimed_separable_is_invalid():
-    # 4x^2 - 4x: the reason dropped, a witness k = 4, phi = x^2 - x added;
-    # every certificate in it re-multiplies
+    # 4x^2 - 4x: the reason dropped, a witness k = 4, phi = x^2 - x and a
+    # split 4 = 2 * 2 added; every certificate in it re-multiplies, but 4
+    # has no split into distinct primes
     doc = _decide([IntPoly((0, -4, 4))])
     assert doc["separable"] is False
     del doc["failure_reason"]
@@ -198,7 +196,8 @@ def test_a_non_squarefree_content_claimed_separable_is_invalid():
     poly = _poly_doc
     doc["witness"] = {"k": 4, "phi": poly(0, -1, 1), "certificate": {
         "cofactors": [poly(1)], "claim": poly(0, -4, 4)}}
-    assert _failed(doc) == [VERDICT]
+    doc["torsion_split"] = {"parts": [[2, 2]], "bezout": [1]}
+    assert _failed(doc) == [SPLIT_PRIMES, SPLIT_BEZOUT, VERDICT]
 
 
 @pytest.mark.parametrize("field,value,check", [
@@ -222,17 +221,15 @@ SQUAREFREE_FLAG = "coefficient gcd squarefree flag matches the factorization"
 DENOMINATOR_LCM = "denominator lcm is the lcm of the gamma cofactor denominators"
 
 
-@pytest.mark.parametrize("make", [_decide, _witness])
 @pytest.mark.parametrize("field,value,check", [
     ("coefficient_gcd_squarefree", False, SQUAREFREE_FLAG),
     ("denominator_lcm", 77, DENOMINATOR_LCM),
     ("denominator_lcm", 1, DENOMINATOR_LCM),
 ])
-def test_a_forged_squarefree_flag_or_denominator_lcm_is_invalid(make, field, value,
-                                                                 check):
+def test_a_forged_squarefree_flag_or_denominator_lcm_is_invalid(field, value, check):
     # 6x^2 - 6x: gcd 6 = 2 * 3 is squarefree, and gamma = x^2 - x has the
     # Bezout cofactor 1/6, so the denominator lcm is 6
-    doc = make([IntPoly((0, -6, 6))])
+    doc = _decide([IntPoly((0, -6, 6))])
     assert doc["coefficient_gcd_squarefree"] is True and doc["denominator_lcm"] == 6
     assert {SQUAREFREE_FLAG, DENOMINATOR_LCM} <= set(_check_names(doc))
     doc[field] = value
@@ -327,24 +324,17 @@ def test_a_not_squarefree_document_checks_its_flag():
     assert _failed(doc) == [SQUAREFREE_FLAG]
 
 
-TAIL = "tail coefficients are phi's descending tail"
-SPLIT_PRIMES = "torsion split parts are distinct primes with product k"
-SPLIT_BEZOUT = "torsion split p_i*k_i = k and sum z_i*k_i = 1"
-
-
 @pytest.mark.parametrize("edit,failed", [
-    (lambda d: d.update(tail_coefficients=[1]), [TAIL]),
-    (lambda d: d.update(tail_coefficients=[]), [TAIL]),
     # 6 = 6 * 1 with 1 * 1 = 1 holds every identity, but 6 is not prime
     (lambda d: d["torsion_split"].update(parts=[[6, 1]], bezout=[1]), [SPLIT_PRIMES]),
     (lambda d: d["torsion_split"].update(bezout=[2, -1]), [SPLIT_BEZOUT]),
     (lambda d: d["torsion_split"].update(parts=[[2, 3], [3, 3]]), [SPLIT_BEZOUT]),
     (lambda d: d.pop("torsion_split"), [SPLIT_PRIMES, SPLIT_BEZOUT]),
 ])
-def test_a_forged_witness_tail_or_torsion_split_is_invalid(edit, failed):
-    # 6x^2 - 6x: k = 6, phi = x^2 - x, tail [-1], split 2*3 and 3*2
-    doc = _witness([IntPoly((0, -6, 6))])
-    assert {TAIL, SPLIT_PRIMES, SPLIT_BEZOUT} <= set(_check_names(doc))
+def test_a_forged_torsion_split_is_invalid(edit, failed):
+    # 6x^2 - 6x: k = 6, phi = x^2 - x, split 2*3 and 3*2
+    doc = _decide([IntPoly((0, -6, 6))])
+    assert {SPLIT_PRIMES, SPLIT_BEZOUT} <= set(_check_names(doc))
     assert _verify(doc)["all_ok"] is True
     edit(doc)
     assert _failed(doc) == failed
@@ -420,15 +410,6 @@ def test_a_member_claim_for_another_polynomial_is_invalid():
     doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 - x")
     doc["member"] = False
     assert _failed(doc) == ["certificate claim is poly and member is true"]
-
-
-def test_a_negative_witness_document_verifies():
-    # 2x^2 + x: gcd 1, gamma x^2 + x/2 is not integral
-    doc = _witness([IntPoly((0, 1, 2))])
-    assert doc["separable"] is False
-    report = _verify(doc)
-    assert report["all_ok"] is True
-    assert "failure reason is non_integer_gamma" in {c["name"] for c in report["checks"]}
 
 
 def test_a_basis_with_a_redundant_element_is_invalid():
@@ -540,7 +521,7 @@ def _corpus() -> list[dict]:
     x2_x, six = IntPoly((0, -1, 1)), IntPoly((0, -6, 6))
     return [
         _decide([x2_x]), _decide([IntPoly((0, 1, 2))]), _decide([IntPoly((0, 0, 4))]),
-        _decide([]), _witness([six]), _witness([IntPoly((0, 1, 2))]),
+        _decide([]), _decide([six]),
         _document("invariants", [x2_x.shift(1), six]),
         _document("basis", [IntPoly((0, 1, 0, 2)), IntPoly((0, 0, 1, 2))]),
         # monomial elements 2x and x^2: one perturbation makes an element zero
@@ -574,8 +555,8 @@ def _at(doc, path):
 OTHER_TYPES = (None, True, "x", 7, 1.5, [], {})
 
 
-COMMANDS = ("decide", "invariants", "basis", "nf", "member", "witness",
-            "quotient", "separate", "verify", "other", None, 7, [], {})
+COMMANDS = ("decide", "invariants", "basis", "nf", "member", "quotient",
+            "separate", "verify", "other", None, 7, [], {})
 
 
 def _mutate(doc: dict, data) -> None:
