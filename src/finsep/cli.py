@@ -577,7 +577,10 @@ def run(argv=None) -> int:
         value = argv[i]
         if argv[i - 1] in _EXPR_FLAGS and value[:1] == "-" and value[:2] != "--":
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 2 for a usage error, 0 for --help
+        return exc.code
     # certificate cofactors can exceed the int <-> str digit limit that
     # Python sets from 3.10.7 on; lift it for the command, restore it after
     limited = hasattr(sys, "set_int_max_str_digits")

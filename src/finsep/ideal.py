@@ -18,16 +18,16 @@ IntPolys made once, from the rows it returns.  It works on rows
 [poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
 bare rows [poly] when no certificate is wanted; a row's cofactors are
 built only once its reduced poly is known to be nonzero.
-``canonical_basis`` runs it with cofactors and is cached on the
-presentation's hash.  The basis keeps the coefficient rows the read path
-walks: ``normal_form`` and ``reduce_with_quotients`` divide on its
-elements' rows, and ``membership`` divides through ``reduce_with_quotients``
-(the function a tracer counts) and folds the quotients over its cofactor
-rows (``_fold_into``).  Every certificate is re-checked
-(``check.is_combination``) before it is returned.  ``basis_elements``
-runs it on bare rows, uncached, for callers that need only the elements
-(the finite quotients of the separation search).  A failed re-check
-raises ``SelfCheckError``.
+``canonical_basis`` runs it with cofactors, balances them by the relators'
+syzygies (``_balance``) and is cached on the presentation's hash.  The basis
+keeps the coefficient rows the read path walks: ``normal_form`` and
+``reduce_with_quotients`` divide on its elements' rows, and ``membership``
+divides through ``reduce_with_quotients`` (the function a tracer counts) and
+folds the quotients over its cofactor rows (``_fold_into``).  Every
+certificate is re-checked (``check.is_combination``) before it is returned.
+``basis_elements`` runs it on bare rows, uncached, for callers that need
+only the elements (the finite quotients of the separation search).  A failed
+re-check raises ``SelfCheckError``.
 
 The monic-multiple search decides, degree by degree, whether k*phi lies in
 V for some monic phi of bounded degree, modulo k over the staircase rows
@@ -45,9 +45,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 
 from .check import is_combination
-from .intarith import SelfCheckError, xgcd
+from .intarith import SelfCheckError, gcd_list, xgcd
 from .poly import _COEFFS, IntPoly, _divide, _divide_coeffs, _intpoly, _trim
 
 
@@ -299,13 +300,49 @@ def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
     return elements
 
 
+def _balance(rows: list, relators) -> list:
+    """Reduce each row's cofactors by the relators' syzygies, in place.
+
+    P, the primitive part of the lowest element, divides each relator
+    (Gauss).  For i < j in order, with G = gcd(cont r_i, cont r_j)*P, s = r/G
+    and l = lead(s_j), c_i is walked from its top degree D down to deg s_j:
+    the t leaving c_i[D] - t*l in [-|l|/2, |l|/2) moves t*x^(D - deg s_j)
+    times the syzygy (s_j, -s_i) off (c_i, c_j).  For two relators G is
+    their gcd in Z[x], the syzygies are Z[x]*(s_2, -s_1), and c_1 (so c_2)
+    is unique: two balanced c_1 differing by u*s_2, u != 0, would differ by
+    lead(u)*l at degree deg u + deg s_2, yet both lie in [-|l|/2, |l|/2).
+    """
+    lowest = rows[0][0] if rows else []
+    content = gcd_list(lowest)
+    for i, j in combinations(range(len(relators)), 2):
+        k = gcd_list((*relators[i], *relators[j]))
+        g = [k * c // content for c in lowest]
+        rems = [list(relators[i]), list(relators[j])]
+        s_i, s_j = (_divide_coeffs(rem, [g])[0] for rem in rems)
+        if any(map(any, rems)):
+            raise SelfCheckError(f"relator {i} or {j} is no multiple of {g}")
+        n, width, sign = len(s_j) - 1, abs(s_j[-1]), 1 if s_j[-1] > 0 else -1
+        for row in rows:
+            c, other = row[1 + i], row[1 + j]
+            other += [0] * (len(c) - n + len(s_i) - 1 - len(other))
+            for d in range(len(c) - 1, n - 1, -1):
+                if t := (c[d] + width // 2) // width * sign:
+                    for e, b in enumerate(s_j, d - n):
+                        c[e] -= t * b
+                    for e, b in enumerate(s_i, d - n):
+                        other[e] += t * b
+            _trim(c)
+            _trim(other)
+    return rows
+
+
 @lru_cache(maxsize=256)
 def canonical_basis(presentation: Presentation) -> CanonicalBasis:
     """Complete the relators to a strong basis with unique normal forms."""
     relators = presentation.relators
-    rows = [tuple(map(_intpoly, row)) for row in _complete(
+    rows = [tuple(map(_intpoly, row)) for row in _balance(_complete(
         [list(r.coeffs), *([1] if j == i else [] for j in range(len(relators)))]
-        for i, r in enumerate(relators))]
+        for i, r in enumerate(relators)), [r.coeffs for r in relators])]
     for row in rows:
         cert = MembershipCertificate(row[1:], row[0])
         if row[0].constant != 0 or not cert.verify(presentation):

@@ -122,6 +122,18 @@ def test_run_exit_codes(capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_run_returns_argparse_exit_codes_instead_of_raising(capsys):
+    # usage errors exit 2 and --help exits 0, as from the command line
+    assert run(["witness"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["decide", "--rel", "x"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run([]) == 2
+    capsys.readouterr()
+    assert run(["decide", "--help"]) == 0
+    assert "--relator" in capsys.readouterr().out
+
+
 def test_run_rejects_oversized_inputs_before_allocating(capsys):
     # one past each cap: the degree sizes a coefficient list, the modulus
     # bound a sieve; both are input errors, raised before either is built
@@ -156,18 +168,8 @@ def test_a_polynomial_with_a_leading_minus_may_follow_its_flag(command, flag, va
     assert run([command, flag, value, *rest]) == 0
     assert capsys.readouterr().out == joined
     # a value that starts with "--" is still an option
-    with pytest.raises(SystemExit) as exc:
-        run([command, flag, "--json", *rest])
-    assert exc.value.code == 2
+    assert run([command, flag, "--json", *rest]) == 2
     assert "expected one argument" in capsys.readouterr().err
-
-
-def _exit_code(argv) -> int:
-    """run's exit code; a usage error leaves argparse by SystemExit."""
-    try:
-        return run(argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 # a presentation and the other arguments each subcommand needs to answer
@@ -198,12 +200,12 @@ def test_an_abbreviated_flag_is_a_usage_error(command, tmp_path, capsys):
     assert flags
     for flag in flags:
         for value in ("x", "-5x"):
-            assert _exit_code([*argv, flag[:5], value]) == 2, (flag, value)
+            assert run([*argv, flag[:5], value]) == 2, (flag, value)
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_the_retired_witness_command_and_kind_are_usage_errors(tmp_path, capsys):
-    assert _exit_code(["witness", "--relator", "6x^2 - 6x"]) == 2
+    assert run(["witness", "--relator", "6x^2 - 6x"]) == 2
     assert "invalid choice: 'witness'" in capsys.readouterr().err
     # a witness document, as finsep once wrote one, names a kind no more known
     assert run(["decide", "--relator", "6x^2 - 6x", "--json"]) == 0

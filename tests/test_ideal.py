@@ -25,8 +25,9 @@ from finsep.ideal import (
     normal_form,
     reduce_with_quotients,
 )
-from finsep.check import _reduces_to
+from finsep.check import _reduces_to, is_combination
 from finsep.invariants import certified_relation
+from finsep.separability import decide
 
 
 def ip(*ascending):
@@ -626,6 +627,46 @@ def test_cofactors_stay_small_at_degree_16():
     assert bits < 1000
 
 
+def test_three_relator_cofactors_re_multiply_after_balancing(monkeypatch):
+    # balancing moves each of the three cofactor columns, and each element
+    # and each member still re-multiplies over the three relators
+    p = Presentation([ip(*([0, -6] + [0] * 18 + [6])),
+                      ip(*([0] * 5 + [4] + [0] * 13 + [10])),
+                      ip(0, 0, -3, 0, 0, 0, 0, 15)])
+    moved = []
+    balance = ideal_module._balance
+
+    def spy(rows, relators):
+        before = [[list(c) for c in row] for row in rows]
+        out = balance(rows, relators)
+        moved.extend({i for row, old in zip(out, before)
+                      for i in range(1, 4) if row[i] != old[i]})
+        return out
+
+    monkeypatch.setattr(ideal_module, "_balance", spy)
+    canonical_basis.cache_clear()
+    basis = canonical_basis(p)
+    canonical_basis.cache_clear()
+    assert set(moved) == {1, 2, 3}
+    for e, cofactors in zip(basis.elements, basis.element_cofactors):
+        assert is_combination(e, cofactors, p.relators)
+    for g in (basis.elements[-1].shift(3), p.relators[2] * ip(1, 2, 3)):
+        member, cert = membership(g, p)
+        assert member and is_combination(g, cert.cofactors, p.relators)
+
+
+def test_sparse_pair_witness_cofactors_stay_below_300_bits():
+    # 6x^100 - 6x, 10x^99 + 4x^5: the unbalanced witness cofactors had
+    # 34,521 bits, against the basis's 233
+    n = 100
+    p = Presentation([ip(*([0, -6] + [0] * (n - 2) + [6])),
+                      ip(*([0] * 5 + [4] + [0] * (n - 7) + [10]))])
+    relation = decide(p).positive_witness
+    bits = max(abs(c).bit_length()
+               for q in relation.certificate.cofactors for c in q.coeffs)
+    assert bits < 300
+
+
 def _seeded_degree_20_pair():
     # 6f, 6(x^2 + x)g with f, g of degree 20, coefficients of magnitude 500..1000
     rng = random.Random(20)
@@ -707,22 +748,36 @@ def _identity_corpus(seed=21):
     return cases
 
 
-def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
-    # digest of the basis elements and cofactors, and of each query's normal
-    # form, quotients and membership cofactors, as computed when the division
-    # looked each degree up by bisection and the folds summed IntPolys
-    data = []
+def _reduction_outputs():
+    """The unique outputs (basis elements, and each query's normal form,
+    quotients and verdict) and the cofactors (element and membership) of
+    the identity corpus."""
+    unique, cofactors = [], []
     for p, queries in _identity_corpus():
         basis = canonical_basis(p)
-        data.append(_coeffs(basis.elements))
-        data.append([_coeffs(row) for row in basis.element_cofactors])
+        unique.append(_coeffs(basis.elements))
+        cofactors.append([_coeffs(row) for row in basis.element_cofactors])
         for g in queries:
             nf, quotients = reduce_with_quotients(g, basis)
             member, cert = membership(g, p)
-            data.append([list(nf.coeffs), _coeffs(quotients),
-                         _coeffs(cert.cofactors) if member else None])
-    digest = hashlib.sha256(repr(data).encode()).hexdigest()
-    assert digest == "965b5060805b0980bc1fc5b80949321b060680a32ded04f363fbcf2570cd737a"
+            unique.append([list(nf.coeffs), _coeffs(quotients), member])
+            cofactors.append(_coeffs(cert.cofactors) if member else None)
+    return unique, cofactors
+
+
+def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
+    # digest of the basis elements and of each query's normal form, quotients
+    # and verdict, as computed when the division looked each degree up by
+    # bisection, the folds summed IntPolys and the cofactors were unbalanced
+    digest = hashlib.sha256(repr(_reduction_outputs()[0]).encode()).hexdigest()
+    assert digest == "66060cbe162234a5414763ef10b15f0d51021bf0aa5abf29b89b361fca1643bc"
+
+
+def test_reduction_cofactors_are_pinned_on_a_seeded_corpus():
+    # digest of the element cofactors and the membership cofactors, pinned
+    # when canonical_basis began balancing the element cofactors
+    digest = hashlib.sha256(repr(_reduction_outputs()[1]).encode()).hexdigest()
+    assert digest == "f4d088a4155cceb8bdf019c736f251c3304c343ccfb12d9a13999d363089bea9"
 
 
 def test_membership_folds_the_cofactor_rows_of_the_basis_it_reads(monkeypatch):

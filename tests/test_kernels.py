@@ -1,14 +1,16 @@
 """The division, cofactor-sum and completion kernels against naive references.
 
-``poly._divide``, ``ideal._fold_into``, ``ideal._complete`` and
-``check.is_combination`` work on raw coefficient lists.  The references
-here are written term by term in ``IntPoly`` arithmetic, so they share no
-list code with the kernels.  The document writer ``cli._json_text`` is
-checked against ``json.dumps(..., indent=2)``.
+``poly._divide``, ``ideal._fold_into``, ``ideal._complete``,
+``ideal._balance`` and ``check.is_combination`` work on raw coefficient
+lists.  The references here are written term by term in ``IntPoly``
+arithmetic, so they share no list code with the kernels.  The document
+writer ``cli._json_text`` is checked against ``json.dumps(..., indent=2)``.
 """
 
 import hashlib
+import itertools
 import json
+import math
 import random
 import sys
 
@@ -19,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
 from finsep.cli import _json_text
-from finsep.ideal import Presentation, _fold_into, basis_elements, canonical_basis
-from finsep.poly import IntPoly, _divide as _divide_rows
+from finsep.ideal import (Presentation, _balance, _fold_into, basis_elements,
+                          canonical_basis)
+from finsep.poly import IntPoly, _divide as _divide_rows, gcd_q
 
 SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -187,6 +190,40 @@ def test_completion_gives_a_strong_basis_with_certificates(relators):
     canonical_basis.cache_clear()
 
 
+# relators of the two-relator property: zero constant term, degree 1 to 6
+small_relators = st.lists(st.integers(-12, 12), min_size=1, max_size=6).map(
+    lambda c: IntPoly([0, *c])).filter(lambda r: not r.is_zero())
+
+
+@SETTINGS
+@given(small_relators, small_relators,
+       st.lists(st.lists(st.integers(-9, 9), max_size=4).map(IntPoly),
+                min_size=6, max_size=6))
+def test_balanced_cofactors_are_unique_for_two_relators(r1, r2, multipliers):
+    # with G = gcd(r1, r2) in Z[x] and s_i = r_i / G, the syzygies are the
+    # multiples of (s2, -s1); adding any to an element's cofactors and
+    # balancing again gives canonical_basis's cofactors, and every
+    # coefficient of c1 at or above deg s2 lies in [-|l|/2, |l|/2)
+    basis = canonical_basis(Presentation([r1, r2]))
+    lowest = basis.elements[0]
+    g = IntPoly([math.gcd(r1.content, r2.content) * (c // lowest.content)
+                 for c in lowest.coeffs])
+    (_, (s1,)), (_, (s2,)) = (_divide_rows(r, [g.coeffs]) for r in (r1, r2))
+    assert s1 * g == r1 and s2 * g == r2
+    # G is the whole gcd only if s1 and s2 are coprime over Q; checked by
+    # gcd_q's pseudo-remainder Euclid, not by the completion
+    assert gcd_q([s1, s2]).gamma.degree == 0
+    width = abs(s2.lead)
+    rows, expected = [], []
+    for e, (c1, c2), u in zip(basis.elements, basis.element_cofactors,
+                              itertools.cycle(multipliers)):
+        assert all(-width <= 2 * c < width for c in c1.coeffs[s2.degree:])
+        rows.append([list(e.coeffs), list((c1 + u * s2).coeffs),
+                     list((c2 - u * s1).coeffs)])
+        expected.append([list(e.coeffs), list(c1.coeffs), list(c2.coeffs)])
+    assert _balance(rows, [r1.coeffs, r2.coeffs]) == expected
+
+
 def _completion_corpus(seed=28):
     """Presentations of the shapes the workloads complete: x^e - x scaled
     by a content or paired with c(x^m - x), 6f and 6(x^2 + x)g, and 1 to 3
@@ -219,19 +256,33 @@ def _completion_corpus(seed=28):
     return [Presentation(c) for c in cases]
 
 
-def test_completion_outputs_are_byte_identical_on_a_seeded_corpus():
-    # digest of the elements, element cofactors, relator quotients and
-    # bare elements, as computed when the completion ran on IntPoly rows
-    data = []
+def _completion_outputs():
+    """The unique outputs (elements, relator quotients and bare elements) and
+    the element cofactors of the completion corpus, from a cold cache."""
+    unique, cofactors = [], []
     canonical_basis.cache_clear()
     for p in _completion_corpus():
         basis = canonical_basis(p)
-        for polys in (basis.elements, *basis.element_cofactors,
-                      *basis.relator_quotients, basis_elements(p)):
-            data.append([list(q.coeffs) for q in polys])
+        for polys in (basis.elements, *basis.relator_quotients, basis_elements(p)):
+            unique.append([list(q.coeffs) for q in polys])
+        for polys in basis.element_cofactors:
+            cofactors.append([list(q.coeffs) for q in polys])
     canonical_basis.cache_clear()
-    digest = hashlib.sha256(repr(data).encode()).hexdigest()
-    assert digest == "ba6d60e01622f246a37bb1768dc9b7470d5e716129b64728a5ae638808c2f962"
+    return unique, cofactors
+
+
+def test_completion_outputs_are_byte_identical_on_a_seeded_corpus():
+    # digest of the elements, relator quotients and bare elements, as
+    # computed when the completion ran on IntPoly rows
+    digest = hashlib.sha256(repr(_completion_outputs()[0]).encode()).hexdigest()
+    assert digest == "02b8597c62dfeb988c60108d3d1e0ac630f869c3b0f5a472fe8437d012d5c814"
+
+
+def test_completion_cofactors_are_pinned_on_a_seeded_corpus():
+    # digest of the element cofactors, pinned when canonical_basis began
+    # balancing them by the relators' syzygies
+    digest = hashlib.sha256(repr(_completion_outputs()[1]).encode()).hexdigest()
+    assert digest == "eb12b3f3c62ab92027494b8930eff770189145aa6086f08eaad83884f1b3d5f4"
 
 
 # JSON document values: ints of any size (some above the 4,300-digit
