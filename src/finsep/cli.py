@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -76,73 +77,51 @@ class DigitLimitError(ValueError):
     """Raised when a number in a polynomial has more than ``MAX_COEFF_DIGITS`` digits."""
 
 
+# one term: a sign, an ASCII coefficient, 'x', '^' and an exponent, each
+# optional and each followed by optional whitespace.  [0-9] keeps out the
+# other scripts' digits and the superscripts that str.isdigit accepts, and
+# \s matches exactly the characters str.isspace accepts.
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*(?:(x)\s*(?:(\^)\s*([0-9]*))?)?\s*")
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse a polynomial expression; duplicate degrees merge by addition.
 
-    The degree is checked against ``MAX_DEGREE`` before the coefficient
-    list is allocated.
+    Every term after the first opens with '+' or '-'.  A number's length
+    is checked against ``MAX_COEFF_DIGITS`` before ``int`` reads it, and
+    the degree against ``MAX_DEGREE`` before the coefficient list is
+    allocated.
     """
     merged: dict[int, int] = {}
-    i, n = 0, len(text)
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def read_int() -> int | None:
-        # ASCII digits only: str.isdigit also holds for other scripts'
-        # digits and for superscripts, which int() reads or rejects
-        nonlocal i
-        start = i
-        while i < n and "0" <= text[i] <= "9":
-            i += 1
-        if i - start > MAX_COEFF_DIGITS:
-            raise DigitLimitError(
-                f"a number of {i - start} digits exceeds the limit of "
-                f"{MAX_COEFF_DIGITS} digits (at position {start})"
-            )
-        return int(text[start:i]) if i > start else None
-
-    skip_ws()
-    if i >= n:
-        raise PolySyntaxError("empty polynomial", i)
-    first = True
-    while True:
-        skip_ws()
-        if i >= n:
-            break
-        sign = 1
-        if text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i += 1
-            skip_ws()
-        elif not first:
-            raise PolySyntaxError("expected '+' or '-' between terms", i)
-        coeff = read_int()
-        skip_ws()
-        if i < n and text[i] == "x":
-            i += 1
-            degree = 1
-            skip_ws()
-            if i < n and text[i] == "^":
-                i += 1
-                skip_ws()
-                degree = read_int()
-                if degree is None:
-                    raise PolySyntaxError("expected an exponent after '^'", i)
-            if coeff is None:
-                coeff = 1
-        elif coeff is not None:
-            degree = 0
-        elif i < n and text[i].isalpha():
-            raise PolySyntaxError(
-                f"only the variable 'x' is accepted, got {text[i]!r}", i
-            )
-        else:
-            raise PolySyntaxError("expected a coefficient or 'x'", i)
-        merged[degree] = merged.get(degree, 0) + sign * coeff
-        first = False
+    n = len(text)
+    pos = n - len(text.lstrip())
+    if pos == n:
+        raise PolySyntaxError("empty polynomial", n)
+    while pos < n:
+        m = _TERM.match(text, pos)
+        sign, coeff, x, caret, exponent = m.groups()
+        if merged and not sign:
+            raise PolySyntaxError("expected '+' or '-' between terms", pos)
+        for group in (2, 5):  # an absent group spans -1 to -1
+            digits = m.end(group) - m.start(group)
+            if digits > MAX_COEFF_DIGITS:
+                raise DigitLimitError(
+                    f"a number of {digits} digits exceeds the limit of "
+                    f"{MAX_COEFF_DIGITS} digits (at position {m.start(group)})"
+                )
+        if caret and not exponent:
+            raise PolySyntaxError("expected an exponent after '^'", m.start(5))
+        if not (coeff or x):
+            at = m.start(2)
+            if text[at:at + 1].isalpha():
+                raise PolySyntaxError(
+                    f"only the variable 'x' is accepted, got {text[at]!r}", at
+                )
+            raise PolySyntaxError("expected a coefficient or 'x'", at)
+        c = int(coeff) if coeff else 1
+        degree = (int(exponent) if caret else 1) if x else 0
+        merged[degree] = merged.get(degree, 0) + (-c if sign == "-" else c)
+        pos = m.end()
     if merged.get(0, 0) != 0:
         raise ConstantTermError(
             "nonzero constant terms are forbidden: defining relations hold "

@@ -95,14 +95,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def lcm_list(values) -> int:
-    """Positive lcm of a sequence of nonzero ints; empty lcm is 1."""
-    out = 1
-    for v in values:
-        out = out * abs(v) // math.gcd(out, v)
-    return out
-
-
 @dataclass(frozen=True)
 class SquarefreeWitness:
     """Result of a squarefree test, with the full factorization as evidence.

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import attrgetter
 
-from .intarith import gcd_list, lcm_list
+from .intarith import gcd_list
 
 _COEFFS = attrgetter("coeffs")  # a polynomial's coefficient tuple
 
@@ -338,7 +338,7 @@ def _euclid_z(a, b) -> tuple[list, list, list]:
 def clear_denominators(polys) -> tuple[int, tuple[IntPoly, ...]]:
     """(l, l * polys) for the least positive l that makes every one integral."""
     polys = list(polys)
-    l = lcm_list(c.denominator for p in polys for c in p.coeffs)
+    l = lcm(*(c.denominator for p in polys for c in p.coeffs))
     return l, tuple(
         _intpoly([c.numerator * (l // c.denominator) for c in p.coeffs])
         for p in polys
@@ -398,7 +398,7 @@ def gcd_q(polys) -> RationalGcd:
     lead, zero = g.lead, Fraction(0)
     gamma, *cofactors = (_ratpoly([Fraction(x, lead) if x else zero for x in p.coeffs])
                          for p in (g, *cofactors))
-    l = lcm_list(c.denominator for cof in cofactors for c in cof.coeffs)
+    l = lcm(*(c.denominator for cof in cofactors for c in cof.coeffs))
     return RationalGcd(gamma, tuple(cofactors), l)
 
 

@@ -299,23 +299,20 @@ def modulus_order(bound: int) -> list[int]:
         raise InvalidModulusError(
             f"modulus bound {bound} exceeds the limit of {MAX_MODULUS_BOUND}"
         )
-    # smallest prime factor of every q <= bound, by one sieve
-    spf = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if p * p > bound:
-            break
-        if spf[p] == p:
-            for m in range(p * p, bound + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    primes, powers = [], []
-    for q in range(2, bound + 1):
-        p, rest = spf[q], q
-        while rest % p == 0:
-            rest //= p
-        if rest == 1:
-            (primes if q == p else powers).append(q)
-    return primes + powers
+    # the primes up to bound by one sieve; the other candidates are the
+    # powers p^e <= bound, e >= 2, of the primes p <= sqrt(bound)
+    root = math.isqrt(bound)
+    sieve = bytearray(2) + bytearray([1]) * (bound - 1)
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes((bound - p * p) // p + 1)
+    powers = []
+    for p in itertools.compress(range(root + 1), sieve):
+        q = p * p
+        while q <= bound:
+            powers.append(q)
+            q *= p
+    return list(itertools.compress(range(bound + 1), sieve)) + sorted(powers)
 
 
 def _batches(moduli):
@@ -326,7 +323,7 @@ def _batches(moduli):
     """
     batch, lcm = [], 1
     for q in moduli:
-        wider = lcm * q // math.gcd(lcm, q)
+        wider = math.lcm(lcm, q)
         if batch and wider.bit_length() > _BATCH_BITS:
             yield batch, lcm
             batch, wider = [], q

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from finsep import cli
 from finsep.cli import (
     MAX_COEFF_DIGITS,
     MAX_DEGREE,
+    DegreeLimitError,
     DigitLimitError,
     PolySyntaxError,
     build_parser,
@@ -63,18 +65,64 @@ def test_parse_rejects_constant_terms():
     assert parse_poly("x + 0") == ip(0, 1)
 
 
-def test_parse_syntax_errors_carry_positions():
-    with pytest.raises(PolySyntaxError) as e:
-        parse_poly("x^2 + y")
-    assert e.value.position == 6
-    with pytest.raises(PolySyntaxError):
-        parse_poly("")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("x^")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("2x 3x")
-    with pytest.raises(PolySyntaxError):
-        parse_poly("x^2 +")
+_OVER = "9" * (MAX_COEFF_DIGITS + 1)
+_TOO_LONG = (f"a number of {MAX_COEFF_DIGITS + 1} digits exceeds the limit of "
+             f"{MAX_COEFF_DIGITS} digits")
+PARSE_ERRORS = [
+    ("", PolySyntaxError, "empty polynomial (at position 0)"),
+    ("   ", PolySyntaxError, "empty polynomial (at position 3)"),
+    ("2x 3x", PolySyntaxError, "expected '+' or '-' between terms (at position 3)"),
+    ("xx", PolySyntaxError, "expected '+' or '-' between terms (at position 1)"),
+    ("2^3", PolySyntaxError, "expected '+' or '-' between terms (at position 1)"),
+    ("x * 2", PolySyntaxError, "expected '+' or '-' between terms (at position 2)"),
+    ("x^2 +", PolySyntaxError, "expected a coefficient or 'x' (at position 5)"),
+    ("-", PolySyntaxError, "expected a coefficient or 'x' (at position 1)"),
+    ("x^", PolySyntaxError, "expected an exponent after '^' (at position 2)"),
+    ("x^ - x", PolySyntaxError, "expected an exponent after '^' (at position 3)"),
+    ("x^\u0663 - x", PolySyntaxError, "expected an exponent after '^' (at position 2)"),
+    ("x^2 + y", PolySyntaxError,
+     "only the variable 'x' is accepted, got 'y' (at position 6)"),
+    ("X", PolySyntaxError, "only the variable 'x' is accepted, got 'X' (at position 0)"),
+    ("\u00b2x", PolySyntaxError, "expected a coefficient or 'x' (at position 0)"),
+    (f"{_OVER}x - x", DigitLimitError, f"{_TOO_LONG} (at position 0)"),
+    (f"x^{_OVER} - x", DigitLimitError, f"{_TOO_LONG} (at position 2)"),
+    # the coefficient's length is checked before the exponent's
+    (f"{_OVER}x^{_OVER}", DigitLimitError, f"{_TOO_LONG} (at position 0)"),
+    (f"x^{MAX_DEGREE + 1}", DegreeLimitError,
+     f"degree {MAX_DEGREE + 1} exceeds the limit of {MAX_DEGREE}"),
+    ("x^2 + 1", ConstantTermError, "nonzero constant terms are forbidden: defining "
+     "relations hold between powers of the generator only"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", PARSE_ERRORS,
+                         ids=[ascii(text[:12]) for text, _, _ in PARSE_ERRORS])
+def test_parse_errors_keep_their_type_message_and_position(text, error, message):
+    with pytest.raises(error) as e:
+        parse_poly(text)
+    assert type(e.value) is error
+    assert str(e.value) == message
+
+
+def test_whitespace_between_the_parts_of_a_term_is_ignored():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = st.lists(st.integers(-10**6, 10**6), max_size=8).map(
+        lambda c: IntPoly([0, *c]))
+    runs = st.text(alphabet=" \t\u3000", max_size=3)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(polys, st.data())
+    def spaced_parse_is_the_poly(p, data):
+        # the parts of a term: a sign, a number, 'x' and '^'
+        parts = re.findall(r"[0-9]+|\S", format_poly(p))
+        spaces = data.draw(st.lists(runs, min_size=len(parts) + 1,
+                                    max_size=len(parts) + 1))
+        text = spaces[0] + "".join(a + b for a, b in zip(parts, spaces[1:]))
+        assert parse_poly(text) == p
+
+    spaced_parse_is_the_poly()
 
 
 def test_parse_accepts_ascii_digits_only(capsys):

@@ -12,7 +12,6 @@ from finsep.intarith import (
     factorize,
     gcd_list,
     is_probable_prime,
-    lcm_list,
     squarefree,
     xgcd,
 )
@@ -140,12 +139,6 @@ def test_rho_gives_up_past_its_budget():
     assert not isinstance(e.value, ValueError)
     with pytest.raises(FactoringBudgetError):
         squarefree(p * q * 10007)
-
-
-def test_lcm_list():
-    assert lcm_list([]) == 1
-    assert lcm_list([4, 6]) == 12
-    assert lcm_list([-2, 3, 7]) == 42
 
 
 def test_probable_prime_small():

@@ -576,14 +576,23 @@ def test_modulus_order():
     assert kinds == sorted(kinds, key=["p", "pp"].index)
 
 
-def test_modulus_order_matches_factorize_definition():
-    for bound in range(1, 301):
-        primes, powers = [], []
-        for q in range(2, bound + 1):
-            f = factorize(q)
-            if len(f) == 1:
-                (primes if f[0][1] == 1 else powers).append(q)
-        assert modulus_order(bound) == primes + powers, bound
+def test_modulus_order_matches_a_trial_division_definition():
+    def kind(q):
+        # "p" for a prime, "pp" for a higher prime power, None otherwise
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        rest = q
+        while rest % p == 0:
+            rest //= p
+        return None if rest > 1 else "p" if q == p else "pp"
+
+    kinds = {q: kind(q) for q in range(2, 1201)}
+    primes = [q for q, k in kinds.items() if k == "p"]
+    powers = [q for q, k in kinds.items() if k == "pp"]
+    for bound in range(1, 1201):
+        expected = [q for q in primes if q <= bound] + [q for q in powers if q <= bound]
+        assert modulus_order(bound) == expected, bound
+    # the 78,498 primes below 10^6 and its 236 higher prime powers
+    assert len(modulus_order(10**6)) == 78_734
 
 
 def test_composite_moduli_separate_only_through_prime_power_factors():
