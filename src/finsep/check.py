@@ -365,25 +365,26 @@ def _basis(doc: dict, relators, read) -> list:
     return checks
 
 
-def _nf(doc: dict, relators, read) -> list:
+def _member(doc: dict, relators, read) -> list:
+    """The basis and normal form checks: over a strong basis normal forms
+    are unique, so g is a member exactly when its normal form is zero."""
     checks = _basis(doc, relators, read)
     elements = read.polys(doc["basis"]["elements"], "elements")
     g, nf = read.poly(doc["poly"]), read.poly(doc["normal_form"])
+    member, cert = _json(doc["member"], bool, "member"), doc["certificate"]
     ok = is_combination(g - nf, read.polys(doc["quotients"], "quotients"), elements)
-    return checks + [("normal form reconstruction", ok),
-                     ("normal form is reduced", _reduces_to(nf, elements, nf))]
-
-
-def _member(doc: dict, relators, read) -> list:
-    """A certificate's claim must be the document's poly, and a member."""
-    poly, member = read.poly(doc["poly"]), _json(doc["member"], bool, "member")
-    if doc["certificate"] is None:
-        return []
-    cert = _json(doc["certificate"], dict, "a certificate")
+    checks += [("normal form reconstruction", ok),
+               ("normal form is reduced", _reduces_to(nf, elements, nf)),
+               ("member is true exactly when the normal form is zero",
+                member == nf.is_zero()),
+               ("a member carries a certificate", cert is not None or not member)]
+    if cert is None:
+        return checks
+    cert = _json(cert, dict, "a certificate")
     claim = read.poly(cert["claim"])
-    cofactors = read.polys(cert["cofactors"], "cofactors")
-    return [("membership certificate", is_combination(claim, cofactors, relators)),
-            ("certificate claim is poly and member is true", claim == poly and member)]
+    ok = is_combination(claim, read.polys(cert["cofactors"], "cofactors"), relators)
+    return checks + [("membership certificate", ok), (
+        "certificate claim is poly and member is true", member and claim == g)]
 
 
 def _text_check(doc: dict, read) -> tuple[str, bool]:
@@ -408,7 +409,6 @@ KINDS = {
     "decide": _decide,
     "invariants": _invariants,
     "basis": _basis,
-    "nf": _nf,
     "member": _member,
     "quotient": lambda doc, relators, read: [],
     "separate": lambda doc, relators, read: [],

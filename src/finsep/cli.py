@@ -337,28 +337,23 @@ def _cmd_basis(args, p: Presentation) -> tuple[dict, list[str]]:
     return {"basis": _basis_json(basis)}, lines
 
 
-def _cmd_nf(args, p: Presentation) -> tuple[dict, list[str]]:
+def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
+    """The verdict on g in V, and the normal form that proves it either way:
+    zero with cofactors over the relators, or nonzero and reduced against
+    the basis, whose normal forms are unique."""
     g = parse_poly(args.poly)
     basis = canonical_basis(p)
     nf, quotients = reduce_with_quotients(g, basis)
-    fields = {
-        "poly": _poly_json(g),
-        "normal_form": _poly_json(nf),
-        "quotients": [_poly_json(q) for q in quotients],
-        "basis": _basis_json(basis),
-    }
-    return fields, [format_poly(nf)]
-
-
-def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
-    g = parse_poly(args.poly)
     member, cert = membership(g, p)
     fields = {
         "poly": _poly_json(g),
         "member": member,
         "certificate": _certificate_json(cert) if cert else None,
+        "normal_form": _poly_json(nf),
+        "quotients": [_poly_json(q) for q in quotients],
+        "basis": _basis_json(basis),
     }
-    lines = [f"member: {'yes' if member else 'no'}"]
+    lines = [f"member: {'yes' if member else 'no'}", f"normal form: {format_poly(nf)}"]
     if cert:
         for c, r in zip(cert.cofactors, p.relators):
             lines.append(f"  ({format_poly(c)}) * ({format_poly(r)})")
@@ -464,7 +459,6 @@ def _cmd_verify(args, _) -> tuple[dict, list[str]]:
 
 # each argument is (flag or name, add_argument keywords)
 _JSON_ARG = ("--json", dict(action="store_true", help="machine-readable output"))
-_POLY_ARG = ("--poly", dict(required=True, metavar="EXPR"))
 _PRESENTATION_ARGS = (
     ("--relator", dict(action="append", metavar="EXPR",
                        help="defining relation, e.g. 'x^2 - x' (repeatable)")),
@@ -479,8 +473,8 @@ _COMMANDS = (
     ("decide", "run the separability criterion", ()),
     ("invariants", "algebraic degree, torsion, witnesses", ()),
     ("basis", "canonical basis of the relator ideal", ()),
-    ("nf", "normal form of a polynomial", (_POLY_ARG,)),
-    ("member", "ideal membership with certificate", (_POLY_ARG,)),
+    ("member", "ideal membership and normal form, with certificates",
+     (("--poly", dict(required=True, metavar="EXPR")),)),
     ("quotient", "finite quotient ring structure",
      (("--modulus", dict(required=True, type=int)),)),
     ("separate", "search a separating finite quotient", (

@@ -223,7 +223,7 @@ def test_a_polynomial_with_a_leading_minus_may_follow_its_flag(command, flag, va
 # a presentation and the other arguments each subcommand needs to answer
 RUNNABLE = {
     "decide": [], "invariants": [], "basis": [],
-    "nf": ["--poly", "x"], "member": ["--poly", "x"], "quotient": ["--modulus", "4"],
+    "member": ["--poly", "x"], "quotient": ["--modulus", "4"],
     "separate": ["--target", "x", "--bound", "4"],
 }
 
@@ -265,6 +265,12 @@ def test_the_retired_witness_command_and_kind_are_usage_errors(tmp_path, capsys)
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) == 2
     assert "no document kind is named 'witness'" in capsys.readouterr().err
+
+
+def test_the_retired_nf_command_is_a_usage_error(capsys):
+    # member answers with the normal form; nf is no alias of it
+    assert run(["nf", "--relator", "x^2 - x", "--poly", "x^3 + x"]) == 2
+    assert "invalid choice: 'nf'" in capsys.readouterr().err
 
 
 def test_a_unit_witness_carries_no_torsion_split(capsys):
@@ -441,13 +447,13 @@ def test_consecutive_runs_share_no_state(capsys, monkeypatch):
     assert _fresh_run(["verify", "-"], doc_one) == (0, report)
 
 
-def test_run_nf_and_member(capsys):
-    assert run(["nf", "--relator", "x^2 - x", "--poly", "x^3 + x"]) == 0
-    assert capsys.readouterr().out.strip() == "2x"
+def test_run_member_prints_its_verdict_and_normal_form(capsys):
+    assert run(["member", "--relator", "x^2 - x", "--poly", "x^3 + x"]) == 0
+    assert capsys.readouterr().out == "member: no\nnormal form: 2x\n"
     assert run(["member", "--relator", "x^2 - x", "--poly", "3x^2 - 3x"]) == 0
-    assert "member: yes" in capsys.readouterr().out
+    assert capsys.readouterr().out == "member: yes\nnormal form: 0\n  (3) * (x^2 - x)\n"
     assert run(["member", "--relator", "x^2 - x", "--poly", "x"]) == 0
-    assert "member: no" in capsys.readouterr().out
+    assert capsys.readouterr().out == "member: no\nnormal form: x\n"
 
 
 def test_run_basis_json(capsys):
@@ -513,7 +519,7 @@ def test_run_invariants_json(capsys):
         ["decide", "--relator", "x^3 - x", "--relator", "6x^2 - 6x", "--json"],
         ["member", "--relator", "x^2 - x", "--poly", "5x^2 - 5x", "--json"],
         ["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2", "--json"],
-        ["nf", "--relator", "x^2 - x", "--poly", "x^3 + x", "--json"],
+        ["member", "--relator", "x^2 - x", "--poly", "x^3 + x", "--json"],
         ["decide", "--relator", "6x", "--json"],
         ["invariants", "--relator", "2x^2 - 2x", "--relator", "x^3 - x^2",
          "--json"],
@@ -745,8 +751,8 @@ def test_every_subcommand_prints_its_golden_document(monkeypatch, capsys):
             assert run(argv) == 0, line
             stdin = capsys.readouterr().out
         assert stdin == expected, line
-    assert commands == {"decide", "invariants", "basis", "nf", "member",
-                        "quotient", "separate", "verify"}
+    assert commands == {"decide", "invariants", "basis", "member", "quotient",
+                        "separate", "verify"}
 
 
 def test_the_document_writer_re_encodes_every_golden_document():

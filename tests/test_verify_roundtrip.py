@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from finsep import check
 from finsep.cli import run
+from finsep.ideal import Presentation, canonical_basis, membership, normal_form
 from finsep.poly import IntPoly, RatPoly, format_poly
 
 coefficients = st.integers(-12, 12)
@@ -369,19 +370,14 @@ def _document(command: str, relators, *extra: str) -> dict:
 
 @SETTINGS
 @given(presentations, st.lists(multipliers, min_size=1, max_size=4), multipliers)
-def test_basis_nf_and_member_documents_verify(relators, cofactors, tail):
+def test_basis_and_member_documents_verify(relators, cofactors, tail):
     # a combination of the relators is a member; x * tail is any polynomial
-    # with zero constant term, reduced by nf
+    # with zero constant term, and x is a non-member unless V holds it
     member = sum((c * r for c, r in zip(cofactors, relators)), IntPoly())
-    nonmember = IntPoly((0, 1))
     for doc in (_document("basis", relators),
-                _document("nf", relators, f"--poly={format_poly(tail.shift(1))}"),
-                _document("member", relators, f"--poly={format_poly(member)}")):
+                *(_document("member", relators, f"--poly={format_poly(g)}")
+                  for g in (tail.shift(1), member, IntPoly((0, 1))))):
         assert _verify(doc)["all_ok"] is True, doc["command"]
-    doc = _document("member", relators, f"--poly={format_poly(nonmember)}")
-    if not doc["member"]:
-        # a non-member carries no certificate yet
-        assert _verify(doc)["checked"] == 0
 
 
 @SETTINGS
@@ -406,10 +402,12 @@ def test_a_member_claim_for_another_polynomial_is_invalid():
     doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 - x")
     assert _verify(doc)["all_ok"] is True
     doc["poly"] = _poly_doc(0, 5)
-    assert _failed(doc) == ["certificate claim is poly and member is true"]
+    assert _failed(doc) == ["normal form reconstruction",
+                            "certificate claim is poly and member is true"]
     doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 - x")
     doc["member"] = False
-    assert _failed(doc) == ["certificate claim is poly and member is true"]
+    assert _failed(doc) == ["member is true exactly when the normal form is zero",
+                            "certificate claim is poly and member is true"]
 
 
 def test_a_basis_with_a_redundant_element_is_invalid():
@@ -442,18 +440,89 @@ def test_a_basis_out_of_order_or_not_closed_is_invalid():
 
 def test_a_zero_basis_element_is_a_failed_check():
     # a zero element has no lead to reduce by; the checks fail, none raises
-    doc = _document("nf", [IntPoly((0, 2))], "--poly=x")
+    doc = _document("member", [IntPoly((0, 2))], "--poly=x")
     doc["basis"]["elements"][0]["coeffs"] = []
     assert {"basis leads are positive and properly divide backward",
             "normal form is reduced"} <= set(_failed(doc))
 
 
 def test_an_unreduced_normal_form_is_invalid():
-    doc = _document("nf", [IntPoly((0, -1, 1))], "--poly=x^3 + x")
+    doc = _document("member", [IntPoly((0, -1, 1))], "--poly=x^3 + x")
     assert doc["normal_form"]["coeffs"] == [0, 2]
     doc["normal_form"] = _poly_doc(0, 1, 0, 1)
     doc["quotients"] = [_poly_doc() for _ in doc["quotients"]]
     assert _failed(doc) == ["normal form is reduced"]
+
+
+# x^3 - x, 6x^2 - 6x: the basis 6x^2 - 6x, x^3 - x; x^4 + 2x^2 has the
+# normal form 3x^2, and x^4 - x^2 = x * (x^3 - x) is a member
+GOLDEN_PAIR = [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))]
+NONMEMBER, MEMBER = "x^4 + 2x^2", "x^4 - x^2"
+RECONSTRUCTION = "normal form reconstruction"
+ZERO = "member is true exactly when the normal form is zero"
+CARRIES = "a member carries a certificate"
+CLAIM = "certificate claim is poly and member is true"
+
+
+def _bump(poly: dict, index: int) -> dict:
+    """The JSON integer polynomial with one coefficient raised by 1."""
+    coeffs = list(poly["coeffs"])
+    coeffs[index] += 1
+    return _poly_doc(*coeffs)
+
+
+@pytest.mark.parametrize("poly,edit,failed", [
+    (NONMEMBER, lambda d: d.update(normal_form=_poly_doc()), [RECONSTRUCTION, ZERO]),
+    (NONMEMBER, lambda d: d.update(member=True), [ZERO, CARRIES]),
+    (MEMBER, lambda d: d.update(member=False), [ZERO, CLAIM]),
+    (NONMEMBER, lambda d: d["quotients"].__setitem__(1, _bump(d["quotients"][1], 1)),
+     [RECONSTRUCTION]),
+    (MEMBER, lambda d: d.update(certificate=None), [CARRIES]),
+    (NONMEMBER, lambda d: d["basis"]["elements"].__setitem__(
+        0, _bump(d["basis"]["elements"][0], 1)),
+     ["basis elements lie in the relator ideal", "relators lie in the basis ideal",
+      "basis consecutive shifts reduce to zero"]),
+], ids=["non-member normal form zeroed", "non-member claimed", "member disclaimed",
+        "quotient changed", "member certificate dropped", "basis element changed"])
+def test_a_forged_member_document_is_invalid(poly, edit, failed):
+    doc = _document("member", GOLDEN_PAIR, f"--poly={poly}")
+    assert _verify(doc)["all_ok"] is True
+    edit(doc)
+    assert _failed(doc) == failed
+
+
+def test_an_nf_document_is_an_input_error(tmp_path, capsys):
+    # the document the retired nf command wrote: a member document's fields
+    # without the verdict and its certificate
+    doc = _document("member", GOLDEN_PAIR, f"--poly={NONMEMBER}")
+    del doc["member"], doc["certificate"]
+    doc["command"] = "nf"
+    path = tmp_path / "nf.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 2
+    assert "no document kind is named 'nf'" in capsys.readouterr().err
+
+
+# relators and polynomials of degree at most 6, with zero constant term
+low_degree = st.lists(coefficients, min_size=1, max_size=6).map(lambda c: IntPoly([0, *c]))
+
+
+@SETTINGS
+@given(st.lists(low_degree, min_size=1, max_size=3), low_degree,
+       st.lists(multipliers, min_size=3, max_size=3))
+def test_member_documents_agree_with_the_library(relators, g, hs):
+    # v is a member, and g + v has the normal form of g
+    v = sum((h * r for h, r in zip(hs, relators)), IntPoly())
+    p = Presentation(relators)
+    basis = canonical_basis(p)
+    docs = [_document("member", relators, f"--poly={format_poly(f)}")
+            for f in (g, g + v, v)]
+    for f, doc in zip((g, g + v, v), docs):
+        assert _verify(doc)["all_ok"] is True
+        assert doc["member"] is membership(f, p)[0]
+        assert doc["normal_form"]["coeffs"] == list(normal_form(f, basis).coeffs)
+    assert docs[1]["normal_form"] == docs[0]["normal_form"]
+    assert docs[2]["member"] is True
 
 
 def test_forged_invariants_are_invalid():
@@ -526,7 +595,7 @@ def _corpus() -> list[dict]:
         _document("basis", [IntPoly((0, 1, 0, 2)), IntPoly((0, 0, 1, 2))]),
         # monomial elements 2x and x^2: one perturbation makes an element zero
         _document("basis", [IntPoly((0, 2)), IntPoly((0, 0, 1))]),
-        _document("nf", [x2_x], "--poly=x^3 + x"),
+        _document("member", [x2_x], "--poly=x^3 + x"),
         _document("member", [x2_x], "--poly=x^3 - x"),
         _document("member", [x2_x], "--poly=x"),
         _document("quotient", [x2_x], "--modulus=4"),
@@ -555,7 +624,7 @@ def _at(doc, path):
 OTHER_TYPES = (None, True, "x", 7, 1.5, [], {})
 
 
-COMMANDS = ("decide", "invariants", "basis", "nf", "member", "quotient",
+COMMANDS = ("decide", "invariants", "basis", "member", "quotient",
             "separate", "verify", "other", None, 7, [], {})
 
 
