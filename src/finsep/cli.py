@@ -40,7 +40,7 @@ from .ideal import (
     membership,
     reduce_with_quotients,
 )
-from .invariants import ring_invariants
+from .invariants import MonicRelation, ring_invariants
 from .separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
@@ -165,20 +165,29 @@ def _gather_presentation(args) -> Presentation:
     return Presentation(relators)
 
 
-def _poly_json(p) -> dict:
-    if isinstance(p, RatPoly):
-        coeffs = [str(c) for c in p.coeffs]
-    else:
-        coeffs = list(p.coeffs)
-    return {"coeffs": coeffs, "text": format_poly(p)}
+def _encode(value) -> dict:
+    """The JSON form of one library value, as a document carries it."""
+    if isinstance(value, RatPoly):
+        return {"coeffs": [str(c) for c in value.coeffs], "text": format_poly(value)}
+    if isinstance(value, IntPoly):
+        return {"coeffs": value.coeffs, "text": format_poly(value)}
+    if isinstance(value, CanonicalBasis):
+        return {"elements": value.elements, "element_cofactors": value.element_cofactors,
+                "relator_quotients": value.relator_quotients}
+    if isinstance(value, MembershipCertificate):
+        return {"cofactors": value.cofactors, "claim": value.claim}
+    if isinstance(value, MonicRelation):
+        return {"k": value.k, "phi": value.phi, "certificate": value.certificate}
+    raise TypeError(f"a {type(value).__name__} is not a JSON document value")
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` of a document: dicts with string
-    keys, lists, strings, ints, bools and None.  A list of plain ints is
-    written with one join, so its coefficients are formatted at C speed."""
+    """The bytes of ``json.dumps(value, indent=2, default=_encode)``: dicts
+    with string keys, lists and tuples, strings, ints, bools, None and the
+    library values ``_encode`` turns into these.  A sequence of plain ints
+    is written with one join, so its coefficients are formatted at C speed."""
     kind = type(value)
-    if kind is dict or kind is list:
+    if kind is dict or kind is list or kind is tuple:
         brackets = "{}" if kind is dict else "[]"
         if not value:
             return brackets
@@ -199,34 +208,7 @@ def _json_text(value, indent: str = "\n") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    raise TypeError(f"a {kind.__name__} is not a JSON document value")
-
-
-def _certificate_json(cert: MembershipCertificate) -> dict:
-    return {
-        "cofactors": [_poly_json(c) for c in cert.cofactors],
-        "claim": _poly_json(cert.claim),
-    }
-
-
-def _relation_json(rel) -> dict:
-    return {
-        "k": rel.k,
-        "phi": _poly_json(rel.phi),
-        "certificate": _certificate_json(rel.certificate),
-    }
-
-
-def _basis_json(basis: CanonicalBasis) -> dict:
-    return {
-        "elements": [_poly_json(e) for e in basis.elements],
-        "element_cofactors": [
-            [_poly_json(c) for c in cof] for cof in basis.element_cofactors
-        ],
-        "relator_quotients": [
-            [_poly_json(q) for q in row] for row in basis.relator_quotients
-        ],
-    }
+    return _json_text(_encode(value), indent)
 
 
 def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
@@ -238,15 +220,15 @@ def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
     if v.squarefree_witness is not None:
         sf = v.squarefree_witness
         fields["coefficient_gcd_squarefree"] = sf.is_squarefree
-        fields["coefficient_gcd_factorization"] = [list(f) for f in sf.factorization]
+        fields["coefficient_gcd_factorization"] = sf.factorization
         lines.append(
             f"condition (i): coefficient gcd {v.coefficient_gcd} "
             f"{'is' if sf.is_squarefree else 'is NOT'} squarefree"
         )
     if v.rational_gcd is not None:
         rg = v.rational_gcd
-        fields["gamma"] = _poly_json(rg.gamma)
-        fields["gamma_cofactors"] = [_poly_json(c) for c in rg.cofactors]
+        fields["gamma"] = rg.gamma
+        fields["gamma_cofactors"] = rg.cofactors
         fields["denominator_lcm"] = rg.denominator_lcm
         lines.append(
             f"condition (ii): rational gcd {format_poly(rg.gamma)} "
@@ -271,15 +253,14 @@ def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
             )
     w = v.positive_witness
     if w is not None:
-        fields["witness"] = _relation_json(w)
+        fields["witness"] = w
         lines.append(
             f"witness: {w.k} * ({format_poly(w.phi)}) vanishes at the generator"
         )
         if w.k > 1:
             split = torsion_split(v.squarefree_witness)
             fields["torsion_split"] = {
-                "parts": [list(t) for t in split.parts],
-                "bezout": list(split.bezout_coefficients),
+                "parts": split.parts, "bezout": split.bezout_coefficients,
             }
             lines.append(
                 "prime split: "
@@ -293,21 +274,13 @@ def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
     inv = ring_invariants(p)
     fields = {
         "algebraic_degree": inv.algebraic_degree,
-        "minimal_polynomial": (
-            _poly_json(inv.minimal_polynomial) if inv.minimal_polynomial else None
-        ),
+        "minimal_polynomial": inv.minimal_polynomial,
         "minimal_content": inv.minimal_content,
-        "minimal_primitive": (
-            _poly_json(inv.minimal_primitive) if inv.minimal_primitive else None
-        ),
+        "minimal_primitive": inv.minimal_primitive,
         "torsion": inv.torsion,
         "torsion_exponent": inv.torsion_exponent,
-        "torsion_witness": (
-            _relation_json(inv.torsion_witness) if inv.torsion_witness else None
-        ),
-        "exponent_witness": (
-            _relation_json(inv.exponent_witness) if inv.exponent_witness else None
-        ),
+        "torsion_witness": inv.torsion_witness,
+        "exponent_witness": inv.exponent_witness,
         "search_bound": inv.search_bound,
     }
     fmt = lambda x: "infinite" if x is None else x
@@ -334,7 +307,7 @@ def _cmd_basis(args, p: Presentation) -> tuple[dict, list[str]]:
     basis = canonical_basis(p)
     lines = [f"basis elements: {len(basis.elements)}"]
     lines += [f"  {format_poly(e)}" for e in basis.elements]
-    return {"basis": _basis_json(basis)}, lines
+    return {"basis": basis}, lines
 
 
 def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
@@ -344,14 +317,14 @@ def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
     g = parse_poly(args.poly)
     basis = canonical_basis(p)
     nf, quotients = reduce_with_quotients(g, basis)
-    member, cert = membership(g, p)
+    member, cert = membership(g, p) if nf.is_zero() else (False, None)
     fields = {
-        "poly": _poly_json(g),
+        "poly": g,
         "member": member,
-        "certificate": _certificate_json(cert) if cert else None,
-        "normal_form": _poly_json(nf),
-        "quotients": [_poly_json(q) for q in quotients],
-        "basis": _basis_json(basis),
+        "certificate": cert,
+        "normal_form": nf,
+        "quotients": quotients,
+        "basis": basis,
     }
     lines = [f"member: {'yes' if member else 'no'}", f"normal form: {format_poly(nf)}"]
     if cert:
@@ -366,7 +339,7 @@ def _cmd_quotient(args, p: Presentation) -> tuple[dict, list[str]]:
         fields = {
             "modulus": args.modulus,
             "finite": False,
-            "obstruction": [list(t) for t in ring.obstruction],
+            "obstruction": ring.obstruction,
         }
         lines = [
             f"quotient mod {args.modulus}: infinite",
@@ -380,13 +353,11 @@ def _cmd_quotient(args, p: Presentation) -> tuple[dict, list[str]]:
     fields = {
         "modulus": args.modulus,
         "finite": True,
-        "standard_monomials": list(ring.standard_monomials),
-        "position_moduli": list(ring.position_moduli),
+        "standard_monomials": ring.standard_monomials,
+        "position_moduli": ring.position_moduli,
         "carrier_size": ring.carrier_size,
-        "generator_image": list(gen),
-        "generator_action": {
-            str(d): _poly_json(img) for d, img in zip(ring.standard_monomials, action)
-        },
+        "generator_image": gen,
+        "generator_action": {str(d): img for d, img in zip(ring.standard_monomials, action)},
     }
     lines = [
         f"quotient mod {args.modulus}: finite, {ring.carrier_size} elements",
@@ -409,15 +380,15 @@ def _cmd_separate(args, p: Presentation) -> tuple[dict, list[str]]:
     gens = [parse_poly(t) for t in args.gen or []]
     result = separate(p, target, gens, args.bound)
     fields = {
-        "target": _poly_json(target),
-        "generators": [_poly_json(g) for g in gens],
+        "target": target,
+        "generators": gens,
         "found": result.found,
         "modulus": result.modulus,
         "bound_exhausted": result.bound_exhausted,
     }
     if result.found:
-        fields["image_of_target"] = list(result.image_of_target)
-        fields["subring_image"] = sorted(list(u) for u in result.subring_image)
+        fields["image_of_target"] = result.image_of_target
+        fields["subring_image"] = sorted(result.subring_image)
         lines = [
             f"separated at modulus {result.modulus}: target image "
             f"{format_poly(result.quotient.to_poly(result.image_of_target))} is outside the "
@@ -523,7 +494,7 @@ def _respond(args) -> None:
         return
     doc = {"schema": SCHEMA, "command": args.command}
     if p is not None:
-        doc["relators"] = [_poly_json(r) for r in p.relators]
+        doc["relators"] = p.relators
     print(_json_text(doc | fields))
 
 

@@ -3,7 +3,8 @@
 All values are plain Python ints (arbitrary precision).  Everything here
 is pure and deterministic; the factorization routine uses trial division
 up to the fixed ``TRIAL_DIVISION_BOUND`` with a Pollard-rho fallback,
-which is plenty for the coefficient sizes this library meets in practice.
+which is plenty for the coefficient sizes this library meets in practice;
+a perfect power is split by its integer root before rho runs.
 Each Pollard rho call runs under a fixed effort budget of
 ``RHO_STEP_BUDGET`` steps: a cofactor it cannot split within the budget
 (one with two prime factors above about 10^10, say) raises
@@ -160,13 +161,30 @@ def _small_trial_primes(n: int):
 
 
 def _factor_generic(n: int) -> list[int]:
-    """Fully factor n (no prime factor below the trial bound) via Pollard rho."""
+    """Fully factor n (no prime factor below the trial bound) via Pollard rho;
+    a perfect power r^k is split by its integer root first."""
     if n == 1:
         return []
     if is_probable_prime(n):
         return [n]
+    # each prime factor exceeds the trial bound 10^6 > 2^19, so n = r^k
+    # has 2^(19k) <= n
+    for k in range(2, (n.bit_length() - 1) // 19 + 1):
+        r = _iroot(n, k)
+        if r**k == n:
+            return sorted(_factor_generic(r) * k)
     d = _pollard_rho(n)
     return sorted(_factor_generic(d) + _factor_generic(n // d))
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _pollard_rho(n: int) -> int:

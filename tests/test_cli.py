@@ -456,6 +456,41 @@ def test_run_member_prints_its_verdict_and_normal_form(capsys):
     assert capsys.readouterr().out == "member: no\nnormal form: x\n"
 
 
+def test_a_non_member_query_divides_once(monkeypatch, capsys):
+    # the normal form decides a non-member; membership would divide again
+    from finsep import ideal
+    relators = ["--relator", "6x^100 - 6x", "--relator", "10x^99 + 4x^5"]
+    argv = ["member", *relators, "--poly", "x^300 + 7x^151 + x"]
+    assert run(argv) == 0  # warms the basis cache
+    capsys.readouterr()
+    calls, divide = [], ideal._divide
+    monkeypatch.setattr(ideal, "_divide", lambda *a: calls.append(1) or divide(*a))
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("member: no\n")
+    assert len(calls) == 1
+
+
+def test_text_mode_formats_only_what_it_prints(monkeypatch, capsys):
+    # the basis document's cofactors and quotients are never formatted
+    formatted = []
+    monkeypatch.setattr(cli, "format_poly", lambda p: formatted.append(p) or format_poly(p))
+    assert run(["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2"]) == 0
+    assert capsys.readouterr().out == "basis elements: 2\n  3x\n  x^2 + 2x\n"
+    assert formatted == [ip(0, 3), ip(0, 2, 1)]
+
+
+def test_a_prime_square_gcd_is_split_without_rho(capsys):
+    # p^2 * x for a 67-bit prime p: Pollard rho would need about sqrt(p) steps
+    p = 143252349924571991197
+    start = time.perf_counter()
+    assert run(["decide", "--relator", f"{p * p}x", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["separable"] is False
+    assert doc["failure_reason"]["prime"] == p
+    assert doc["coefficient_gcd_factorization"] == [[p, 2]]
+
+
 def test_run_basis_json(capsys):
     assert run(["basis", "--relator", "2x^3 + x", "--relator", "2x^3 + x^2",
                 "--json"]) == 0

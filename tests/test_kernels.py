@@ -4,7 +4,9 @@
 ``ideal._balance`` and ``check.is_combination`` work on raw coefficient
 lists.  The references here are written term by term in ``IntPoly``
 arithmetic, so they share no list code with the kernels.  The document
-writer ``cli._json_text`` is checked against ``json.dumps(..., indent=2)``.
+writer ``cli._json_text`` is checked against ``json.dumps(..., indent=2,
+default=cli._encode)`` on plain values and the library values a document
+carries: polynomials, certificates, relations and bases.
 """
 
 import hashlib
@@ -20,10 +22,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
-from finsep.cli import _json_text
-from finsep.ideal import (Presentation, _balance, _fold_into, basis_elements,
-                          canonical_basis)
-from finsep.poly import IntPoly, _divide as _divide_rows, gcd_q
+from finsep.cli import _encode, _json_text
+from finsep.ideal import (MembershipCertificate, Presentation, _balance, _fold_into,
+                          basis_elements, canonical_basis)
+from finsep.invariants import MonicRelation
+from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, gcd_q
 
 SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -285,15 +288,27 @@ def test_completion_cofactors_are_pinned_on_a_seeded_corpus():
     assert digest == "eb12b3f3c62ab92027494b8930eff770189145aa6086f08eaad83884f1b3d5f4"
 
 
-# JSON document values: ints of any size (some above the 4,300-digit
-# int/str limit), bools, None and strings of any characters, in lists of
-# plain ints and in mixed lists and dicts
+# document values: ints of any size (some above the 4,300-digit int/str
+# limit), bools, None, strings of any characters and the library values a
+# document carries, in lists and tuples of plain ints and in mixed lists,
+# tuples and dicts
 big_ints = st.builds(lambda sign, k: sign * (10**4300 + k), st.sampled_from((1, -1)),
                      st.integers(0, 10**6))
 json_ints = st.one_of(st.integers(), st.just(0), big_ints)
+certificates = st.builds(MembershipCertificate, st.lists(polys, max_size=3).map(tuple),
+                         polys)
+relators = st.lists(st.integers(-9, 9), max_size=4).map(lambda c: IntPoly([0, *c]))
+library_values = st.one_of(
+    polys,
+    st.lists(st.fractions(max_denominator=30), max_size=6).map(RatPoly),
+    certificates,
+    st.builds(MonicRelation, json_ints, polys, certificates),
+    st.lists(relators, max_size=3).map(lambda rs: canonical_basis(Presentation(rs))),
+)
 json_values = st.recursive(
-    st.one_of(json_ints, st.booleans(), st.none(), st.text(), st.lists(json_ints)),
-    lambda children: st.one_of(st.lists(children),
+    st.one_of(json_ints, st.booleans(), st.none(), st.text(), st.lists(json_ints),
+              st.lists(json_ints).map(tuple), library_values),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
                                st.dictionaries(st.text(), children)),
     max_leaves=20,
 )
@@ -308,7 +323,7 @@ def test_the_document_writer_is_json_dumps_with_indent_2(value):
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        assert _json_text(value) == json.dumps(value, indent=2)
+        assert _json_text(value) == json.dumps(value, indent=2, default=_encode)
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from finsep.cli import _poly_json
+from finsep.cli import _encode
 from finsep.poly import (
     IntPoly,
     RatPoly,
@@ -189,7 +189,7 @@ def test_gcd_q_values_match_ratpolys_built_the_public_way():
             public = RatPoly(Fraction(x, l) for x in ints.coeffs)
             assert p == public and hash(p) == hash(public)
             assert all(type(c) is Fraction for c in p.coeffs)
-            assert _poly_json(p) == _poly_json(public)
+            assert _encode(p) == _encode(public)
             assert RatPoly(p.coeffs) == p and RatPoly(p.coeffs).coeffs == p.coeffs
 
 

@@ -132,7 +132,14 @@ def test_factorize_and_squarefree_match_factorint():
     rng = random.Random(52)
     values = list(range(1, 400)) + [
         rng.randint(1, 10**6) * rng.choice((1, 4, 9, 49, 121)) for _ in range(300)
-    ] + [(10**6 + 3) * (10**6 + 33), (10**6 + 3) ** 2 * 6, 2**61 - 1]
+    ] + [(10**6 + 3) * (10**6 + 33), (10**6 + 3) ** 2 * 6, 2**61 - 1] + [
+        # m * q^k for primes q of 20 to 67 bits: past the trial bound,
+        # rho alone cannot split the larger q^k within its budget.  Each
+        # costs the whole trial division, about 40 ms, so there are 100
+        rng.choice((1, 2, 3, 30, 49)) * q ** rng.randint(2, 4)
+        for q in (sympy.nextprime(rng.getrandbits(rng.randint(20, 67)) | 1 << 19)
+                  for _ in range(100))
+    ]
     for n in values:
         want = tuple(sorted(sympy.factorint(n).items()))
         assert factorize(n) == want
