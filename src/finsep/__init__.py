@@ -44,7 +44,6 @@ from .ideal import (
 from .invariants import (
     MonicRelation,
     RingInvariants,
-    TorsionData,
     minimal_polynomial,
     ring_invariants,
     torsion_data,

@@ -272,17 +272,6 @@ def _cmd_decide(args, p: Presentation) -> tuple[dict, list[str]]:
 
 def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
     inv = ring_invariants(p)
-    fields = {
-        "algebraic_degree": inv.algebraic_degree,
-        "minimal_polynomial": inv.minimal_polynomial,
-        "minimal_content": inv.minimal_content,
-        "minimal_primitive": inv.minimal_primitive,
-        "torsion": inv.torsion,
-        "torsion_exponent": inv.torsion_exponent,
-        "torsion_witness": inv.torsion_witness,
-        "exponent_witness": inv.exponent_witness,
-        "search_bound": inv.search_bound,
-    }
     fmt = lambda x: "infinite" if x is None else x
     lines = [
         f"algebraic degree: {fmt(inv.algebraic_degree)}",
@@ -300,7 +289,7 @@ def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
     if inv.torsion_witness is not None:
         w = inv.torsion_witness
         lines.append(f"witness: {w.k} * ({format_poly(w.phi)}) vanishes at the generator")
-    return fields, lines
+    return vars(inv), lines
 
 
 def _cmd_basis(args, p: Presentation) -> tuple[dict, list[str]]:

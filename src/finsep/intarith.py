@@ -2,9 +2,10 @@
 
 All values are plain Python ints (arbitrary precision).  Everything here
 is pure and deterministic; the factorization routine uses trial division
-up to the fixed ``TRIAL_DIVISION_BOUND`` with a Pollard-rho fallback,
-which is plenty for the coefficient sizes this library meets in practice;
-a perfect power is split by its integer root before rho runs.
+up to the square root of what is left of the number, and never past the
+fixed ``TRIAL_DIVISION_BOUND``, with a Pollard-rho fallback, which is
+plenty for the coefficient sizes this library meets in practice; a
+perfect power is split by its integer root before rho runs.
 Each Pollard rho call runs under a fixed effort budget of
 ``RHO_STEP_BUDGET`` steps: a cofactor it cannot split within the budget
 (one with two prime factors above about 10^10, say) raises
@@ -137,24 +138,25 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise NonPositiveError(f"factorize needs n >= 1, got {n}")
     factors: dict[int, int] = {}
-    for p in _small_trial_primes(n):
+    for p in _small_trial_primes():
+        # what is left is 1 or a prime once p*p exceeds it
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-        if n == 1:
-            break
     if n > 1:
         for p in _factor_generic(n):
             factors[p] = factors.get(p, 0) + 1
     return tuple(sorted(factors.items()))
 
 
-def _small_trial_primes(n: int):
+def _small_trial_primes():
     yield 2
     yield 3
     p = 5
-    # 6k +/- 1 wheel; stop once p*p exceeds n or the trial bound
-    while p <= TRIAL_DIVISION_BOUND and p * p <= n:
+    # 6k +/- 1 wheel, up to the trial bound
+    while p <= TRIAL_DIVISION_BOUND:
         yield p
         yield p + 2
         p += 6

@@ -48,34 +48,25 @@ class MonicRelation:
 
 
 @dataclass(frozen=True)
-class TorsionData:
-    """Integer torsion and torsion exponent, bound-relative.
+class RingInvariants:
+    """All invariants of the generator, None standing for infinite or absent.
 
-    ``tau`` is None when no monic multiple exists within ``bound``; the
-    bound is always recorded so an infinite verdict stays auditable.
+    The fields, in this order, are the keys of the ``invariants`` document.
+    ``torsion`` is None when no monic multiple exists within
+    ``search_bound``; the bound is always recorded so an infinite verdict
+    stays auditable.  With no nonzero relator every field is None and the
+    bound 0.
     """
 
-    tau: int | None
-    exponent: int | None
-    witness: MonicRelation | None
-    exponent_witness: MonicRelation | None
-    bound: int
-
-
-@dataclass(frozen=True)
-class RingInvariants:
-    """All invariants of the generator, None standing for infinite/absent;
-    ``exponent_witness`` is ``TorsionData.exponent_witness``."""
-
-    algebraic_degree: int | None
-    minimal_polynomial: IntPoly | None
-    minimal_content: int | None
-    minimal_primitive: IntPoly | None
-    torsion: int | None
-    torsion_exponent: int | None
-    torsion_witness: MonicRelation | None
-    exponent_witness: MonicRelation | None
-    search_bound: int
+    algebraic_degree: int | None = None
+    minimal_polynomial: IntPoly | None = None
+    minimal_content: int | None = None
+    minimal_primitive: IntPoly | None = None
+    torsion: int | None = None
+    torsion_exponent: int | None = None
+    torsion_witness: MonicRelation | None = None
+    exponent_witness: MonicRelation | None = None
+    search_bound: int = 0
 
 
 def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
@@ -116,8 +107,8 @@ def _least_successful_multiplier(
     return tau
 
 
-def torsion_data(presentation: Presentation) -> TorsionData:
-    """Compute (tau, exponent) with certified witnesses.
+def torsion_data(presentation: Presentation) -> RingInvariants:
+    """Every invariant of the presentation's generator, witnesses certified.
 
     The least multiplier divides the minimal-polynomial content and is
     located by prime descent from it, which is exact (see
@@ -128,11 +119,13 @@ def torsion_data(presentation: Presentation) -> TorsionData:
     """
     mp = minimal_polynomial(presentation)
     if mp is None:
-        return TorsionData(None, None, None, None, bound=0)
+        return RingInvariants()
     split = content_split(mp)
     d, primitive = split.content, split.primitive
     degree = mp.degree
     bound = max(degree, 2 * presentation.max_degree)
+    known = functools.partial(RingInvariants, degree, mp, d, primitive,
+                              search_bound=bound)
 
     @functools.cache
     def search(k: int) -> IntPoly | None:
@@ -140,7 +133,7 @@ def torsion_data(presentation: Presentation) -> TorsionData:
 
     tau = _least_successful_multiplier(search, d)
     if tau is None:
-        return TorsionData(None, None, None, None, bound=bound)
+        return known()
     tau_phi = search(tau)
 
     # torsion finite forces a monic primitive part, so d times it is a monic
@@ -155,13 +148,13 @@ def torsion_data(presentation: Presentation) -> TorsionData:
         if phi_e is None or phi_e.degree != degree:
             raise SelfCheckError(f"no degree-{degree} monic multiple for k={d}")
         exp_witness = certified_relation(presentation, d, phi_e)
-    return TorsionData(
-        tau=tau,
-        exponent=exp_witness.phi.degree,
-        witness=witness,
-        exponent_witness=exp_witness,
-        bound=bound,
-    )
+    return known(torsion=tau, torsion_exponent=exp_witness.phi.degree,
+                 torsion_witness=witness, exponent_witness=exp_witness)
+
+
+# bench/tracing.py traces this function by its defining name, torsion_data;
+# the library and bench/workloads.py call it ring_invariants
+ring_invariants = torsion_data
 
 
 def certified_relation(
@@ -178,34 +171,3 @@ def certified_relation(
     if not member:
         raise SelfCheckError(f"k={k} times phi is not in the relator ideal")
     return MonicRelation(k=k, phi=phi, certificate=cert)
-
-
-def ring_invariants(presentation: Presentation) -> RingInvariants:
-    """Aggregate every invariant of the presentation's generator."""
-    mp = minimal_polynomial(presentation)
-    if mp is None:
-        return RingInvariants(
-            algebraic_degree=None,
-            minimal_polynomial=None,
-            minimal_content=None,
-            minimal_primitive=None,
-            torsion=None,
-            torsion_exponent=None,
-            torsion_witness=None,
-            exponent_witness=None,
-            search_bound=0,
-        )
-    split = content_split(mp)
-    data = torsion_data(presentation)
-    return RingInvariants(
-        algebraic_degree=mp.degree,
-        minimal_polynomial=mp,
-        minimal_content=split.content,
-        minimal_primitive=split.primitive,
-        torsion=data.tau,
-        torsion_exponent=data.exponent,
-        torsion_witness=data.witness,
-        exponent_witness=data.exponent_witness,
-        search_bound=data.bound,
-    )
-

@@ -107,8 +107,8 @@ def test_criterion_1_verdict_corpus():
     data = torsion_data(CORPUS["{2x^2, x^3}"])
     # x^3 is itself a monic relator, so the least multiplier is 1 (not the
     # minimal-polynomial content 2); the least monic degree is 2 via 2*x^2
-    assert (data.tau, data.exponent) == (1, 2)
-    assert data.witness.verify(CORPUS["{2x^2, x^3}"])
+    assert (data.torsion, data.torsion_exponent) == (1, 2)
+    assert data.torsion_witness.verify(CORPUS["{2x^2, x^3}"])
 
     v = verdicts["{}"]
     assert not v.separable and v.failure_reason.kind == NO_RELATORS

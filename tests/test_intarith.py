@@ -129,6 +129,29 @@ def test_factorize_beyond_trial_bound_uses_rho():
     assert factorize(6 * p * q) == ((2, 1), (3, 1), (p, 1), (q, 1))
 
 
+def test_trial_division_stops_at_the_root_of_what_is_left(monkeypatch):
+    import finsep.intarith as intarith
+
+    drawn = []
+    real = intarith._small_trial_primes
+
+    def counting(*args):
+        for p in real(*args):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(intarith, "_small_trial_primes", counting)
+    # once the 2s are divided out, 1000003 is left, whose root is about
+    # 1000; the wheel up to 10^6 would draw some 333,000 candidates
+    assert factorize(2**200 * 1000003) == ((2, 200), (1000003, 1))
+    assert len(drawn) < 400
+    # a cofactor with no small factor still meets the whole wheel
+    drawn.clear()
+    p, q = 10**6 + 3, 10**6 + 33
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    assert max(drawn) > TRIAL_DIVISION_BOUND - 6
+
+
 def test_rho_gives_up_past_its_budget():
     # two primes near 10^12 need about 10^6 rho steps, past the budget
     p = next(n for n in range(10**12 + 1, 10**12 + 1000, 2) if is_probable_prime(n))

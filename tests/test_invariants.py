@@ -86,23 +86,23 @@ def test_prop_divisibility_of_members():
 
 def test_torsion_examples():
     data = torsion_data(pres((0, -1, 1)))
-    assert (data.tau, data.exponent) == (1, 2)
-    assert data.witness.phi == ip(0, -1, 1)
-    assert data.witness.verify(pres((0, -1, 1)))
+    assert (data.torsion, data.torsion_exponent) == (1, 2)
+    assert data.torsion_witness.phi == ip(0, -1, 1)
+    assert data.torsion_witness.verify(pres((0, -1, 1)))
 
     data = torsion_data(pres((0, 4)))
-    assert (data.tau, data.exponent) == (4, 1)
-    assert data.witness.phi == ip(0, 1)
+    assert (data.torsion, data.torsion_exponent) == (4, 1)
+    assert data.torsion_witness.phi == ip(0, 1)
 
     data = torsion_data(pres((0, 1, 2)))
-    assert data.tau is None and data.exponent is None
-    assert data.bound == 4  # recorded, never presented as a proof
+    assert data.torsion is None and data.torsion_exponent is None
+    assert data.search_bound == 4  # recorded, never presented as a proof
 
     # x^3 itself is a monic relator, so the torsion is 1 even though the
     # minimal polynomial 2x^2 has content 2; the least monic degree stays 2
     data = torsion_data(pres((0, 0, 2), (0, 0, 0, 1)))
-    assert (data.tau, data.exponent) == (1, 2)
-    assert data.witness.k == 1 and data.witness.phi == ip(0, 0, 0, 1)
+    assert (data.torsion, data.torsion_exponent) == (1, 2)
+    assert data.torsion_witness.k == 1 and data.torsion_witness.phi == ip(0, 0, 0, 1)
     assert data.exponent_witness.k == 2 and data.exponent_witness.phi == ip(0, 0, 1)
 
 
@@ -112,15 +112,15 @@ def test_torsion_minimality_and_certificates():
     for _ in range(80):
         p = Presentation([random_zero_const_poly(rng, 4, 6) for _ in range(rng.randint(1, 2))])
         data = torsion_data(p)
-        if data.tau is None:
+        if data.torsion is None:
             continue
         checked += 1
-        assert data.witness.verify(p)
+        assert data.torsion_witness.verify(p)
         assert data.exponent_witness.verify(p)
-        assert data.exponent == minimal_polynomial(p).degree
+        assert data.torsion_exponent == minimal_polynomial(p).degree
         # exhaustive: no smaller multiplier admits a monic multiple
-        for k in range(1, data.tau):
-            assert monic_multiple_search(p, k, data.bound) is None
+        for k in range(1, data.torsion):
+            assert monic_multiple_search(p, k, data.search_bound) is None
     assert checked >= 15
 
 
@@ -139,14 +139,14 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
     # shifting the second relation and combining the two by Bezout
     p = pres(ip(0, -1, 1).scale(9699690).coeffs, ip(0, 0, -1, 1).scale(690690).coeffs)
     data = torsion_data(p)
-    assert (data.tau, data.exponent) == (30030, 2)
-    assert data.witness.k == 30030 and data.witness.verify(p)
+    assert (data.torsion, data.torsion_exponent) == (30030, 2)
+    assert data.torsion_witness.k == 30030 and data.torsion_witness.verify(p)
     assert data.exponent_witness.phi == ip(0, -1, 1)
     # the exponent witness reuses the content's search instead of repeating it
     assert data.exponent_witness.k == 9699690
     assert len(calls) == len(set(calls))
     for q in (2, 3, 5, 7, 11, 13):
-        assert monic_multiple_search(p, 30030 // q, data.bound) is None
+        assert monic_multiple_search(p, 30030 // q, data.search_bound) is None
 
 
 def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
@@ -172,8 +172,8 @@ def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
     for relators in cases:
         claims.clear()
         data = torsion_data(pres(*relators))
-        returned = [data.witness]
-        if data.exponent_witness is not data.witness:
+        returned = [data.torsion_witness]
+        if data.exponent_witness is not data.torsion_witness:
             returned.append(data.exponent_witness)
         assert claims == [w.phi.scale(w.k) for w in returned]
     assert len(returned) == 2
@@ -192,9 +192,9 @@ def test_torsion_one_never_factors_the_content(monkeypatch):
     monkeypatch.setattr(inv, "factorize", no_factorize)
     p = pres((0, d), (0, -1, 1))
     data = torsion_data(p)
-    assert (data.tau, data.exponent) == (1, 1)
-    assert data.witness.k == 1 and data.witness.phi.degree == 2
-    assert data.witness.verify(p)
+    assert (data.torsion, data.torsion_exponent) == (1, 1)
+    assert data.torsion_witness.k == 1 and data.torsion_witness.phi.degree == 2
+    assert data.torsion_witness.verify(p)
     assert data.exponent_witness.k == d and data.exponent_witness.phi == ip(0, 1)
     assert ring_invariants(p).torsion == 1
 
@@ -204,7 +204,7 @@ def test_torsion_finite_implies_monic_primitive():
     for _ in range(80):
         p = Presentation([random_zero_const_poly(rng, 4, 6) for _ in range(rng.randint(1, 2))])
         data = torsion_data(p)
-        if data.tau is not None:
+        if data.torsion is not None:
             assert content_split(minimal_polynomial(p)).primitive.is_monic()
 
 
@@ -217,6 +217,21 @@ def test_ring_invariants_aggregate():
     inv = ring_invariants(pres())
     assert inv.algebraic_degree is None and inv.torsion is None
     assert inv.minimal_polynomial is None and inv.search_bound == 0
+
+
+def test_ring_invariants_splits_the_minimal_polynomial_once(monkeypatch):
+    import finsep.invariants as inv
+
+    split = []
+
+    def counting(f):
+        split.append(f)
+        return content_split(f)
+
+    monkeypatch.setattr(inv, "content_split", counting)
+    record = ring_invariants(pres((0, -6, 6)))
+    assert (record.torsion, record.minimal_content) == (6, 6)
+    assert split == [record.minimal_polynomial]
 
 
 def relation_from_member(p, g):

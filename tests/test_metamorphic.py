@@ -45,7 +45,7 @@ def _verdict(presentation, *, exact=True):
 
 def _torsion(presentation):
     data = torsion_data(presentation)
-    return data.tau, data.exponent
+    return data.torsion, data.torsion_exponent
 
 
 def _same_ideal(before, after):

@@ -187,13 +187,13 @@ def test_torsion_consistency_on_separable_instances():
         if not v.separable:
             continue
         data = torsion_data(p)
-        assert data.tau is not None
-        assert v.coefficient_gcd % data.tau == 0
+        assert data.torsion is not None
+        assert v.coefficient_gcd % data.torsion == 0
         from finsep.intarith import squarefree
-        assert squarefree(data.tau).is_squarefree
+        assert squarefree(data.torsion).is_squarefree
         # torsion exponent equals the algebraic degree here
         from finsep.invariants import minimal_polynomial
-        assert data.exponent == minimal_polynomial(p).degree
+        assert data.torsion_exponent == minimal_polynomial(p).degree
 
 
 def test_separable_decide_builds_one_certificate(monkeypatch):
