@@ -29,15 +29,15 @@ certificate is re-checked (``check.is_combination``) before it is returned.
 only the elements (the finite quotients of the separation search).  A failed
 re-check raises ``SelfCheckError``.
 
-The monic-multiple search decides, degree by degree, whether k*phi lies in
-V for some monic phi of bounded degree, modulo k over the staircase rows
-x^(n-d) * t_d of the strong basis, from the algebraic degree up (the
-argument is in ``monic_multiple_search``).  It reads basis elements only;
-the relations handed out are certified once each, by
+The monic-multiple search, whether k*phi lies in V for some monic phi of
+bounded degree, reads the basis: the answer is t/lead(t) for the lowest
+element t whose lead divides k, or none when the minimal polynomial's
+primitive part is not monic (the argument is in ``monic_multiple_search``).
+The relations handed out are certified once each, by
 ``invariants.certified_relation``.  One helper, ``staircase_row``, builds
-the staircase rows, and one echelon over Z/N, ``_Echelon``, holds their
-span for both lattices of the library: this search (N = k) and the
-subring span of a finite quotient (``quotients._SubringSpan``, N = q).
+the staircase rows x^(n-d) * t_d of a basis, and one echelon over Z/N,
+``_Echelon``, holds their span for the subring span of a finite quotient
+(``quotients._SubringSpan``, N = q).
 """
 
 from __future__ import annotations
@@ -387,16 +387,6 @@ def membership(
     return True, cert
 
 
-def _lin(a: int, s: dict, b: int, t: dict, n: int) -> dict:
-    """The sparse vector a*s + b*t, entries in [0, n)."""
-    out = {}
-    for i in s.keys() | t.keys():
-        c = (a * s.get(i, 0) + b * t.get(i, 0)) % n
-        if c:
-            out[i] = c
-    return out
-
-
 class _Echelon:
     """Row echelon over Z/N; a row's pivot is its highest nonzero coordinate.
 
@@ -412,58 +402,43 @@ class _Echelon:
     top-down reduction clears it, an empty slot clearing only 0.
 
     A row with pivot j stores coordinates 0..j only, so the echelon grows
-    with its input and has no fixed dimension.  Rows optionally carry a
-    sparse tail {index: coefficient} of bookkeeping coordinates, also kept
-    in [0, N), that follows every row operation, so reducing a vector to
-    zero also yields its expression over the tracked generators mod N.  An
-    operation between two rows without tails skips it: the tail stays zero.
+    with its input and has no fixed dimension.
     """
 
     def __init__(self, modulus: int):
         self.modulus = modulus
         self.rows: dict[int, list[int]] = {}
-        self.tails: dict[int, dict[int, int]] = {}
 
-    def add(self, vec, tail=None) -> None:
+    def add(self, vec) -> None:
         n = self.modulus
         vec = _trim([x % n for x in vec])
-        tail = {i: c % n for i, c in tail.items() if c % n} if tail else {}
         while vec:
             j = len(vec) - 1
             row = self.rows.get(j)
-            rtail = self.tails.get(j, {})
             if row is None:
                 row = [0] * j + [n]
             a, b = row[j], vec[j]
             if b % a == 0:
                 q = b // a
                 vec = [(x - q * y) % n for x, y in zip(vec, row)]
-                if rtail:
-                    tail = _lin(1, tail, -q, rtail, n)
             else:
                 g, u, v = xgcd(a, b)
                 self.rows[j] = [(u * x + v * y) % n for x, y in zip(row, vec)]
                 vec = [((a // g) * y - (b // g) * x) % n for x, y in zip(row, vec)]
-                if tail or rtail:
-                    self.tails[j] = _lin(u, rtail, v, tail, n)
-                    tail = _lin(-(b // g), rtail, a // g, tail, n)
             _trim(vec)
 
-    def solve(self, vec) -> dict[int, int] | None:
-        """If vec is in the span mod N, return its accumulated sparse tail."""
+    def solve(self, vec) -> bool:
+        """Whether vec lies in the span mod N."""
         n = self.modulus
         vec = _trim([x % n for x in vec])
-        out: dict[int, int] = {}
         while vec:
             j = len(vec) - 1
             row = self.rows.get(j)
             if row is None or vec[j] % row[j]:
-                return None
+                return False
             q = vec[j] // row[j]
             vec = _trim([(x - q * y) % n for x, y in zip(vec, row)])
-            if self.tails.get(j):
-                out = _lin(1, out, q, self.tails[j], n)
-        return out
+        return True
 
 
 def staircase_row(elements, n: int) -> list[int]:
@@ -472,6 +447,7 @@ def staircase_row(elements, n: int) -> list[int]:
     t_d is the element of largest degree d <= n; ``elements`` ascend in
     degree and the lowest is at most n.  Coordinate i - 1 holds the
     coefficient of x^i, for degrees 1 .. n, so the row's pivot is n - 1.
+    ``quotients._SubringSpan`` starts from these rows.
     """
     t = next(e for e in reversed(elements) if e.degree <= n)
     return [0] * (n - t.degree) + list(t.coeffs[1:])
@@ -482,66 +458,44 @@ def monic_multiple_search(
 ) -> IntPoly | None:
     """Search for monic phi (zero constant term) with k*phi in V.
 
-    Candidate degrees are tried ascending, so a hit has least degree.  A
-    None result is a proof that no such phi of degree <= degree_bound
-    exists.  A hit is returned uncertified: callers that hand it out pass
-    it through ``invariants.certified_relation``, which checks it and
-    builds its membership certificate.
+    A hit has least degree, and a None result is a proof that no such phi
+    of degree <= degree_bound exists.  A hit is returned uncertified:
+    callers that hand it out pass it through
+    ``invariants.certified_relation``, which checks it and builds its
+    membership certificate.
 
-    At degree n, integer lower coefficients exist exactly when k*x^n lies
-    in the lattice L_n = k*Z^(<n) + V_(<=n): the multiples of k in the
-    degrees below n, plus the members of V of degree <= n.  The basis
-    is a strong basis, so V_(<=n) is spanned by the staircase rows s_m =
-    x^(m-d) * t_d of degrees m0 <= m <= n (``staircase_row``; see
-    ``_complete``), where m0 = basis.elements[0].degree is the algebraic
-    degree: every nonzero member of V reduces by some element, so none lies
-    below m0.  Only s_n has pivot n, so the coefficient of s_n in k*x^n is
-    k / lead(s_n), and k*x^n lies in L_n exactly when
+    Over the strong basis t_1, ..., t_r (ascending degree, leads l_i > 0,
+    each a proper multiple of l_(i+1); see ``_complete``), the hit is
+    t/lead(t) for the lowest t whose lead divides k, and (k/lead t)*t is
+    k*phi:
 
-    - l = lead(s_n) divides k, and
-    - -(k/l) * s_n, restricted to the degrees below n, lies in
-      W = span over Z/k of the s_m with m < n.
+    - Leads.  A member of V of degree n has its lead in l(n)*Z, l(n) the
+      lead of the last t_i of degree <= n (the strong-basis property), so
+      no k*phi with phi monic lies below deg t.
+    - Induction.  If l_1 divides t_1, then l_i divides t_i for every i.
+      With q = l_(i-1)/l_i, q*t_i - x^(deg t_i - deg t_(i-1)) * t_(i-1)
+      lies in V below deg t_i, so it is a Z-sum of staircase rows
+      x^s * t_j with j < i, each t_j a multiple of l_j (induction), which
+      l_(i-1) divides.  So q*t_i = 0 mod q*l_i, and l_i divides t_i.
+    - Gauss.  l_1 divides t_1 exactly when the primitive part P of t_1
+      (the minimal polynomial) is monic.  When it is not, P divides every
+      member of V in Z[x], so it would divide phi and lead(P) would
+      divide 1: no k*phi lies in V at any degree.
 
-    The second test is one solve in an ``_Echelon(k)`` that holds W, with
-    coordinates in [0, k), and returns a_m in [0, k) with
-    sum(a_m * s_m) == -(k/l) * s_n below n, mod k.  Then
-    (k/l) * s_n + sum(a_m * s_m) is a member of V whose lower coefficients
-    are multiples of k and whose lead is k, and phi is its exact quotient
-    by k.  On failure s_n joins W and the search moves to n + 1.
-
-    The leads of a strong basis divide backward: each element's lead is a
-    multiple of the next one's.  Every s_n has the lead of some element,
-    so it is a multiple of the top lead, and when the top lead does not
-    divide k no degree passes the test lead(s_n) | k; the search returns
-    None reading leads only.  With k = 1, W is zero, so the test is
-    lead(s_n) = 1 alone.  The leads are distinct, so only the top element
-    can be monic; the search returns it when its degree is within the
-    bound, again building no row.
+    An element that its lead does not divide contradicts the induction
+    and raises ``SelfCheckError``.
     """
     if degree_bound < 1:
         raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
     if k < 1:
         raise InvalidBoundError(f"k must be >= 1, got {k}")
     elements = canonical_basis(presentation).elements
-    if not elements or k % elements[-1].lead:
-        return None
-    if k == 1:
-        top = elements[-1]
-        return top if top.degree <= degree_bound else None
-    span = _Echelon(k)
-    for n in range(elements[0].degree, degree_bound + 1):
-        row = staircase_row(elements, n)
-        if k % row[-1] == 0:
-            c = k // row[-1]
-            coords = span.solve([-c * x for x in row[:-1]])
-            if coords is not None:
-                total = [0] + [c * x for x in row]
-                for m, a in coords.items():
-                    for i, x in enumerate(staircase_row(elements, m), 1):
-                        total[i] += a * x
-                phi = [t // k for t in total]
-                if any(t % k for t in total) or phi[n] != 1:
-                    raise SelfCheckError(f"degree-{n} multiple is not k*monic")
-                return IntPoly(phi)
-        span.add(row, {n: 1})
-    return None
+    t = next((e for e in elements if k % e.lead == 0), None)
+    if t is None or t.degree > degree_bound:
+        return None  # no member of degree <= bound has a lead dividing k
+    if gcd_list(elements[0].coeffs) != elements[0].lead:
+        return None  # Gauss: a non-monic primitive part divides all of V
+    lead = t.lead
+    if any(c % lead for c in t.coeffs):
+        raise SelfCheckError(f"degree-{t.degree} element is not lead times monic")
+    return IntPoly(c // lead for c in t.coeffs)

@@ -224,7 +224,7 @@ class _SubringSpan:
             work.extend(ring.mul(u, g) for g in gens)
 
     def contains(self, u: tuple[int, ...]) -> bool:
-        return self.echelon.solve(u) is not None
+        return self.echelon.solve(u)
 
     def _rows(self) -> list[list[int]]:
         """The echelon row at each position, q*e_j for an empty slot."""
@@ -416,7 +416,7 @@ def separate(
             echelon = _Echelon(q)
             for row in rows:
                 echelon.add(row)
-            if echelon.solve(wide_img) is not None:
+            if echelon.solve(wide_img):
                 continue
             basis = canonical_basis(_extended(presentation, q))
             ring = FiniteRing(presentation, q, basis.elements, basis)

@@ -334,8 +334,8 @@ def test_run_internal_fault_exits_3(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("internal error: no monic multiple")
 
 
-# relators whose torsion needs a 134-bit composite factored: two primes
-# too large for Pollard rho within its budget
+# relators whose minimal-polynomial content has a 134-bit composite cofactor,
+# two primes too large for Pollard rho within its budget
 RHO_STALL_PAIR = (
     "-40914x^8 - 3030x^7 + 30360x^6 - 16986x^5 - 14610x^4 + 7962x^3"
     " - 14178x^2 + 48696x",
@@ -343,15 +343,49 @@ RHO_STALL_PAIR = (
     " - 63798x^4 + 9054x^3 + 49398x^2",
 )
 
+# the degree-100 pair whose minimal-polynomial content has 233 bits
+SPARSE_PAIR = ("6x^100 - 6x", "10x^99 + 4x^5")
+
 
 def test_run_factoring_budget_exits_4(capsys):
+    # condition (i) factors the coefficient gcd M, a product of two 67-bit
+    # primes that Pollard rho does not split within its budget
+    M = 11359719203640997809264524279390943911003
     start = time.perf_counter()
-    assert run(["invariants", "--relator", RHO_STALL_PAIR[0],
-                "--relator", RHO_STALL_PAIR[1]]) == 4
+    assert run(["decide", "--relator", f"{M}x^2 - {M}x"]) == 4
     assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("factoring budget exceeded:")
+
+
+@pytest.mark.parametrize("pair, tau", [(SPARSE_PAIR, 2), (RHO_STALL_PAIR, 6)])
+def test_invariants_factors_nothing(pair, tau, monkeypatch, tmp_path, capsys):
+    # the torsion is the lead of the top basis element, so a content too
+    # large to factor does not matter
+    from finsep import ideal
+    from finsep.intarith import factorize
+
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    # every finsep module that holds it by name
+    for module in [m for m in vars(finsep).values()
+                   if getattr(m, "factorize", None) is factorize]:
+        monkeypatch.setattr(module, "factorize", no_factorize)
+    argv = ["invariants", "--relator", pair[0], "--relator", pair[1]]
+    ideal.canonical_basis.cache_clear()
+    start = time.perf_counter()
+    assert run(argv) == 0
+    assert time.perf_counter() - start < 1
+    assert f"torsion: {tau} (" in capsys.readouterr().out
+    assert run([*argv, "--json"]) == 0
+    doc = capsys.readouterr().out
+    assert json.loads(doc)["torsion"] == tau
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert run(["verify", str(path)]) == 0
+    assert "all valid" in capsys.readouterr().out
 
 
 class _ClosedPipe(io.StringIO):

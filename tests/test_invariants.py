@@ -142,7 +142,8 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
     assert (data.torsion, data.torsion_exponent) == (30030, 2)
     assert data.torsion_witness.k == 30030 and data.torsion_witness.verify(p)
     assert data.exponent_witness.phi == ip(0, -1, 1)
-    # the exponent witness reuses the content's search instead of repeating it
+    # the exponent witness is the content times the monic primitive part,
+    # and no multiplier is searched twice
     assert data.exponent_witness.k == 9699690
     assert len(calls) == len(set(calls))
     for q in (2, 3, 5, 7, 11, 13):
@@ -150,7 +151,7 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
 
 
 def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
-    # the descent reads search hits only; each relation it returns gets one
+    # torsion_data reads search hits only; each relation it returns gets one
     # membership certificate, and a shared witness gets one in all
     import finsep.ideal as ideal_module
     import finsep.invariants as inv
@@ -180,7 +181,8 @@ def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
 
 
 def test_torsion_one_never_factors_the_content(monkeypatch):
-    import finsep.invariants as inv
+    import finsep
+    from finsep.intarith import factorize
 
     # content (10^6 + 3)(10^6 + 33), both prime: trial division to 10^6
     # leaves it whole; x^2 - x is monic, so tau = 1 needs no factorization
@@ -189,7 +191,10 @@ def test_torsion_one_never_factors_the_content(monkeypatch):
     def no_factorize(n):
         raise AssertionError(f"factorize({n}) called")
 
-    monkeypatch.setattr(inv, "factorize", no_factorize)
+    # every finsep module that holds it by name
+    for module in [m for m in vars(finsep).values()
+                   if getattr(m, "factorize", None) is factorize]:
+        monkeypatch.setattr(module, "factorize", no_factorize)
     p = pres((0, d), (0, -1, 1))
     data = torsion_data(p)
     assert (data.torsion, data.torsion_exponent) == (1, 1)

@@ -26,7 +26,7 @@ from finsep.cli import _encode, _json_text
 from finsep.ideal import (MembershipCertificate, Presentation, _balance, _fold_into,
                           basis_elements, canonical_basis)
 from finsep.invariants import MonicRelation
-from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, gcd_q
+from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, content_split, gcd_q
 
 SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -191,6 +191,37 @@ def test_completion_gives_a_strong_basis_with_certificates(relators):
     for e, cofactors in zip(elements, basis.element_cofactors):
         assert _combination(cofactors, p.relators) == e
     canonical_basis.cache_clear()
+
+
+@st.composite
+def prime_power_relator_lists(draw):
+    """1 to 4 relators of degree <= 8 with zero constant terms, each with a
+    content that is a product of prime powers, so the leads share primes.
+    The relators share a factor a*x + b, so the minimal polynomial's
+    primitive part is often not monic while the basis has several elements."""
+    shared = IntPoly([draw(st.integers(-3, 3)), draw(st.integers(1, 3))])
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 7))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+        lead = draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))
+        c = math.prod(draw(st.lists(st.sampled_from((1, 2, 3, 4, 5, 8, 9, 25, 27)),
+                                    min_size=1, max_size=3)))
+        relators.append((shared * IntPoly([0, *tail, lead])).scale(c))
+    return relators
+
+
+@SETTINGS
+@given(prime_power_relator_lists())
+def test_elements_are_lead_times_monic_exactly_when_the_minimal_primitive_is(relators):
+    # the induction that lets ideal.monic_multiple_search read its answer
+    # off the basis, checked on the basis alone: the lowest element's
+    # primitive part is monic iff every element is divisible by its lead,
+    # iff some element is
+    elements = canonical_basis(Presentation(relators)).elements
+    monic = content_split(elements[0]).primitive.is_monic()
+    divisible = [all(c % t.lead == 0 for c in t.coeffs) for t in elements]
+    assert monic == all(divisible) == any(divisible)
 
 
 # relators of the two-relator property: zero constant term, degree 1 to 6
