@@ -31,7 +31,6 @@ from .poly import (
 from .ideal import (
     CanonicalBasis,
     ConstantTermError,
-    InvalidBoundError,
     MembershipCertificate,
     Presentation,
     basis_elements,

@@ -287,9 +287,9 @@ def _decide(doc: dict, relators, read) -> list:
 def _invariants(doc: dict, relators, read) -> list:
     """The torsion and exponent witnesses of a finite torsion, and what
     they bound: the exponent is the degree of a monic phi over some k, and
-    no member of V lies below the algebraic degree.  An infinite torsion,
-    minimality (no monic phi below the exponent, which needs the basis in
-    the document) and the search bound carry no certificate."""
+    no member of V lies below the algebraic degree.  An infinite torsion
+    and minimality (no monic phi below the exponent, which needs the basis
+    in the document) carry no certificate."""
     if doc["torsion_witness"] is None:
         return []
     k, phi, checks = _relation(doc["torsion_witness"], "torsion witness",

@@ -282,9 +282,7 @@ def _cmd_invariants(args, p: Presentation) -> tuple[dict, list[str]]:
         lines.append(
             f"content * primitive: {inv.minimal_content} * ({format_poly(inv.minimal_primitive)})"
         )
-    lines.append(
-        f"torsion: {fmt(inv.torsion)} (searched up to degree {inv.search_bound})"
-    )
+    lines.append(f"torsion: {fmt(inv.torsion)}")
     lines.append(f"torsion exponent: {fmt(inv.torsion_exponent)}")
     if inv.torsion_witness is not None:
         w = inv.torsion_witness

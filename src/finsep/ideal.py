@@ -29,10 +29,10 @@ certificate is re-checked (``check.is_combination``) before it is returned.
 only the elements (the finite quotients of the separation search).  A failed
 re-check raises ``SelfCheckError``.
 
-The monic-multiple search, whether k*phi lies in V for some monic phi of
-bounded degree, reads the basis: the answer is t/lead(t) for the lowest
-element t whose lead divides k, or none when the minimal polynomial's
-primitive part is not monic (the argument is in ``monic_multiple_search``).
+The monic-multiple search, whether k*phi lies in V for some monic phi,
+reads the basis: the answer is t/lead(t) for the lowest element t whose
+lead divides k, or none when the minimal polynomial's primitive part is
+not monic (the argument is in ``monic_multiple_search``).
 The relations handed out are certified once each, by
 ``invariants.certified_relation``.  One helper, ``staircase_row``, builds
 the staircase rows x^(n-d) * t_d of a basis, and one echelon over Z/N,
@@ -48,16 +48,12 @@ from functools import lru_cache
 from itertools import combinations
 
 from .check import is_combination
-from .intarith import SelfCheckError, gcd_list, xgcd
+from .intarith import NonPositiveError, SelfCheckError, gcd_list, xgcd
 from .poly import _COEFFS, IntPoly, _divide, _divide_coeffs, _intpoly, _trim
 
 
 class ConstantTermError(ValueError):
     """Raised when a relator (or target element) has a nonzero constant term."""
-
-
-class InvalidBoundError(ValueError):
-    """Raised when a search bound is not a positive integer."""
 
 
 @dataclass(frozen=True)
@@ -88,10 +84,6 @@ class Presentation:
 
     def __hash__(self):
         return self._hash
-
-    @property
-    def max_degree(self) -> int:
-        return max((r.degree for r in self.relators), default=0)
 
 
 @dataclass(frozen=True)
@@ -248,6 +240,13 @@ def _complete(rows) -> list[list]:
       polynomial domain, 1952), and every member of V reduces to zero.
       This is the univariate case of the strong Groebner criterion of
       Kandri-Rody and Kapur (J. Symbolic Comput., 1988).
+
+    No table degree exceeds D, the largest relator degree.  The table
+    starts from the relators, and a row enters it only reduced, which
+    never raises a degree; a Euclid merge stays at its degree d, and its
+    two remainders fall below d; a tested shift x^(e-d) * t_d has degree
+    e, already a table degree.  So every basis element has degree <= D,
+    and ``monic_multiple_search`` answers at every degree without a bound.
 
     Testing every pair instead gives the same elements, but each wasted
     Euclid merge multiplies the tracked cofactors.
@@ -453,13 +452,11 @@ def staircase_row(elements, n: int) -> list[int]:
     return [0] * (n - t.degree) + list(t.coeffs[1:])
 
 
-def monic_multiple_search(
-    presentation: Presentation, k: int, degree_bound: int
-) -> IntPoly | None:
+def monic_multiple_search(presentation: Presentation, k: int) -> IntPoly | None:
     """Search for monic phi (zero constant term) with k*phi in V.
 
     A hit has least degree, and a None result is a proof that no such phi
-    of degree <= degree_bound exists.  A hit is returned uncertified:
+    exists at any degree.  A hit is returned uncertified:
     callers that hand it out pass it through
     ``invariants.certified_relation``, which checks it and builds its
     membership certificate.
@@ -485,14 +482,12 @@ def monic_multiple_search(
     An element that its lead does not divide contradicts the induction
     and raises ``SelfCheckError``.
     """
-    if degree_bound < 1:
-        raise InvalidBoundError(f"degree bound must be >= 1, got {degree_bound}")
     if k < 1:
-        raise InvalidBoundError(f"k must be >= 1, got {k}")
+        raise NonPositiveError(f"monic_multiple_search needs k >= 1, got {k}")
     elements = canonical_basis(presentation).elements
     t = next((e for e in elements if k % e.lead == 0), None)
-    if t is None or t.degree > degree_bound:
-        return None  # no member of degree <= bound has a lead dividing k
+    if t is None:
+        return None  # no member of V has a lead dividing k
     if gcd_list(elements[0].coeffs) != elements[0].lead:
         return None  # Gauss: a non-monic primitive part divides all of V
     lead = t.lead

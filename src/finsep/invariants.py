@@ -10,8 +10,7 @@ torsion is finite exactly when the minimal polynomial's primitive part is
 monic (Gauss); then every basis element is its lead times a monic
 polynomial, so the torsion is the top element's lead, the least lead of
 the basis (``ideal.monic_multiple_search`` holds the argument).  An
-infinite verdict holds at every degree.  The degree bound recorded in
-every answer covers every basis element.
+infinite verdict holds at every degree.
 """
 
 from __future__ import annotations
@@ -53,9 +52,8 @@ class RingInvariants:
 
     The fields, in this order, are the keys of the ``invariants`` document.
     ``torsion`` is None when no monic multiple exists: the primitive part
-    of the minimal polynomial is not monic.  ``search_bound`` is recorded
-    with every answer; it is at least the degree of every basis element.
-    With no nonzero relator every field is None and the bound 0.
+    of the minimal polynomial is not monic.  With no nonzero relator every
+    field is None.
     """
 
     algebraic_degree: int | None = None
@@ -66,7 +64,6 @@ class RingInvariants:
     torsion_exponent: int | None = None
     torsion_witness: MonicRelation | None = None
     exponent_witness: MonicRelation | None = None
-    search_bound: int = 0
 
 
 def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
@@ -89,9 +86,7 @@ def torsion_data(presentation: Presentation) -> RingInvariants:
     polynomial's primitive part is monic (``ideal.monic_multiple_search``).
     The exponent witness is d times that primitive part, d the content,
     unless the torsion witness has the algebraic degree.  Each relation
-    returned is certified once.  The degree bound, the larger of the
-    algebraic degree and twice the largest relator degree, covers every
-    basis element.
+    returned is certified once.
     """
     mp = minimal_polynomial(presentation)
     if mp is None:
@@ -99,11 +94,9 @@ def torsion_data(presentation: Presentation) -> RingInvariants:
     split = content_split(mp)
     d, primitive = split.content, split.primitive
     degree = mp.degree
-    bound = max(degree, 2 * presentation.max_degree)
-    known = functools.partial(RingInvariants, degree, mp, d, primitive,
-                              search_bound=bound)
+    known = functools.partial(RingInvariants, degree, mp, d, primitive)
     tau = canonical_basis(presentation).elements[-1].lead
-    tau_phi = monic_multiple_search(presentation, tau, bound)
+    tau_phi = monic_multiple_search(presentation, tau)
     if tau_phi is None:
         return known()
     witness = certified_relation(presentation, tau, tau_phi)

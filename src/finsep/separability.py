@@ -93,11 +93,13 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
         )
         return verdict(separable=False, failure_reason=reason)
 
-    # the relators, shifted to disjoint degrees and summed, lie in V with content k
-    bound = sum(f.degree for f in presentation.relators)
-    phi = monic_multiple_search(presentation, k, bound)
+    # the check below cannot fire: gamma integral makes the minimal
+    # polynomial's primitive part monic, so every basis element is its lead
+    # times a monic polynomial, and every member of V, each relator
+    # included, is divisible by the top lead tau; hence tau | k
+    phi = monic_multiple_search(presentation, k)
     if phi is None:
-        raise SelfCheckError(f"no monic multiple for k={k} within degree {bound}")
+        raise SelfCheckError(f"no monic multiple for k={k}")
     witness = certified_relation(presentation, k, phi)
     return verdict(separable=True, positive_witness=witness)
 

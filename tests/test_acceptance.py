@@ -315,7 +315,7 @@ def test_criterion_7_monic_relation_extraction():
             continue
         # g is a member of V, so content(g) times some monic of degree at
         # most deg g is one too: the search finds the least such monic
-        phi = monic_multiple_search(p, g.content, g.degree)
+        phi = monic_multiple_search(p, g.content)
         assert phi is not None
         rel = certified_relation(p, g.content, phi)
         assert rel.k == g.content

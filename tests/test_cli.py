@@ -326,10 +326,10 @@ def test_run_internal_fault_exits_3(capsys, monkeypatch):
         ideal.canonical_basis.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
-    # so is a search that misses the relation the shifted relators guarantee
+    # so is a search that misses the relation that tau | k guarantees
     from finsep import separability
 
-    monkeypatch.setattr(separability, "monic_multiple_search", lambda p, k, bound: None)
+    monkeypatch.setattr(separability, "monic_multiple_search", lambda p, k: None)
     assert run(["decide", "--relator", "6x^2 - 6x"]) == 3
     assert capsys.readouterr().err.startswith("internal error: no monic multiple")
 
@@ -378,7 +378,7 @@ def test_invariants_factors_nothing(pair, tau, monkeypatch, tmp_path, capsys):
     start = time.perf_counter()
     assert run(argv) == 0
     assert time.perf_counter() - start < 1
-    assert f"torsion: {tau} (" in capsys.readouterr().out
+    assert f"torsion: {tau}\n" in capsys.readouterr().out
     assert run([*argv, "--json"]) == 0
     doc = capsys.readouterr().out
     assert json.loads(doc)["torsion"] == tau

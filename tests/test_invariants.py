@@ -96,7 +96,6 @@ def test_torsion_examples():
 
     data = torsion_data(pres((0, 1, 2)))
     assert data.torsion is None and data.torsion_exponent is None
-    assert data.search_bound == 4  # recorded, never presented as a proof
 
     # x^3 itself is a monic relator, so the torsion is 1 even though the
     # minimal polynomial 2x^2 has content 2; the least monic degree stays 2
@@ -120,7 +119,7 @@ def test_torsion_minimality_and_certificates():
         assert data.torsion_exponent == minimal_polynomial(p).degree
         # exhaustive: no smaller multiplier admits a monic multiple
         for k in range(1, data.torsion):
-            assert monic_multiple_search(p, k, data.search_bound) is None
+            assert monic_multiple_search(p, k) is None
     assert checked >= 15
 
 
@@ -129,14 +128,14 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
 
     calls = []
 
-    def recording_search(presentation, k, bound):
+    def recording_search(presentation, k):
         calls.append(k)
-        return monic_multiple_search(presentation, k, bound)
+        return monic_multiple_search(presentation, k)
 
     monkeypatch.setattr(inv, "monic_multiple_search", recording_search)
-    # content 9699690 = 2*3*...*19; the successful multipliers within the
-    # degree bound are the multiples of 30030 = 2*3*...*13, reached by
-    # shifting the second relation and combining the two by Bezout
+    # content 9699690 = 2*3*...*19; the successful multipliers are the
+    # multiples of 30030 = 2*3*...*13, reached by shifting the second
+    # relation and combining the two by Bezout
     p = pres(ip(0, -1, 1).scale(9699690).coeffs, ip(0, 0, -1, 1).scale(690690).coeffs)
     data = torsion_data(p)
     assert (data.torsion, data.torsion_exponent) == (30030, 2)
@@ -147,7 +146,7 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
     assert data.exponent_witness.k == 9699690
     assert len(calls) == len(set(calls))
     for q in (2, 3, 5, 7, 11, 13):
-        assert monic_multiple_search(p, 30030 // q, data.search_bound) is None
+        assert monic_multiple_search(p, 30030 // q) is None
 
 
 def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
@@ -221,7 +220,7 @@ def test_ring_invariants_aggregate():
     assert (inv.torsion, inv.torsion_exponent) == (1, 2)
     inv = ring_invariants(pres())
     assert inv.algebraic_degree is None and inv.torsion is None
-    assert inv.minimal_polynomial is None and inv.search_bound == 0
+    assert inv.minimal_polynomial is None
 
 
 def test_ring_invariants_splits_the_minimal_polynomial_once(monkeypatch):
@@ -243,7 +242,7 @@ def relation_from_member(p, g):
     """From a nonzero member g of V: k = content(g) and the least-degree
     monic phi with k * phi in V, of degree at most deg g, certified."""
     k = content_split(g).content
-    phi = monic_multiple_search(p, k, g.degree)
+    phi = monic_multiple_search(p, k)
     assert phi is not None
     return certified_relation(p, k, phi)
 

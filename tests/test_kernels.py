@@ -224,6 +224,31 @@ def test_elements_are_lead_times_monic_exactly_when_the_minimal_primitive_is(rel
     assert monic == all(divisible) == any(divisible)
 
 
+@st.composite
+def divisor_content_relator_lists(draw):
+    """1 to 4 relators of degree <= 10 with zero constant terms, each a
+    content from the divisors of 12 times a polynomial with a nonzero lead."""
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 10))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+        lead = draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))
+        c = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+        relators.append(IntPoly([0, *tail, lead]).scale(c))
+    return relators
+
+
+@SETTINGS
+@given(divisor_content_relator_lists())
+def test_no_basis_element_lies_above_the_largest_relator_degree(relators):
+    # the fact that lets ideal.monic_multiple_search answer at every degree
+    # without a bound, checked on the completions alone
+    p = Presentation(relators)
+    top = max(r.degree for r in p.relators)
+    for elements in (basis_elements(p), canonical_basis(p).elements):
+        assert all(e.degree <= top for e in elements)
+
+
 # relators of the two-relator property: zero constant term, degree 1 to 6
 small_relators = st.lists(st.integers(-12, 12), min_size=1, max_size=6).map(
     lambda c: IntPoly([0, *c])).filter(lambda r: not r.is_zero())

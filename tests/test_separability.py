@@ -135,7 +135,7 @@ def test_the_witness_is_the_relation_extracted_from_the_shifted_relators():
         member, cert = membership(g, p)
         assert member and cert.verify(p)
         assert g.content == gcd_list(c for r in p.relators for c in r.coeffs) == k
-        phi = monic_multiple_search(p, k, g.degree)
+        phi = monic_multiple_search(p, k)
         assert v.positive_witness == certified_relation(p, k, phi)
         checked += 1
 
