@@ -37,7 +37,7 @@ from .ideal import (
     MembershipCertificate,
     Presentation,
     canonical_basis,
-    membership,
+    member_certificate,
     reduce_with_quotients,
 )
 from .invariants import MonicRelation, ring_invariants
@@ -304,7 +304,8 @@ def _cmd_member(args, p: Presentation) -> tuple[dict, list[str]]:
     g = parse_poly(args.poly)
     basis = canonical_basis(p)
     nf, quotients = reduce_with_quotients(g, basis)
-    member, cert = membership(g, p) if nf.is_zero() else (False, None)
+    member = nf.is_zero()
+    cert = member_certificate(g, quotients, basis) if member else None
     fields = {
         "poly": g,
         "member": member,

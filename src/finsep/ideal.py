@@ -18,12 +18,14 @@ IntPolys made once, from the rows it returns.  It works on rows
 [poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
 bare rows [poly] when no certificate is wanted; a row's cofactors are
 built only once its reduced poly is known to be nonzero.
-``canonical_basis`` runs it with cofactors, balances them by the relators'
-syzygies (``_balance``) and is cached on the presentation's hash.  The basis
-keeps the coefficient rows the read path walks: ``normal_form`` and
-``reduce_with_quotients`` divide on its elements' rows, and ``membership``
-divides through ``reduce_with_quotients`` (the function a tracer counts) and
-folds the quotients over its cofactor rows (``_fold_into``).  Every
+``canonical_basis`` runs it with cofactors, walks each element's
+cofactors by the relators' pair syzygies (``_balance``), whose data it
+keeps as ``syzygy_pairs``, and is cached on the presentation's hash.
+``normal_form`` and ``reduce_with_quotients`` divide on the elements' rows;
+``membership`` divides through ``reduce_with_quotients`` (the function a
+tracer counts), and ``member_certificate`` folds the quotients over the
+cofactor rows (``_fold_into``) and walks the sum by the same pairs, so
+membership and witness certificates are unique for two relators.  Every
 certificate is re-checked (``check.is_combination``) before it is returned.
 ``basis_elements`` runs it on bare rows, uncached, for callers that need
 only the elements (the finite quotients of the separation search).  A failed
@@ -188,15 +190,20 @@ class CanonicalBasis:
     elements[i] over the relators, and ``relator_quotients[j]`` expresses
     relators[j] over the elements.
 
+    ``syzygy_pairs`` is the relators' pair data (``_syzygy_pairs``) that
+    walks the element cofactors and every membership and witness
+    certificate (``_balance``), so all are unique for two relators.
     Derived once: ``division_rows``, the elements' coefficient tuples from
     the top degree down (``poly._divide`` walks them), and
-    ``cofactor_rows[i]``, those of element_cofactors[i] (``membership``).
+    ``cofactor_rows[i]``, those of element_cofactors[i]
+    (``member_certificate``).
     """
 
     presentation: Presentation
     elements: tuple[IntPoly, ...]
     element_cofactors: tuple[tuple[IntPoly, ...], ...]
     relator_quotients: tuple[tuple[IntPoly, ...], ...]
+    syzygy_pairs: tuple = field(repr=False, compare=False)
     division_rows: tuple = field(init=False, repr=False, compare=False)
     cofactor_rows: tuple = field(init=False, repr=False, compare=False)
 
@@ -299,20 +306,17 @@ def basis_elements(presentation: Presentation) -> tuple[IntPoly, ...]:
     return elements
 
 
-def _balance(rows: list, relators) -> list:
-    """Reduce each row's cofactors by the relators' syzygies, in place.
+def _syzygy_pairs(lowest: list, relators) -> tuple:
+    """The pair data (i, j, s_i, s_j) that ``_balance`` walks, as tuples.
 
     P, the primitive part of the lowest element, divides each relator
-    (Gauss).  For i < j in order, with G = gcd(cont r_i, cont r_j)*P, s = r/G
-    and l = lead(s_j), c_i is walked from its top degree D down to deg s_j:
-    the t leaving c_i[D] - t*l in [-|l|/2, |l|/2) moves t*x^(D - deg s_j)
-    times the syzygy (s_j, -s_i) off (c_i, c_j).  For two relators G is
-    their gcd in Z[x], the syzygies are Z[x]*(s_2, -s_1), and c_1 (so c_2)
-    is unique: two balanced c_1 differing by u*s_2, u != 0, would differ by
-    lead(u)*l at degree deg u + deg s_2, yet both lie in [-|l|/2, |l|/2).
+    (Gauss).  For each pair i < j in order, with
+    G = gcd(cont r_i, cont r_j) * P, s_i = r_i/G and s_j = r_j/G, so
+    (s_j, -s_i) is a syzygy of the pair.  No pair, no data: the empty and
+    the one-relator presentations give ().
     """
-    lowest = rows[0][0] if rows else []
     content = gcd_list(lowest)
+    pairs = []
     for i, j in combinations(range(len(relators)), 2):
         k = gcd_list((*relators[i], *relators[j]))
         g = [k * c // content for c in lowest]
@@ -320,28 +324,49 @@ def _balance(rows: list, relators) -> list:
         s_i, s_j = (_divide_coeffs(rem, [g])[0] for rem in rems)
         if any(map(any, rems)):
             raise SelfCheckError(f"relator {i} or {j} is no multiple of {g}")
+        pairs.append((i, j, tuple(s_i), tuple(s_j)))
+    return tuple(pairs)
+
+
+def _balance(cofactors: list, pairs) -> list:
+    """Reduce one cofactor vector by the syzygies of ``pairs``, in place.
+
+    For each pair (i, j, s_i, s_j) of ``_syzygy_pairs`` in order, with
+    l = lead(s_j), c_i is walked from its top degree D down to deg s_j:
+    the t leaving c_i[D] - t*l in [-|l|/2, |l|/2) moves t*x^(D - deg s_j)
+    times the syzygy (s_j, -s_i) off (c_i, c_j), so the vector still
+    combines the relators to the same polynomial.  For two relators G is
+    their gcd in Z[x], the syzygies are Z[x]*(s_2, -s_1), and the walked
+    c_1 (so c_2) is unique whatever vector it starts from: two walked c_1
+    differing by u*s_2, u != 0, would differ by lead(u)*l at degree
+    deg u + deg s_2, yet both lie in [-|l|/2, |l|/2).  With no pair
+    (no relator or one) the vector is left as it is.
+    """
+    for i, j, s_i, s_j in pairs:
+        c, other = cofactors[i], cofactors[j]
         n, width, sign = len(s_j) - 1, abs(s_j[-1]), 1 if s_j[-1] > 0 else -1
-        for row in rows:
-            c, other = row[1 + i], row[1 + j]
-            other += [0] * (len(c) - n + len(s_i) - 1 - len(other))
-            for d in range(len(c) - 1, n - 1, -1):
-                if t := (c[d] + width // 2) // width * sign:
-                    for e, b in enumerate(s_j, d - n):
-                        c[e] -= t * b
-                    for e, b in enumerate(s_i, d - n):
-                        other[e] += t * b
-            _trim(c)
-            _trim(other)
-    return rows
+        other += [0] * (len(c) - n + len(s_i) - 1 - len(other))
+        for d in range(len(c) - 1, n - 1, -1):
+            if t := (c[d] + width // 2) // width * sign:
+                for e, b in enumerate(s_j, d - n):
+                    c[e] -= t * b
+                for e, b in enumerate(s_i, d - n):
+                    other[e] += t * b
+        _trim(c)
+        _trim(other)
+    return cofactors
 
 
 @lru_cache(maxsize=256)
 def canonical_basis(presentation: Presentation) -> CanonicalBasis:
     """Complete the relators to a strong basis with unique normal forms."""
     relators = presentation.relators
-    rows = [tuple(map(_intpoly, row)) for row in _balance(_complete(
+    rows = _complete(
         [list(r.coeffs), *([1] if j == i else [] for j in range(len(relators)))]
-        for i, r in enumerate(relators)), [r.coeffs for r in relators])]
+        for i, r in enumerate(relators))
+    pairs = _syzygy_pairs(rows[0][0] if rows else [], [r.coeffs for r in relators])
+    rows = [(_intpoly(row[0]), *map(_intpoly, _balance(row[1:], pairs)))
+            for row in rows]
     for row in rows:
         cert = MembershipCertificate(row[1:], row[0])
         if row[0].constant != 0 or not cert.verify(presentation):
@@ -355,7 +380,7 @@ def canonical_basis(presentation: Presentation) -> CanonicalBasis:
             raise SelfCheckError(f"relator {j} does not reduce to zero")
         back.append(quotients)
     return CanonicalBasis(presentation, elements, tuple(row[1:] for row in rows),
-                          tuple(back))
+                          tuple(back), pairs)
 
 
 def reduce_with_quotients(
@@ -373,17 +398,29 @@ def normal_form(g: IntPoly, basis: CanonicalBasis) -> IntPoly:
 def membership(
     g: IntPoly, presentation: Presentation
 ) -> tuple[bool, MembershipCertificate | None]:
-    """Decide g in V; on membership return cofactors over the relators."""
+    """Decide g in V; on membership return cofactors over the relators,
+    walked by the basis's ``syzygy_pairs`` (``member_certificate``), so
+    unique for two relators."""
     basis = canonical_basis(presentation)
     nf, quotients = reduce_with_quotients(g, basis)
     if not nf.is_zero():
         return False, None
-    cofactors = _fold_into([[] for _ in presentation.relators], map(_COEFFS, quotients),
-                           basis.cofactor_rows)
-    cert = MembershipCertificate(tuple(map(_intpoly, cofactors)), g)
-    if not cert.verify(presentation):
+    return True, member_certificate(g, quotients, basis)
+
+
+def member_certificate(
+    g: IntPoly, quotients, basis: CanonicalBasis
+) -> MembershipCertificate:
+    """The certificate of a member g from its quotients over the basis:
+    their fold over the cofactor rows, walked by ``syzygy_pairs``, and
+    re-checked."""
+    cofactors = _fold_into([[] for _ in basis.presentation.relators],
+                           map(_COEFFS, quotients), basis.cofactor_rows)
+    cert = MembershipCertificate(
+        tuple(map(_intpoly, _balance(cofactors, basis.syzygy_pairs))), g)
+    if not cert.verify(basis.presentation):
         raise SelfCheckError("membership certificate fails to re-multiply")
-    return True, cert
+    return cert
 
 
 class _Echelon:

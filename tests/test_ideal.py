@@ -605,23 +605,48 @@ def test_three_relator_cofactors_re_multiply_after_balancing(monkeypatch):
     moved = []
     balance = ideal_module._balance
 
-    def spy(rows, relators):
-        before = [[list(c) for c in row] for row in rows]
-        out = balance(rows, relators)
-        moved.extend({i for row, old in zip(out, before)
-                      for i in range(1, 4) if row[i] != old[i]})
+    def spy(cofactors, pairs):
+        before = [list(c) for c in cofactors]
+        out = balance(cofactors, pairs)
+        moved.extend(i for i in range(3) if out[i] != before[i])
         return out
 
     monkeypatch.setattr(ideal_module, "_balance", spy)
     canonical_basis.cache_clear()
     basis = canonical_basis(p)
     canonical_basis.cache_clear()
-    assert set(moved) == {1, 2, 3}
+    assert set(moved) == {0, 1, 2}
     for e, cofactors in zip(basis.elements, basis.element_cofactors):
         assert is_combination(e, cofactors, p.relators)
     for g in (basis.elements[-1].shift(3), p.relators[2] * ip(1, 2, 3)):
         member, cert = membership(g, p)
         assert member and is_combination(g, cert.cofactors, p.relators)
+
+
+def test_member_queries_pool_certificates_stay_within_8_bits():
+    # the identity corpus's pairs (x^2 - x)f, (x^2 - x)g, f and g of degrees
+    # 4 and 3 with coefficients up to 1000, as the member-queries pools are;
+    # before membership walked them, their 71 member certificates carried
+    # syzygy multiples of 58 to 345 bits
+    members = 0
+    for p, queries in _identity_corpus()[::2]:
+        for g in queries:
+            member, cert = membership(g, p)
+            if member:
+                members += 1
+                assert max((abs(c).bit_length() for q in cert.cofactors for c in q.coeffs),
+                           default=0) <= 8
+    assert members == 71
+
+
+def test_membership_walks_nothing_without_a_relator_pair():
+    # no relator or one relator: no pair data, and membership answers
+    for p, g, cofactors in ((pres(), IntPoly(), ()),
+                            (pres((0, -1, 1)), ip(0, -3, 3, -5, 5), (ip(3, 0, 5),))):
+        assert canonical_basis(p).syzygy_pairs == ()
+        member, cert = membership(g, p)
+        assert member and cert.cofactors == cofactors and cert.verify(p)
+        assert membership(g + ip(0, 1), p) == (False, None)
 
 
 def test_sparse_pair_witness_cofactors_stay_below_300_bits():
@@ -744,9 +769,11 @@ def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
 
 def test_reduction_cofactors_are_pinned_on_a_seeded_corpus():
     # digest of the element cofactors and the membership cofactors, pinned
-    # when canonical_basis began balancing the element cofactors
+    # when membership began walking its certificates by the basis's pair
+    # data; the element cofactors are those pinned when canonical_basis
+    # began balancing them
     digest = hashlib.sha256(repr(_reduction_outputs()[1]).encode()).hexdigest()
-    assert digest == "f4d088a4155cceb8bdf019c736f251c3304c343ccfb12d9a13999d363089bea9"
+    assert digest == "0afd803c4004119bd022dac41eb7bed893a830e2ae539b4c51f5e624bc37ffc7"
 
 
 def test_membership_folds_the_cofactor_rows_of_the_basis_it_reads(monkeypatch):
@@ -840,7 +867,8 @@ def test_golden_membership_certificate():
     g = ip(0, 3) * ip(0, 0, 1) + ip(0, 1, 0, 2) * ip(0, 5)
     member, cert = membership(g, p)
     assert member
-    assert _coeffs(cert.cofactors) == [[0, -8, -14, 20], [13, -9, 24, -20]]
+    # walked by the pair syzygy, so unique for these two relators
+    assert _coeffs(cert.cofactors) == [[0, 4], [1, 1]]
 
 
 def test_self_checks_survive_optimize():

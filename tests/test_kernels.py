@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from finsep.check import is_combination
 from finsep.cli import _encode, _json_text
 from finsep.ideal import (MembershipCertificate, Presentation, _balance, _fold_into,
-                          basis_elements, canonical_basis)
+                          basis_elements, canonical_basis, membership)
 from finsep.invariants import MonicRelation
 from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, content_split, gcd_q
 
@@ -252,35 +252,58 @@ def test_no_basis_element_lies_above_the_largest_relator_degree(relators):
 # relators of the two-relator property: zero constant term, degree 1 to 6
 small_relators = st.lists(st.integers(-12, 12), min_size=1, max_size=6).map(
     lambda c: IntPoly([0, *c])).filter(lambda r: not r.is_zero())
+small_multipliers = st.lists(st.integers(-9, 9), max_size=4).map(IntPoly)
 
 
 @SETTINGS
 @given(small_relators, small_relators,
-       st.lists(st.lists(st.integers(-9, 9), max_size=4).map(IntPoly),
-                min_size=6, max_size=6))
+       st.lists(small_multipliers, min_size=6, max_size=6))
 def test_balanced_cofactors_are_unique_for_two_relators(r1, r2, multipliers):
     # with G = gcd(r1, r2) in Z[x] and s_i = r_i / G, the syzygies are the
     # multiples of (s2, -s1); adding any to an element's cofactors and
-    # balancing again gives canonical_basis's cofactors, and every
-    # coefficient of c1 at or above deg s2 lies in [-|l|/2, |l|/2)
+    # walking the basis's pair data again gives canonical_basis's
+    # cofactors, and every coefficient of c1 at or above deg s2 lies in
+    # [-|l|/2, |l|/2)
     basis = canonical_basis(Presentation([r1, r2]))
     lowest = basis.elements[0]
     g = IntPoly([math.gcd(r1.content, r2.content) * (c // lowest.content)
                  for c in lowest.coeffs])
     (_, (s1,)), (_, (s2,)) = (_divide_rows(r, [g.coeffs]) for r in (r1, r2))
     assert s1 * g == r1 and s2 * g == r2
+    assert basis.syzygy_pairs == ((0, 1, s1.coeffs, s2.coeffs),)
     # G is the whole gcd only if s1 and s2 are coprime over Q; checked by
     # gcd_q's pseudo-remainder Euclid, not by the completion
     assert gcd_q([s1, s2]).gamma.degree == 0
     width = abs(s2.lead)
-    rows, expected = [], []
-    for e, (c1, c2), u in zip(basis.elements, basis.element_cofactors,
-                              itertools.cycle(multipliers)):
+    vectors, expected = [], []
+    for (c1, c2), u in zip(basis.element_cofactors, itertools.cycle(multipliers)):
         assert all(-width <= 2 * c < width for c in c1.coeffs[s2.degree:])
-        rows.append([list(e.coeffs), list((c1 + u * s2).coeffs),
-                     list((c2 - u * s1).coeffs)])
-        expected.append([list(e.coeffs), list(c1.coeffs), list(c2.coeffs)])
-    assert _balance(rows, [r1.coeffs, r2.coeffs]) == expected
+        vectors.append([list((c1 + u * s2).coeffs), list((c2 - u * s1).coeffs)])
+        expected.append([list(c1.coeffs), list(c2.coeffs)])
+    assert [_balance(v, basis.syzygy_pairs) for v in vectors] == expected
+
+
+@SETTINGS
+@given(small_relators, small_relators, small_multipliers, small_multipliers,
+       small_multipliers)
+def test_walked_membership_certificates_are_unique_for_two_relators(r1, r2, h1, h2, u):
+    # membership walks its certificate by the basis's pair data, so adding
+    # any u*(s2, -s1) and walking again gives the same certificate, and so
+    # does walking the cofactors (h1, h2) the member was built from
+    p = Presentation([r1, r2])
+    g = h1 * r1 + h2 * r2
+    member, cert = membership(g, p)
+    assert member and cert.verify(p)
+    pairs = canonical_basis(p).syzygy_pairs
+    (_, _, s1, s2), = pairs
+    s1, s2 = IntPoly(s1), IntPoly(s2)
+    c1, c2 = cert.cofactors
+    width = abs(s2.lead)
+    assert all(-width <= 2 * c < width for c in c1.coeffs[s2.degree:])
+    walked = [list(c1.coeffs), list(c2.coeffs)]
+    assert _balance([list((c1 + u * s2).coeffs), list((c2 - u * s1).coeffs)],
+                    pairs) == walked
+    assert _balance([list(h1.coeffs), list(h2.coeffs)], pairs) == walked
 
 
 def _completion_corpus(seed=28):
