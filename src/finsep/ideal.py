@@ -16,8 +16,8 @@ when asked, the quotients; ``poly._divide`` is its IntPoly wrapper, and
 One completion, ``_complete``, builds every basis on plain int lists, with
 IntPolys made once, from the rows it returns.  It works on rows
 [poly, cof_1, ..., cof_n] with poly == sum(cof_j * relators[j]), or on
-bare rows [poly] when no certificate is wanted; a row's cofactors are
-built only once its reduced poly is known to be nonzero.
+bare rows [poly] when no certificate is wanted; a Euclid merge hands on one
+S-polynomial, and a row's cofactors are built only once it is nonzero.
 ``canonical_basis`` runs it with cofactors, walks each element's
 cofactors by the relators' pair syzygies (``_balance``), whose data it
 keeps as ``syzygy_pairs``, and is cached on the presentation's hash.
@@ -150,10 +150,12 @@ def _reduce_row(poly: list, terms, table: dict, degs) -> list | None:
 def _insert(poly: list, terms, table: dict, degs: list) -> None:
     """Reduce a row (as in ``_reduce_row``) and merge what is left into the table.
 
-    When the degree slot is occupied the two leads are combined by extended
-    Euclid, which strictly shrinks the lead; the two remainders fall below
-    that degree and re-enter through reduction recursively, each one's
-    cofactors built only if it does not reduce to zero.
+    An occupied slot of lead a meets the row's lead c by extended Euclid,
+    g = u*a + v*c.  The slot keeps new = u*held + v*row, of lead g < a, and
+    S = (c/g)*held - (a/g)*row falls below the degree and goes on, so the
+    loop ends.  [[u, v], [c/g, -a/g]] has determinant -1: (new, S) spans what
+    (held, row) spans, and the remainders held - (a/g)*new, row - (c/g)*new
+    are v*S, -u*S (Kandri-Rody and Kapur's G- and S-polynomials).
     """
     row = _reduce_row(poly, terms, table, degs)
     while row:
@@ -168,17 +170,13 @@ def _insert(poly: list, terms, table: dict, degs: list) -> None:
         a, c = held[0][-1], row[0][-1]
         # row is fully reduced, so 0 < c < a and the gcd strictly shrinks a
         g, u, v = xgcd(a, c)
-        pair = ((u, 0, held), (v, 0, row))
-        new = [_combine(pair, j) for j in range(len(row))]
-        held_terms = ((1, 0, held), (-(a // g), 0, new))
-        row_terms = ((1, 0, row), (-(c // g), 0, new))
-        rem_held, rem_row = _combine(held_terms, 0), _combine(row_terms, 0)
-        if not (len(new[0]) - 1 == d and new[0][-1] == g < a
-                and len(rem_held) <= d and len(rem_row) <= d):
+        new = [_combine(((u, 0, held), (v, 0, row)), j) for j in range(len(row))]
+        s_terms = ((c // g, 0, held), (-(a // g), 0, row))
+        s_poly = _combine(s_terms, 0)
+        if not (len(new[0]) - 1 == d and new[0][-1] == g < a and len(s_poly) <= d):
             raise SelfCheckError(f"Euclid merge at degree {d} kept its lead")
         table[d] = new
-        _insert(rem_held, held_terms, table, degs)
-        row = _reduce_row(rem_row, row_terms, table, degs)
+        row = _reduce_row(s_poly, s_terms, table, degs)
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,10 @@ def _complete(rows) -> list[list]:
     lists kept linear, poly == sum(cof_j * relators[j]), in a table from
     degree to row whose degrees one list holds ascending.  Every decision
     reads the poly alone, so both widths give the same polys.  A shift or
-    a Euclid remainder is formed as a poly and handed to ``_reduce_row``
-    with the terms its cofactors are summed from, so a kept row gets the
-    same cofactors as when they are built up front, and one reducing to
-    zero builds none.
+    an S-polynomial (``_insert``) is formed as a poly and handed to
+    ``_reduce_row`` with the terms its cofactors are summed from, so a kept
+    row gets the same cofactors as when they are built up front, and one
+    reducing to zero builds none.
 
     Only the shifts x^(e-d) * t_d between consecutive table degrees d < e
     are tested.  At the fixpoint each of them reduces to zero, and that is
@@ -238,7 +236,8 @@ def _complete(rows) -> list[list]:
       reduces to zero, so it lies in the span of the staircase rows (a
       reduction subtracts staircase rows only).  That span is therefore
       an ideal.  It lies in V and contains every table row, and every row
-      ever inserted is a combination of table rows, so it is V.
+      ever inserted is a combination of table rows (a merged pair, of the
+      new row and its S-polynomial: ``_insert``), so it is V.
     - The staircase row of degree D reduces to zero by t_d(D) alone, and
       a consecutive shift reducing to zero means lead(t_e) divides
       lead(t_d): the leads divide backward.  So the staircase rows form an
@@ -251,7 +250,7 @@ def _complete(rows) -> list[list]:
     No table degree exceeds D, the largest relator degree.  The table
     starts from the relators, and a row enters it only reduced, which
     never raises a degree; a Euclid merge stays at its degree d, and its
-    two remainders fall below d; a tested shift x^(e-d) * t_d has degree
+    S-polynomial falls below d; a tested shift x^(e-d) * t_d has degree
     e, already a table degree.  So every basis element has degree <= D,
     and ``monic_multiple_search`` answers at every degree without a bound.
 

@@ -25,7 +25,7 @@ from .ideal import (
     MembershipCertificate,
     Presentation,
     canonical_basis,
-    membership,
+    member_certificate,
     monic_multiple_search,
 )
 
@@ -100,10 +100,8 @@ def torsion_data(presentation: Presentation) -> RingInvariants:
     if tau_phi is None:
         return known()
     witness = certified_relation(presentation, tau, tau_phi)
-    if tau_phi.degree == degree:
-        exp_witness = witness
-    else:
-        exp_witness = certified_relation(presentation, d, primitive)
+    exp_witness = (witness if tau_phi.degree == degree
+                   else certified_relation(presentation, d, primitive))
     return known(torsion=tau, torsion_exponent=degree,
                  torsion_witness=witness, exponent_witness=exp_witness)
 
@@ -119,11 +117,16 @@ def certified_relation(
     """Certify a search hit: k * phi in V, phi monic with zero constant term.
 
     This is the one place a monic relation is checked and its membership
-    certificate built; a hit that fails raises ``SelfCheckError``.
+    certificate built; a hit that fails raises ``SelfCheckError``.  A hit is
+    t/lead(t) for the basis element t of its degree, so k * phi is
+    (k/lead(t)) * t: its certificate folds that one quotient, with no
+    division, and is re-checked (``ideal.member_certificate``).
     """
     if not (phi.is_monic() and phi.constant == 0):
         raise SelfCheckError(f"phi for k={k} is not monic with zero constant")
-    member, cert = membership(phi.scale(k), presentation)
-    if not member:
-        raise SelfCheckError(f"k={k} times phi is not in the relator ideal")
-    return MonicRelation(k=k, phi=phi, certificate=cert)
+    basis = canonical_basis(presentation)
+    t = next((t for t in basis.elements if t.degree == phi.degree), None)
+    if t is None or t != phi.scale(t.lead) or k % t.lead:
+        raise SelfCheckError(f"k={k} times phi is no multiple of a basis element")
+    quotients = [IntPoly((k // t.lead,)) if e is t else IntPoly() for e in basis.elements]
+    return MonicRelation(k, phi, member_certificate(phi.scale(k), quotients, basis))

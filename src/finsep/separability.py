@@ -5,6 +5,13 @@ taken together, is squarefree, and (ii) the monic rational gcd of the
 relators has integer coefficients.  Positive verdicts ship a certified
 relation k * phi in V with phi monic and k squarefree; negative verdicts
 pin the offending prime or the non-integer gcd coefficient.
+
+With at least one relator, (ii) holds exactly when the torsion is finite,
+so the ring is separable exactly when k is squarefree and the torsion
+finite.  The lowest basis element is a rational multiple of gamma, so its
+primitive part P is lead(P) * gamma; a monic integral gamma is primitive,
+so P = gamma (Gauss), and a monic P is gamma.  P is monic exactly when the
+torsion is finite (``ideal.monic_multiple_search``).
 """
 
 from __future__ import annotations
@@ -65,32 +72,21 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
     """Decide finite separability and construct the certificates."""
     if not presentation.relators:
         # the free monogenic ring has a transcendental generator
-        return SeparabilityVerdict(
-            presentation, False, 0, None, None, FailureReason(kind=NO_RELATORS)
-        )
+        return SeparabilityVerdict(presentation, False, 0, None, None,
+                                   FailureReason(kind=NO_RELATORS))
     k = gcd_list(c for f in presentation.relators for c in f.coeffs)
     sf = squarefree(k)
     rational = gcd_q(presentation.relators)
-    verdict = functools.partial(
-        SeparabilityVerdict,
-        presentation,
-        coefficient_gcd=k,
-        squarefree_witness=sf,
-        rational_gcd=rational,
-    )
+    verdict = functools.partial(SeparabilityVerdict, presentation, coefficient_gcd=k,
+                                squarefree_witness=sf, rational_gcd=rational)
     if not sf.is_squarefree:
         reason = FailureReason(kind=NON_SQUAREFREE_GCD, prime=sf.offending_prime)
         return verdict(separable=False, failure_reason=reason)
     gamma = rational.gamma
-    bad = next(
-        (i for i, c in enumerate(gamma.coeffs) if c.denominator != 1), None
-    )
+    bad = next((i for i, c in enumerate(gamma.coeffs) if c.denominator != 1), None)
     if bad is not None:
-        reason = FailureReason(
-            kind=NON_INTEGER_GAMMA,
-            coefficient_index=bad,
-            coefficient=gamma.coeffs[bad],
-        )
+        reason = FailureReason(kind=NON_INTEGER_GAMMA, coefficient_index=bad,
+                               coefficient=gamma.coeffs[bad])
         return verdict(separable=False, failure_reason=reason)
 
     # the check below cannot fire: gamma integral makes the minimal

@@ -699,6 +699,42 @@ def test_completion_folds_cofactors_only_for_nonzero_remainders(monkeypatch):
     assert len(folds) == sum(remainders)
 
 
+def test_each_euclid_merge_reduces_one_s_polynomial(monkeypatch):
+    # a merge of held (lead a) and row (lead c) at degree d keeps
+    # u*held + v*row and hands on S = (c/g)*held - (a/g)*row alone: the
+    # remainders held - (a/g)*new and row - (c/g)*new are v*S and -u*S,
+    # so reducing both would repeat one reduction
+    events = []
+    xgcd, reduce_row = ideal_module.xgcd, ideal_module._reduce_row
+
+    def spying_xgcd(a, c):
+        events.append(("merge", a, c))
+        return xgcd(a, c)
+
+    def spying_reduce(poly, terms, table, degs):
+        events.append(("reduce", poly[:], terms))
+        return reduce_row(poly, terms, table, degs)
+
+    monkeypatch.setattr(ideal_module, "xgcd", spying_xgcd)
+    monkeypatch.setattr(ideal_module, "_reduce_row", spying_reduce)
+    canonical_basis.cache_clear()
+    canonical_basis(_seeded_degree_20_pair())
+    canonical_basis.cache_clear()
+    merges = [i for i, event in enumerate(events) if event[0] == "merge"]
+    # shifts, inserts and the final checks reduce one term; a merge's S two
+    pairs = [event for event in events if event[0] == "reduce" and len(event[2]) == 2]
+    assert merges and len(pairs) == len(merges)
+    for i in merges:
+        (_, a, c), (kind, poly, terms) = events[i], events[i + 1]
+        g = math.gcd(a, c)
+        (p, _, held), (q, _, row) = terms
+        d = len(held[0]) - 1
+        assert kind == "reduce" and (p, q) == (c // g, -(a // g))
+        assert (held[0][-1], len(row[0]) - 1, row[0][-1]) == (a, d, c)
+        assert IntPoly(poly) == IntPoly(held[0]).scale(p) + IntPoly(row[0]).scale(q)
+        assert len(poly) <= d
+
+
 def test_tracked_completion_is_byte_identical_at_degree_20():
     # digest of (elements, element cofactors, relator quotients) as computed
     # with cofactors built for every reduction, zero remainders included;
@@ -768,12 +804,12 @@ def test_reduction_outputs_are_byte_identical_on_a_seeded_corpus():
 
 
 def test_reduction_cofactors_are_pinned_on_a_seeded_corpus():
-    # digest of the element cofactors and the membership cofactors, pinned
-    # when membership began walking its certificates by the basis's pair
-    # data; the element cofactors are those pinned when canonical_basis
-    # began balancing them
+    # digest of the element cofactors and the membership cofactors, re-pinned
+    # when a Euclid merge began handing on one S-polynomial: only those of
+    # three-relator presentations moved (the two-relator ones are unique,
+    # test_kernels.test_two_relator_cofactors_are_unique_outputs)
     digest = hashlib.sha256(repr(_reduction_outputs()[1]).encode()).hexdigest()
-    assert digest == "0afd803c4004119bd022dac41eb7bed893a830e2ae539b4c51f5e624bc37ffc7"
+    assert digest == "69533fbfddf331c29290d1f2ede23aca67aac7f1e65962a09dba78427b575807"
 
 
 def test_membership_folds_the_cofactor_rows_of_the_basis_it_reads(monkeypatch):

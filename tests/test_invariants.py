@@ -151,19 +151,19 @@ def test_torsion_descent_from_a_large_content(monkeypatch):
 
 def test_torsion_data_certifies_each_returned_witness_once(monkeypatch):
     # torsion_data reads search hits only; each relation it returns gets one
-    # membership certificate, and a shared witness gets one in all
+    # certificate built, and a shared witness gets one in all
     import finsep.ideal as ideal_module
     import finsep.invariants as inv
 
     claims = []
-    real = ideal_module.membership
+    real = ideal_module.member_certificate
 
-    def counting(g, presentation):
+    def counting(g, quotients, basis):
         claims.append(g)
-        return real(g, presentation)
+        return real(g, quotients, basis)
 
-    monkeypatch.setattr(ideal_module, "membership", counting)
-    monkeypatch.setattr(inv, "membership", counting)
+    monkeypatch.setattr(ideal_module, "member_certificate", counting)
+    monkeypatch.setattr(inv, "member_certificate", counting)
     cases = [
         ((0, -1, 1),),
         ((0, 0, 2), (0, 0, 0, 1)),

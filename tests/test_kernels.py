@@ -27,6 +27,8 @@ from finsep.ideal import (MembershipCertificate, Presentation, _balance, _fold_i
                           basis_elements, canonical_basis, membership)
 from finsep.invariants import MonicRelation
 from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, content_split, gcd_q
+from finsep.separability import decide
+from test_ideal import _identity_corpus
 
 SETTINGS = settings(
     max_examples=200, deadline=None, derandomize=True, database=None
@@ -361,10 +363,39 @@ def test_completion_outputs_are_byte_identical_on_a_seeded_corpus():
 
 
 def test_completion_cofactors_are_pinned_on_a_seeded_corpus():
-    # digest of the element cofactors, pinned when canonical_basis began
-    # balancing them by the relators' syzygies
+    # digest of the element cofactors, re-pinned when a Euclid merge began
+    # handing on one S-polynomial; only three-relator cofactors moved
     digest = hashlib.sha256(repr(_completion_outputs()[1]).encode()).hexdigest()
-    assert digest == "eb12b3f3c62ab92027494b8930eff770189145aa6086f08eaad83884f1b3d5f4"
+    assert digest == "ab7bca6e566ace1617d1ef7e1ba49fb6c88fb0860e6dd92343365a1f117ebb87"
+
+
+def _two_relator_cofactors():
+    """The element, membership and decide-witness cofactors of the
+    presentations with at most two relators in the completion and identity
+    corpora, from a cold cache."""
+    out = []
+    canonical_basis.cache_clear()
+    for p, queries in [(p, []) for p in _completion_corpus()] + _identity_corpus():
+        if len(p.relators) > 2:
+            continue
+        out.append([[list(q.coeffs) for q in row]
+                    for row in canonical_basis(p).element_cofactors])
+        for g in queries:
+            member, cert = membership(g, p)
+            out.append(member and [list(q.coeffs) for q in cert.cofactors])
+        witness = decide(p).positive_witness
+        out.append(witness and [list(q.coeffs) for q in witness.certificate.cofactors])
+    canonical_basis.cache_clear()
+    return out
+
+
+def test_two_relator_cofactors_are_unique_outputs():
+    # with at most two relators every cofactor vector is unique (one relator
+    # divides exactly, two are walked by their pair syzygy); pinned before
+    # the completion reduced one S-polynomial per Euclid merge instead of
+    # its two remainders, and unchanged by it
+    digest = hashlib.sha256(repr(_two_relator_cofactors()).encode()).hexdigest()
+    assert digest == "cab8f55ba6ac48423dd51e0a7ffe56c651a74a1191498b1eb4341d56593b0801"
 
 
 # document values: ints of any size (some above the 4,300-digit int/str

@@ -196,35 +196,68 @@ def test_torsion_consistency_on_separable_instances():
         assert data.torsion_exponent == minimal_polynomial(p).degree
 
 
+def test_separable_exactly_when_content_squarefree_and_torsion_finite():
+    # condition (ii) holds exactly when the minimal polynomial's primitive
+    # part is monic (Gauss), which is exactly when the torsion is finite, so
+    # decide agrees with the content's squarefree test and the torsion
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def shared_factor_relator_lists(draw):
+        """1 to 4 relators of degree <= 9 with zero constant terms sharing a
+        factor of degree 1 or 2, each with a content up to 30."""
+        shared = IntPoly([*draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2)),
+                          draw(st.integers(1, 4))])
+        relators = []
+        for _ in range(draw(st.integers(1, 4))):
+            tail = draw(st.lists(st.integers(-9, 9), max_size=6))
+            lead = draw(st.integers(1, 9)) * draw(st.sampled_from((-1, 1)))
+            relators.append((shared * IntPoly([0, *tail, lead])).scale(
+                draw(st.integers(1, 30))))
+        return relators
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(shared_factor_relator_lists())
+    def separable_iff_squarefree_content_and_finite_torsion(relators):
+        p = Presentation(relators)
+        k = gcd_list(c for r in p.relators for c in r.coeffs)
+        finite = torsion_data(p).torsion is not None
+        assert decide(p).separable == (squarefree(k).is_squarefree and finite)
+
+    separable_iff_squarefree_content_and_finite_torsion()
+
+
 def test_separable_decide_builds_one_certificate(monkeypatch):
-    # the witness is certified once: one membership call and one
+    # the witness is certified once: one certificate built and one
     # re-multiplication, none in the search or after it
     import finsep.ideal as ideal_module
     import finsep.invariants as inv
 
-    calls = {"membership": 0, "verify": 0}
-    real_membership = ideal_module.membership
+    calls = {"certificate": 0, "verify": 0}
+    real_certificate = ideal_module.member_certificate
     real_verify = ideal_module.MembershipCertificate.verify
 
-    def counting_membership(g, presentation):
-        calls["membership"] += 1
-        return real_membership(g, presentation)
+    def counting_certificate(g, quotients, basis):
+        calls["certificate"] += 1
+        return real_certificate(g, quotients, basis)
 
     def counting_verify(self, presentation):
         calls["verify"] += 1
         return real_verify(self, presentation)
 
-    monkeypatch.setattr(ideal_module, "membership", counting_membership)
-    monkeypatch.setattr(inv, "membership", counting_membership)
+    monkeypatch.setattr(ideal_module, "member_certificate", counting_certificate)
+    monkeypatch.setattr(inv, "member_certificate", counting_certificate)
     monkeypatch.setattr(ideal_module.MembershipCertificate, "verify", counting_verify)
     for relators in [((0, -1, 1),), ((0, 2, 4), (0, 0, 6, 6)),
                      ((0, -3, 3), (0, 0, 5, 5), (0, -1, 0, 1))]:
         p = pres(*relators)
         canonical_basis(p)  # the basis checks its own rows; count decide only
-        calls.update(membership=0, verify=0)
+        calls.update(certificate=0, verify=0)
         v = decide(p)
         assert v.separable
-        assert calls == {"membership": 1, "verify": 1}
+        assert calls == {"certificate": 1, "verify": 1}
 
 
 def test_torsion_split_examples():
