@@ -32,6 +32,7 @@ from .ideal import (
     CanonicalBasis,
     ConstantTermError,
     MembershipCertificate,
+    MonicRelation,
     Presentation,
     basis_elements,
     canonical_basis,
@@ -41,7 +42,6 @@ from .ideal import (
     reduce_with_quotients,
 )
 from .invariants import (
-    MonicRelation,
     RingInvariants,
     minimal_polynomial,
     ring_invariants,

@@ -287,15 +287,18 @@ def _decide(doc: dict, relators, read) -> list:
 def _invariants(doc: dict, relators, read) -> list:
     """The torsion and exponent witnesses of a finite torsion, and what
     they bound: the exponent is the degree of a monic phi over some k, and
-    no member of V lies below the algebraic degree.  An infinite torsion
-    and minimality (no monic phi below the exponent, which needs the basis
-    in the document) carry no certificate."""
+    no member of V lies below the algebraic degree.  The exponent witness
+    certifies that the minimal polynomial, its k*phi, lies in V, and the
+    torsion and the content are positive, as the lead and content of a
+    member of V are.  An infinite torsion and minimality (no monic phi
+    below the exponent and no member of V below the minimal polynomial,
+    which need the basis in the document) carry no certificate."""
     if doc["torsion_witness"] is None:
         return []
     k, phi, checks = _relation(doc["torsion_witness"], "torsion witness",
                                "torsion witness certificate", relators, read)
-    _, phi_e, exponent_checks = _relation(doc["exponent_witness"], "exponent witness",
-                                          "exponent witness certificate", relators, read)
+    k_e, phi_e, exponent_checks = _relation(doc["exponent_witness"], "exponent witness",
+                                            "exponent witness certificate", relators, read)
     minimal = read.poly(doc["minimal_polynomial"])
     primitive = read.poly(doc["minimal_primitive"])
     content, degree, exponent, torsion = (_json(doc[f], int, f) for f in (
@@ -310,6 +313,9 @@ def _invariants(doc: dict, relators, read) -> list:
          degree == minimal.degree),
         ("minimal content * primitive is the minimal polynomial",
          primitive.scale(content) == minimal),
+        ("torsion and minimal content are positive", torsion > 0 and content > 0),
+        ("exponent witness k*phi is the minimal polynomial",
+         phi_e.scale(k_e) == minimal),
     ]
 
 

@@ -35,12 +35,13 @@ from .ideal import (
     CanonicalBasis,
     ConstantTermError,
     MembershipCertificate,
+    MonicRelation,
     Presentation,
     canonical_basis,
     member_certificate,
     reduce_with_quotients,
 )
-from .invariants import MonicRelation, ring_invariants
+from .invariants import ring_invariants
 from .separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,

@@ -34,9 +34,10 @@ re-check raises ``SelfCheckError``.
 The monic-multiple search, whether k*phi lies in V for some monic phi,
 reads the basis: the answer is t/lead(t) for the lowest element t whose
 lead divides k, or none when the minimal polynomial's primitive part is
-not monic (the argument is in ``monic_multiple_search``).
-The relations handed out are certified once each, by
-``invariants.certified_relation``.  One helper, ``staircase_row``, builds
+not monic (the argument is in ``monic_multiple_search``).  It returns
+the relation certified, a ``MonicRelation``: k*phi is (k/lead t)*t, so
+its certificate folds that one quotient (``member_certificate``) and
+divides nothing.  One helper, ``staircase_row``, builds
 the staircase rows x^(n-d) * t_d of a basis, and one echelon over Z/N,
 ``_Echelon``, holds their span for the subring span of a finite quotient
 (``quotients._SubringSpan``, N = q).
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .check import is_combination
+from .check import is_combination, relation_checks
 from .intarith import NonPositiveError, SelfCheckError, gcd_list, xgcd
 from .poly import _COEFFS, IntPoly, _divide, _divide_coeffs, _intpoly, _trim
 
@@ -98,6 +99,22 @@ class MembershipCertificate:
     def verify(self, presentation: Presentation) -> bool:
         """Re-multiply the combination (``check.is_combination``)."""
         return is_combination(self.claim, self.cofactors, presentation.relators)
+
+
+@dataclass(frozen=True)
+class MonicRelation:
+    """A certified relation k * phi in V with phi monic, zero constant term."""
+
+    k: int
+    phi: IntPoly
+    certificate: MembershipCertificate
+
+    def verify(self, presentation: Presentation) -> bool:
+        """The checks of ``check.relation_checks``, all of them passing."""
+        cert = self.certificate
+        checks = relation_checks("witness", "witness certificate", self.k, self.phi,
+                                 cert.claim, cert.cofactors, presentation.relators)
+        return all(ok for _, ok in checks)
 
 
 def _fold_into(sums: list, quotients, rows) -> list:
@@ -488,14 +505,11 @@ def staircase_row(elements, n: int) -> list[int]:
     return [0] * (n - t.degree) + list(t.coeffs[1:])
 
 
-def monic_multiple_search(presentation: Presentation, k: int) -> IntPoly | None:
+def monic_multiple_search(presentation: Presentation, k: int) -> MonicRelation | None:
     """Search for monic phi (zero constant term) with k*phi in V.
 
-    A hit has least degree, and a None result is a proof that no such phi
-    exists at any degree.  A hit is returned uncertified:
-    callers that hand it out pass it through
-    ``invariants.certified_relation``, which checks it and builds its
-    membership certificate.
+    A hit has least degree and is returned certified; a None result is a
+    proof that no such phi exists at any degree.
 
     Over the strong basis t_1, ..., t_r (ascending degree, leads l_i > 0,
     each a proper multiple of l_(i+1); see ``_complete``), the hit is
@@ -516,11 +530,13 @@ def monic_multiple_search(presentation: Presentation, k: int) -> IntPoly | None:
       divide 1: no k*phi lies in V at any degree.
 
     An element that its lead does not divide contradicts the induction
-    and raises ``SelfCheckError``.
+    and raises ``SelfCheckError``.  The certificate is the quotient k/lead t
+    at t, zero elsewhere, folded and re-checked by ``member_certificate``.
     """
     if k < 1:
         raise NonPositiveError(f"monic_multiple_search needs k >= 1, got {k}")
-    elements = canonical_basis(presentation).elements
+    basis = canonical_basis(presentation)
+    elements = basis.elements
     t = next((e for e in elements if k % e.lead == 0), None)
     if t is None:
         return None  # no member of V has a lead dividing k
@@ -529,4 +545,6 @@ def monic_multiple_search(presentation: Presentation, k: int) -> IntPoly | None:
     lead = t.lead
     if any(c % lead for c in t.coeffs):
         raise SelfCheckError(f"degree-{t.degree} element is not lead times monic")
-    return IntPoly(c // lead for c in t.coeffs)
+    phi = IntPoly(c // lead for c in t.coeffs)
+    quotients = [IntPoly((k // lead,)) if e is t else IntPoly() for e in elements]
+    return MonicRelation(k, phi, member_certificate(phi.scale(k), quotients, basis))

@@ -10,7 +10,9 @@ torsion is finite exactly when the minimal polynomial's primitive part is
 monic (Gauss); then every basis element is its lead times a monic
 polynomial, so the torsion is the top element's lead, the least lead of
 the basis (``ideal.monic_multiple_search`` holds the argument).  An
-infinite verdict holds at every degree.
+infinite verdict holds at every degree.  Both witnesses are the search's
+certified relations, for the torsion and for the minimal polynomial's
+content.
 """
 
 from __future__ import annotations
@@ -18,32 +20,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .check import relation_checks
 from .intarith import SelfCheckError
 from .poly import IntPoly, content_split
-from .ideal import (
-    MembershipCertificate,
-    Presentation,
-    canonical_basis,
-    member_certificate,
-    monic_multiple_search,
-)
-
-
-@dataclass(frozen=True)
-class MonicRelation:
-    """A certified relation k * phi in V with phi monic, zero constant term."""
-
-    k: int
-    phi: IntPoly
-    certificate: MembershipCertificate
-
-    def verify(self, presentation: Presentation) -> bool:
-        """The checks of ``check.relation_checks``, all of them passing."""
-        cert = self.certificate
-        checks = relation_checks("witness", "witness certificate", self.k, self.phi,
-                                 cert.claim, cert.cofactors, presentation.relators)
-        return all(ok for _, ok in checks)
+from .ideal import MonicRelation, Presentation, canonical_basis, monic_multiple_search
 
 
 @dataclass(frozen=True)
@@ -81,52 +60,33 @@ def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
 def torsion_data(presentation: Presentation) -> RingInvariants:
     """Every invariant of the presentation's generator, witnesses certified.
 
-    The torsion tau is the top basis element's lead, which divides every k
-    with a monic multiple; tau has one exactly when the minimal
-    polynomial's primitive part is monic (``ideal.monic_multiple_search``).
-    The exponent witness is d times that primitive part, d the content,
-    unless the torsion witness has the algebraic degree.  Each relation
-    returned is certified once.
+    The minimal polynomial is the lowest basis element t_1.  The torsion
+    tau is the top element's lead, which divides every k with a monic
+    multiple; tau has one exactly when the minimal polynomial's primitive
+    part is monic (``ideal.monic_multiple_search``).  The exponent witness
+    is the search's relation for d, the minimal polynomial's content: it
+    lands on t_1 itself, so its phi must be the primitive part and d*phi
+    the minimal polynomial.  With one basis element d is tau, and the
+    torsion witness serves for both.
     """
-    mp = minimal_polynomial(presentation)
-    if mp is None:
+    elements = canonical_basis(presentation).elements
+    if not elements:
         return RingInvariants()
+    mp = elements[0]
     split = content_split(mp)
     d, primitive = split.content, split.primitive
-    degree = mp.degree
-    known = functools.partial(RingInvariants, degree, mp, d, primitive)
-    tau = canonical_basis(presentation).elements[-1].lead
-    tau_phi = monic_multiple_search(presentation, tau)
-    if tau_phi is None:
+    known = functools.partial(RingInvariants, mp.degree, mp, d, primitive)
+    tau = elements[-1].lead
+    witness = monic_multiple_search(presentation, tau)
+    if witness is None:
         return known()
-    witness = certified_relation(presentation, tau, tau_phi)
-    exp_witness = (witness if tau_phi.degree == degree
-                   else certified_relation(presentation, d, primitive))
-    return known(torsion=tau, torsion_exponent=degree,
+    exp_witness = witness if tau == d else monic_multiple_search(presentation, d)
+    if exp_witness is None or exp_witness.phi != primitive:
+        raise SelfCheckError(f"the relation for k={d} is not the minimal polynomial")
+    return known(torsion=tau, torsion_exponent=mp.degree,
                  torsion_witness=witness, exponent_witness=exp_witness)
 
 
 # bench/tracing.py traces this function by its defining name, torsion_data;
 # the library and bench/workloads.py call it ring_invariants
 ring_invariants = torsion_data
-
-
-def certified_relation(
-    presentation: Presentation, k: int, phi: IntPoly
-) -> MonicRelation:
-    """Certify a search hit: k * phi in V, phi monic with zero constant term.
-
-    This is the one place a monic relation is checked and its membership
-    certificate built; a hit that fails raises ``SelfCheckError``.  A hit is
-    t/lead(t) for the basis element t of its degree, so k * phi is
-    (k/lead(t)) * t: its certificate folds that one quotient, with no
-    division, and is re-checked (``ideal.member_certificate``).
-    """
-    if not (phi.is_monic() and phi.constant == 0):
-        raise SelfCheckError(f"phi for k={k} is not monic with zero constant")
-    basis = canonical_basis(presentation)
-    t = next((t for t in basis.elements if t.degree == phi.degree), None)
-    if t is None or t != phi.scale(t.lead) or k % t.lead:
-        raise SelfCheckError(f"k={k} times phi is no multiple of a basis element")
-    quotients = [IntPoly((k // t.lead,)) if e is t else IntPoly() for e in basis.elements]
-    return MonicRelation(k, phi, member_certificate(phi.scale(k), quotients, basis))

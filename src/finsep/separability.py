@@ -30,8 +30,7 @@ from .intarith import (
     squarefree,
 )
 from .poly import RationalGcd, gcd_q
-from .ideal import Presentation, monic_multiple_search
-from .invariants import MonicRelation, certified_relation
+from .ideal import MonicRelation, Presentation, monic_multiple_search
 
 
 class NotSquarefreeError(ValueError):
@@ -93,10 +92,9 @@ def decide(presentation: Presentation) -> SeparabilityVerdict:
     # polynomial's primitive part monic, so every basis element is its lead
     # times a monic polynomial, and every member of V, each relator
     # included, is divisible by the top lead tau; hence tau | k
-    phi = monic_multiple_search(presentation, k)
-    if phi is None:
+    witness = monic_multiple_search(presentation, k)
+    if witness is None:
         raise SelfCheckError(f"no monic multiple for k={k}")
-    witness = certified_relation(presentation, k, phi)
     return verdict(separable=True, positive_witness=witness)
 
 

@@ -22,7 +22,7 @@ from finsep.ideal import (
     normal_form,
     reduce_with_quotients,
 )
-from finsep.invariants import certified_relation, torsion_data
+from finsep.invariants import torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
@@ -315,10 +315,8 @@ def test_criterion_7_monic_relation_extraction():
             continue
         # g is a member of V, so content(g) times some monic of degree at
         # most deg g is one too: the search finds the least such monic
-        phi = monic_multiple_search(p, g.content)
-        assert phi is not None
-        rel = certified_relation(p, g.content, phi)
-        assert rel.k == g.content
+        rel = monic_multiple_search(p, g.content)
+        assert rel is not None and rel.k == g.content
         assert rel.phi.is_monic() and rel.phi.constant == 0
         assert rel.phi.degree <= g.degree
         total = IntPoly()

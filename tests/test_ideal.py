@@ -26,7 +26,6 @@ from finsep.ideal import (
 )
 from finsep.check import _reduces_to, is_combination
 from finsep.intarith import NonPositiveError
-from finsep.invariants import certified_relation
 from finsep.separability import decide
 
 
@@ -320,9 +319,9 @@ def test_membership_agrees_with_shift_lattice_oracle():
 
 
 def test_monic_multiple_search_examples():
-    assert monic_multiple_search(pres((0, 0, 2)), 2) == ip(0, 0, 1)
+    assert monic_multiple_search(pres((0, 0, 2)), 2).phi == ip(0, 0, 1)
     assert monic_multiple_search(pres((0, 1, 2)), 2) is None
-    assert monic_multiple_search(pres((0, -1, 1)), 1) == ip(0, -1, 1)
+    assert monic_multiple_search(pres((0, -1, 1)), 1).phi == ip(0, -1, 1)
 
 
 def test_monic_multiple_absence_oracle_principal():
@@ -341,13 +340,15 @@ def test_monic_multiple_found_is_smallest_degree():
     for _ in range(150):
         p = random_presentation(rng, max_relators=2, max_degree=4, max_coeff=6)
         k = rng.randint(1, 6)
-        phi = monic_multiple_search(p, k)
-        if phi is None:
+        relation = monic_multiple_search(p, k)
+        if relation is None:
             continue
         found += 1
+        phi = relation.phi
         assert phi.is_monic() and phi.constant == 0
         member, cert = membership(phi.scale(k), p)
         assert member and cert.verify(p)
+        assert relation.verify(p)
         # no smaller degree works: the independent lattice oracle, bounded
         # strictly below, finds nothing
         assert _fresh_lattice_search(p, k, phi.degree - 1) is None
@@ -456,11 +457,12 @@ def test_monic_multiple_search_matches_fresh_lattice_oracle():
         bound = 2 * max(r.degree for r in p.relators)
         gcd = math.gcd(*(c for r in p.relators for c in r.coeffs))
         for k in sorted({1, 2, 3, 6, gcd}):
-            phi = monic_multiple_search(p, k)
+            relation = monic_multiple_search(p, k)
             want = _fresh_lattice_search(p, k, bound)
-            assert (phi is None) == (want is None)
-            if phi is None:
+            assert (relation is None) == (want is None)
+            if relation is None:
                 continue
+            phi = relation.phi
             n = phi.degree
             assert n == want.degree
             assert phi.is_monic() and phi.constant == 0
@@ -471,9 +473,8 @@ def test_monic_multiple_search_matches_fresh_lattice_oracle():
             # k*phi is k*x^n less the k*(x^n - phi) that the k*x^i rows
             # supply: it must lie in the oracle's lattice of shifts alone
             assert _shift_echelon(elements, n).solve(phi.scale(k).coeffs[1:]) is not None
-            # the search certifies nothing; the hit must pass the gate
-            relation = certified_relation(p, k, phi)
-            assert relation.verify(p)
+            # the search hands out its hit certified
+            assert relation.k == k and relation.verify(p)
             found += 1
     assert found >= 300
     assert above > 0
@@ -515,7 +516,7 @@ def test_monic_multiple_search_with_k_one_reads_the_top_element():
     p = Presentation([IntPoly([0, -1] + [0] * 38 + [1]).scale(4)])
     assert monic_multiple_search(p, 1) is None
     q = pres((0, 0, 2), (0, -1, 0, 1))
-    assert monic_multiple_search(q, 1) == canonical_basis(q).elements[-1]
+    assert monic_multiple_search(q, 1).phi == canonical_basis(q).elements[-1]
 
 
 def test_monic_multiple_search_none_for_a_non_monic_primitive_part():
@@ -928,13 +929,15 @@ def test_self_checks_survive_optimize():
             quotients.subring_closure(ring, [IntPoly((0, 1))])
         except ideal.SelfCheckError:
             print("closure")
-        # a search hit that is not monic is stopped where relations are
-        # certified, whatever path hands it out
+        # a basis element above the lowest that its lead 2 does not divide
+        # is stopped by the search, on decide's path (k = 2)
+        from types import SimpleNamespace
         from finsep import separability
         ideal.MembershipCertificate.verify = real_verify
-        separability.monic_multiple_search = lambda p, k: IntPoly((0, -1, 2))
+        elements = (IntPoly((0, -4, 4)), IntPoly((0, 1, 0, 2)))
+        ideal.canonical_basis = lambda p: SimpleNamespace(elements=elements)
         try:
-            separability.decide(ideal.Presentation([IntPoly((0, -1, 1))]))
+            separability.decide(ideal.Presentation([IntPoly((0, -2, 2))]))
         except ideal.SelfCheckError as exc:
             print("monic" if "monic" in str(exc) else exc)
     """)

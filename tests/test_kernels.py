@@ -15,6 +15,7 @@ import json
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -23,9 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from finsep.check import is_combination
 from finsep.cli import _encode, _json_text
-from finsep.ideal import (MembershipCertificate, Presentation, _balance, _fold_into,
-                          basis_elements, canonical_basis, membership)
-from finsep.invariants import MonicRelation
+import finsep.ideal as ideal_module
+from finsep.ideal import (MembershipCertificate, MonicRelation, Presentation, _balance,
+                          _fold_into, basis_elements, canonical_basis, membership,
+                          monic_multiple_search)
+from finsep.invariants import torsion_data
 from finsep.poly import IntPoly, RatPoly, _divide as _divide_rows, content_split, gcd_q
 from finsep.separability import decide
 from test_ideal import _identity_corpus
@@ -249,6 +252,48 @@ def test_no_basis_element_lies_above_the_largest_relator_degree(relators):
     top = max(r.degree for r in p.relators)
     for elements in (basis_elements(p), canonical_basis(p).elements):
         assert all(e.degree <= top for e in elements)
+
+
+@st.composite
+def finite_torsion_relator_lists(draw):
+    """1 to 3 relators of degree <= 6 with zero constant terms, each a
+    content from the divisors of 12 times a polynomial of lead 1 or -1, so
+    the minimal polynomial's primitive part, which divides each relator's,
+    is monic and the torsion finite."""
+    relators = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 6))
+        tail = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+        lead = draw(st.sampled_from((-1, 1)))
+        c = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+        relators.append(IntPoly([0, *tail, lead]).scale(c))
+    return relators
+
+
+@SETTINGS
+@given(finite_torsion_relator_lists())
+def test_search_relations_are_membership_certificates_built_without_division(relators):
+    # the search certifies k*phi as (k/lead t)*t, folding one quotient: the
+    # certificate is membership's, tuple for tuple, and once the basis is
+    # cached neither the search nor torsion_data divides
+    p = Presentation(relators)
+    elements = canonical_basis(p).elements
+    multipliers = sorted({1, 2, 3, 4, 6, 12, elements[-1].lead})
+    with mock.patch.object(ideal_module, "_divide", wraps=ideal_module._divide) as div, \
+            mock.patch.object(ideal_module, "_divide_coeffs",
+                              wraps=ideal_module._divide_coeffs) as div_coeffs:
+        relations = [monic_multiple_search(p, k) for k in multipliers]
+        data = torsion_data(p)
+    assert div.call_count == div_coeffs.call_count == 0
+    for k, relation in zip(multipliers, relations):
+        if relation is None:
+            continue
+        assert relation.k == k and relation.phi.is_monic()
+        member, cert = membership(relation.phi.scale(k), p)
+        assert member and relation.certificate == cert
+    # the exponent witness lands on the lowest element, the minimal polynomial
+    assert data.exponent_witness.certificate.claim == elements[0] == data.minimal_polynomial
+    assert data.exponent_witness.phi == data.minimal_primitive
 
 
 # relators of the two-relator property: zero constant term, degree 1 to 6

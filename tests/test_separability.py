@@ -6,7 +6,7 @@ import pytest
 from finsep.poly import IntPoly, RatPoly
 from finsep.ideal import Presentation, canonical_basis, membership, monic_multiple_search
 from finsep.intarith import gcd_list, squarefree
-from finsep.invariants import certified_relation, torsion_data
+from finsep.invariants import torsion_data
 from finsep.separability import (
     NON_INTEGER_GAMMA,
     NON_SQUAREFREE_GCD,
@@ -135,8 +135,8 @@ def test_the_witness_is_the_relation_extracted_from_the_shifted_relators():
         member, cert = membership(g, p)
         assert member and cert.verify(p)
         assert g.content == gcd_list(c for r in p.relators for c in r.coeffs) == k
-        phi = monic_multiple_search(p, k)
-        assert v.positive_witness == certified_relation(p, k, phi)
+        assert v.positive_witness == monic_multiple_search(p, k)
+        assert v.positive_witness.phi.degree <= g.degree
         checked += 1
 
 
@@ -230,10 +230,9 @@ def test_separable_exactly_when_content_squarefree_and_torsion_finite():
 
 
 def test_separable_decide_builds_one_certificate(monkeypatch):
-    # the witness is certified once: one certificate built and one
-    # re-multiplication, none in the search or after it
+    # the witness is certified once, in the search: one certificate built
+    # and one re-multiplication
     import finsep.ideal as ideal_module
-    import finsep.invariants as inv
 
     calls = {"certificate": 0, "verify": 0}
     real_certificate = ideal_module.member_certificate
@@ -248,7 +247,6 @@ def test_separable_decide_builds_one_certificate(monkeypatch):
         return real_verify(self, presentation)
 
     monkeypatch.setattr(ideal_module, "member_certificate", counting_certificate)
-    monkeypatch.setattr(inv, "member_certificate", counting_certificate)
     monkeypatch.setattr(ideal_module.MembershipCertificate, "verify", counting_verify)
     for relators in [((0, -1, 1),), ((0, 2, 4), (0, 0, 6, 6)),
                      ((0, -3, 3), (0, 0, 5, 5), (0, -1, 0, 1))]:

@@ -552,7 +552,48 @@ def test_a_raised_torsion_exponent_is_invalid():
     doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
     doc["exponent_witness"]["phi"] = _poly_doc(0, -1, 2)
     assert _failed(doc) == ["exponent witness claim is k*phi",
-                            "exponent witness phi is monic, zero constant"]
+                            "exponent witness phi is monic, zero constant",
+                            "exponent witness k*phi is the minimal polynomial"]
+
+
+def _negated(poly: dict) -> dict:
+    return _poly_doc(*(-c for c in poly["coeffs"]))
+
+
+def _negate_witness(witness: dict) -> None:
+    """-k times the same phi: the claim and the cofactors negated too."""
+    cert = witness["certificate"]
+    witness["k"] = -witness["k"]
+    cert["claim"] = _negated(cert["claim"])
+    cert["cofactors"] = [_negated(c) for c in cert["cofactors"]]
+
+
+def test_a_negated_torsion_is_invalid():
+    # tau = 1 and d = 6 here, so the two witnesses differ; -k*phi lies in V
+    # whenever k*phi does, and only the signs show the forgery
+    relators = [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))]
+    doc = _document("invariants", relators)
+    assert (doc["torsion"], doc["minimal_content"]) == (1, 6)
+    _negate_witness(doc["torsion_witness"])
+    doc["torsion"] = -1
+    assert _failed(doc) == ["torsion and minimal content are positive"]
+    # every sign flipped at once: the exponent witness's -6*phi is no longer
+    # the minimal polynomial either
+    doc = _document("invariants", relators)
+    for witness in ("torsion_witness", "exponent_witness"):
+        _negate_witness(doc[witness])
+    doc.update(torsion=-1, minimal_content=-6,
+               minimal_primitive=_negated(doc["minimal_primitive"]))
+    assert _failed(doc) == ["torsion and minimal content are positive",
+                            "exponent witness k*phi is the minimal polynomial"]
+
+
+def test_a_minimal_polynomial_outside_the_ideal_is_invalid():
+    # 6x^2 + 6x = 6 * (x^2 + x) agrees with every other field, but it does
+    # not vanish at the generator: the exponent witness's claim is 6x^2 - 6x
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    doc.update(minimal_polynomial=_poly_doc(0, 6, 6), minimal_primitive=_poly_doc(0, 1, 1))
+    assert _failed(doc) == ["exponent witness k*phi is the minimal polynomial"]
 
 
 @pytest.mark.parametrize("edit", [
