@@ -43,7 +43,6 @@ from .ideal import (
 )
 from .invariants import (
     RingInvariants,
-    minimal_polynomial,
     ring_invariants,
     torsion_data,
 )

@@ -290,7 +290,10 @@ def _invariants(doc: dict, relators, read) -> list:
     no member of V lies below the algebraic degree.  The exponent witness
     certifies that the minimal polynomial, its k*phi, lies in V, and the
     torsion and the content are positive, as the lead and content of a
-    member of V are.  An infinite torsion and minimality (no monic phi
+    member of V are.  The minimal content is the content of the minimal
+    polynomial and its lead is positive, so the content split is the
+    canonical one: no common factor moves into the primitive part, and no
+    sign flips both.  An infinite torsion and minimality (no monic phi
     below the exponent and no member of V below the minimal polynomial,
     which need the basis in the document) carry no certificate."""
     if doc["torsion_witness"] is None:
@@ -313,6 +316,8 @@ def _invariants(doc: dict, relators, read) -> list:
          degree == minimal.degree),
         ("minimal content * primitive is the minimal polynomial",
          primitive.scale(content) == minimal),
+        ("minimal content is the content of the minimal polynomial, whose "
+         "lead is positive", content == minimal.content and minimal.lead > 0),
         ("torsion and minimal content are positive", torsion > 0 and content > 0),
         ("exponent witness k*phi is the minimal polynomial",
          phi_e.scale(k_e) == minimal),

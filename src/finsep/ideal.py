@@ -39,8 +39,10 @@ the relation certified, a ``MonicRelation``: k*phi is (k/lead t)*t, so
 its certificate folds that one quotient (``member_certificate``) and
 divides nothing.  One helper, ``staircase_row``, builds
 the staircase rows x^(n-d) * t_d of a basis, and one echelon over Z/N,
-``_Echelon``, holds their span for the subring span of a finite quotient
-(``quotients._SubringSpan``, N = q).
+``_Echelon``, holds their span; started from those rows and closed under
+products, it is the subring span of a finite quotient
+(``quotients._subring_span``, N = q).  ``_Echelon.add`` says whether the
+span grew, so a closure reduces each vector once.
 """
 
 from __future__ import annotations
@@ -451,7 +453,9 @@ class _Echelon:
     the Howell closure (Howell, Spans in the module (Z_m)^s, 1986;
     Storjohann-Mulders, Fast algorithms for linear algebra modulo N, 1998):
     every held lead divides N, and a vector lies in the span exactly when
-    top-down reduction clears it, an empty slot clearing only 0.
+    top-down reduction clears it, an empty slot clearing only 0.  So
+    ``add`` also answers whether the vector was outside the span, and a
+    caller that inserts whatever is new needs no ``solve`` first.
 
     A row with pivot j stores coordinates 0..j only, so the echelon grows
     with its input and has no fixed dimension.
@@ -461,9 +465,19 @@ class _Echelon:
         self.modulus = modulus
         self.rows: dict[int, list[int]] = {}
 
-    def add(self, vec) -> None:
+    def add(self, vec) -> bool:
+        """Insert vec; whether the span grew.
+
+        ``solve`` relies on the Howell property: a vector in the span
+        reduces to zero through divisible leads only.  On such a vector
+        ``add`` takes only the same steps, so it changes no row.  On any
+        other vector its first change is made exactly where ``solve`` would
+        return False: at an empty slot, or at a row whose lead does not
+        divide the vector's, where the lead becomes a proper divisor.
+        """
         n = self.modulus
         vec = _trim([x % n for x in vec])
+        grew = False
         while vec:
             j = len(vec) - 1
             row = self.rows.get(j)
@@ -477,7 +491,9 @@ class _Echelon:
                 g, u, v = xgcd(a, b)
                 self.rows[j] = [(u * x + v * y) % n for x, y in zip(row, vec)]
                 vec = [((a // g) * y - (b // g) * x) % n for x, y in zip(row, vec)]
+                grew = True
             _trim(vec)
+        return grew
 
     def solve(self, vec) -> bool:
         """Whether vec lies in the span mod N."""
@@ -499,7 +515,7 @@ def staircase_row(elements, n: int) -> list[int]:
     t_d is the element of largest degree d <= n; ``elements`` ascend in
     degree and the lowest is at most n.  Coordinate i - 1 holds the
     coefficient of x^i, for degrees 1 .. n, so the row's pivot is n - 1.
-    ``quotients._SubringSpan`` starts from these rows.
+    ``quotients._subring_span`` starts from these rows.
     """
     t = next(e for e in reversed(elements) if e.degree <= n)
     return [0] * (n - t.degree) + list(t.coeffs[1:])

@@ -45,18 +45,6 @@ class RingInvariants:
     exponent_witness: MonicRelation | None = None
 
 
-def minimal_polynomial(presentation: Presentation) -> IntPoly | None:
-    """Least-degree nonzero ideal member, least positive leading coefficient.
-
-    Read off the canonical basis: its lowest-degree element.  Absent exactly
-    when the presentation has no nonzero relator (transcendental generator).
-    """
-    basis = canonical_basis(presentation)
-    if not basis.elements:
-        return None
-    return basis.elements[0]
-
-
 def torsion_data(presentation: Presentation) -> RingInvariants:
     """Every invariant of the presentation's generator, witnesses certified.
 

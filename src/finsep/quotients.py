@@ -20,6 +20,8 @@ quotient (R/qR is a quotient of R/NR when q divides N; the proof is in
 decided whole by that one solve: no modulus of it separates.  Only the
 first modulus that separates gets its own quotient, built once from the
 certified ``canonical_basis`` that it carries as ``FiniteRing.basis``.
+The subring span is the ``ideal._Echelon`` of the generators' closure
+(``_subring_span``), and ``subring_closure`` enumerates its elements.
 Products and images in the quotient each take one division of a
 coefficient list by the ladder.
 """
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .intarith import SelfCheckError, gcd_list
-from .poly import _COEFFS, IntPoly, _divide_coeffs
+from .poly import _COEFFS, IntPoly, _divide_coeffs, _mul
 from .ideal import (
     CanonicalBasis,
     Presentation,
@@ -149,12 +151,7 @@ class FiniteRing:
         return self.image(IntPoly.x())
 
     def mul(self, u, v) -> tuple[int, ...]:
-        product = [0] * (2 * self.monic_degree - 1)
-        for i, a in enumerate(u, 1):
-            if a:
-                for j, b in enumerate(v, 1):
-                    product[i + j] += a * b
-        return self._reduce(product)
+        return self._reduce(_mul((0, *u), (0, *v)))
 
 
 def build_quotient(
@@ -179,8 +176,8 @@ def build_quotient(
     return FiniteRing(presentation, q, ladder)
 
 
-class _SubringSpan:
-    """The subring generated by some elements, held as an additive lattice.
+def _subring_span(ring: FiniteRing, generators) -> _Echelon:
+    """The subring generated by polynomials' images, as an additive lattice.
 
     The additive group of the quotient is Z^(positions) modulo the lattice
     of in-window relation vectors.  That lattice contains q*Z^(positions),
@@ -203,65 +200,48 @@ class _SubringSpan:
     in S, and when the work list is empty each inserted u has had each
     u*g_i either inserted or found inside, so the final span, spanned by
     the inserted elements over the relation lattice, holds the g_i and is
-    closed under multiplication by each.  A span of m inserted elements
-    costs m * len(generators) products.
+    closed under multiplication by each.  Each element is reduced once, by
+    ``_Echelon.add``, which says whether it grew the span; a span of m
+    inserted elements costs m * len(generators) products.
     """
-
-    def __init__(self, ring: FiniteRing, generators):
-        self.ring = ring
-        self.dim = len(ring.standard_monomials)
-        self.echelon = _Echelon(ring.modulus)
-        for n in range(1, self.dim + 1):
-            self.echelon.add(staircase_row(ring.ladder, n))
-        gens = [ring.image(g) if isinstance(g, IntPoly) else tuple(g)
-                for g in generators]
-        work = list(gens)
-        while work:
-            u = work.pop()
-            if self.contains(u):
-                continue
-            self.echelon.add(u)
+    echelon = _Echelon(ring.modulus)
+    for n in range(1, len(ring.standard_monomials) + 1):
+        echelon.add(staircase_row(ring.ladder, n))
+    gens = [ring.image(g) for g in generators]
+    work = list(gens)
+    while work:
+        u = work.pop()
+        if echelon.add(u):
             work.extend(ring.mul(u, g) for g in gens)
-
-    def contains(self, u: tuple[int, ...]) -> bool:
-        return self.echelon.solve(u)
-
-    def _rows(self) -> list[list[int]]:
-        """The echelon row at each position, q*e_j for an empty slot."""
-        q = self.ring.modulus
-        return [self.echelon.rows.get(j, [0] * j + [q]) for j in range(self.dim)]
-
-    def size(self) -> int:
-        total = 1
-        for row, m in zip(self._rows(), self.ring.position_moduli):
-            total *= m // row[-1]
-        return total
-
-    def materialize(self) -> frozenset:
-        ring = self.ring
-        rows = self._rows()
-        ranges = [range(m // row[-1]) for row, m in zip(rows, ring.position_moduli)]
-        out = []
-        for combo in itertools.product(*ranges):
-            vec = [0] * self.dim
-            for t, row in zip(combo, rows):
-                if t:
-                    for j, c in enumerate(row):
-                        vec[j] += t * c
-            out.append(ring._reduce([0] + vec))
-        closure = frozenset(out)
-        if len(closure) != self.size():
-            raise SelfCheckError("subring closure size disagrees with its lattice")
-        return closure
+    return echelon
 
 
 def subring_closure(ring: FiniteRing, generators) -> frozenset:
     """Least subset containing the generators, closed under +, -, *.
 
     Subrings here never adjoin a unit; the empty generator list closes to
-    {0}.  Termination is guaranteed by the finite carrier.
+    {0}.  The closure is enumerated from the span's echelon
+    (``_subring_span``): the row at position j, q*e_j for an empty slot,
+    takes the multiples below position_moduli[j] / its lead, and their sums,
+    reduced in the quotient, are the closure.  A closure whose size is not
+    the product of those counts raises ``SelfCheckError``.
     """
-    return _SubringSpan(ring, generators).materialize()
+    q, moduli = ring.modulus, ring.position_moduli
+    echelon = _subring_span(ring, generators)
+    rows = [echelon.rows.get(j, [0] * j + [q]) for j in range(len(moduli))]
+    ranges = [range(m // row[-1]) for row, m in zip(rows, moduli)]
+    out = []
+    for combo in itertools.product(*ranges):
+        vec = [0] * len(moduli)
+        for t, row in zip(combo, rows):
+            if t:
+                for j, c in enumerate(row):
+                    vec[j] += t * c
+        out.append(ring._reduce([0] + vec))
+    closure = frozenset(out)
+    if len(closure) != math.prod(map(len, ranges)):
+        raise SelfCheckError("subring closure size disagrees with its lattice")
+    return closure
 
 
 @dataclass(frozen=True)
@@ -361,7 +341,8 @@ def separate(
     The remaining moduli are split, in order, into consecutive batches
     whose lcm N stays within ``_BATCH_BITS`` bits (``_batches``).  Each
     batch builds one quotient R/NR, finite because N is coprime to c, with
-    the subring span of the generator images and the target's image t.
+    the subring span of the generator images (``_subring_span``, an
+    ``_Echelon(N)``) and the target's image t.
     Each q of the batch is then decided by one solve of t in an
     ``_Echelon(q)`` holding the span's echelon rows.  This is exact.  In
     the window coordinates of R/NR (the coefficients of x^1 .. x^(n-1)),
@@ -378,20 +359,21 @@ def separate(
     exactly when it lies in the span's rows + q*Z^dim, the lattice that
     the ``_Echelon(q)`` holds.
 
-    One solve in the span's own ``_Echelon(N)``, which holds rows +
+    One solve in the span itself, an ``_Echelon(N)`` that holds rows +
     N*Z^dim, decides a whole batch first: each q of the batch divides N,
     so rows + N*Z^dim lies inside rows + q*Z^dim, and when t lies in the
     former no modulus of the batch separates and none gets an echelon.
 
     A modulus whose solve succeeds does not separate and gets no quotient.
     The first one whose solve fails gets its own quotient, built once from
-    the certified ``canonical_basis`` of the relators plus q*x, with its
-    span and its materialized closure; that the target's image lies
-    outside them is checked again before the result is returned.  No other
-    modulus gets one.  A quotient that comes out infinite, at a batch lcm
-    or at the returned modulus, raises ``SelfCheckError``.  The modulus
-    bound is reported when none succeeds; a bound below 1 or above
-    ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any work.
+    the certified ``canonical_basis`` of the relators plus q*x, and its
+    subring closure, enumerated by ``subring_closure``; that the target's
+    image lies outside it is checked again before the result is returned.
+    No other modulus gets one.  A quotient that comes out infinite, at a
+    batch lcm or at the returned modulus, raises ``SelfCheckError``.  The
+    modulus bound is reported when none succeeds; a bound below 1 or
+    above ``MAX_MODULUS_BOUND`` raises ``InvalidModulusError`` before any
+    work.
 
     A sweep of the whole bound 10**6 (relator x^5 + x^3 - 3x^2 + 2x,
     target (x^2 + x)^2 + (x^3 + 2x^2), generators x^2 + x and x^3 + 2x^2)
@@ -408,10 +390,10 @@ def separate(
         if isinstance(wide, InfiniteQuotient):
             raise SelfCheckError(f"mod-{lcm} quotient is infinite, content {content}")
         wide_img = wide.image(target)
-        span = _SubringSpan(wide, subring_generators)
-        if span.contains(wide_img):
+        span = _subring_span(wide, subring_generators)
+        if span.solve(wide_img):
             continue  # no modulus of the batch separates
-        rows = list(span.echelon.rows.values())
+        rows = list(span.rows.values())
         for q in batch:
             echelon = _Echelon(q)
             for row in rows:
@@ -421,8 +403,7 @@ def separate(
             basis = canonical_basis(_extended(presentation, q))
             ring = FiniteRing(presentation, q, basis.elements, basis)
             img = ring.image(target)
-            span = _SubringSpan(ring, subring_generators)
-            closure = span.materialize()
+            closure = subring_closure(ring, subring_generators)
             if img in closure:
                 raise SelfCheckError(f"mod-{q} target image lies in the closure")
             return SeparationResult(

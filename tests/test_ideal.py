@@ -510,6 +510,29 @@ def test_echelon_mod_n_decides_its_span():
     assert echelon.solve([2]) and not echelon.solve([1])
 
 
+def test_echelon_add_grows_exactly_outside_its_span():
+    # add's answer is solve's, negated and taken just before; a vector
+    # already in the span leaves every row as it was
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    vectors = st.lists(st.integers(-200, 200), max_size=5)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(2, 64), st.lists(vectors, min_size=1, max_size=8))
+    def add_is_not_solve(n, vecs):
+        echelon = ideal_module._Echelon(n)
+        for v in vecs:
+            inside = echelon.solve(v)
+            before = {j: list(row) for j, row in echelon.rows.items()}
+            grew = echelon.add(v)
+            assert grew is not inside, (n, vecs, v)
+            if not grew:
+                assert echelon.rows == before, (n, vecs, v)
+
+    add_is_not_solve()
+
+
 def test_monic_multiple_search_with_k_one_reads_the_top_element():
     # with k = 1 the answer is the top basis element when it is monic,
     # read off the leads
@@ -923,8 +946,8 @@ def test_self_checks_survive_optimize():
             print(sys.flags.optimize, isinstance(exc, RuntimeError),
                   isinstance(exc, ValueError))
         # a corrupted closure size is caught by the quotient layer
-        quotients._SubringSpan.size = lambda self: 0
         ring = quotients.build_quotient(ideal.Presentation([IntPoly((0, -1, 1))]), 3)
+        object.__setattr__(ring, "position_moduli", (9,))
         try:
             quotients.subring_closure(ring, [IntPoly((0, 1))])
         except ideal.SelfCheckError:

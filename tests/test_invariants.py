@@ -1,12 +1,8 @@
 import random
 
 from finsep.poly import IntPoly, content_split
-from finsep.ideal import Presentation, membership, monic_multiple_search
-from finsep.invariants import (
-    minimal_polynomial,
-    ring_invariants,
-    torsion_data,
-)
+from finsep.ideal import Presentation, canonical_basis, membership, monic_multiple_search
+from finsep.invariants import ring_invariants, torsion_data
 
 
 def ip(*ascending):
@@ -22,17 +18,17 @@ def random_zero_const_poly(rng, max_degree=5, max_coeff=10):
 
 
 def test_minimal_polynomial_examples():
-    assert minimal_polynomial(pres((0, -1, 1))) == ip(0, -1, 1)
+    assert torsion_data(pres((0, -1, 1))).minimal_polynomial == ip(0, -1, 1)
     # degree-2 members of <2x^2, x^3> are exactly the multiples of 2x^2
-    assert minimal_polynomial(pres((0, 0, 2), (0, 0, 0, 1))) == ip(0, 0, 2)
-    assert minimal_polynomial(pres()) is None
+    assert torsion_data(pres((0, 0, 2), (0, 0, 0, 1))).minimal_polynomial == ip(0, 0, 2)
+    assert torsion_data(pres()).minimal_polynomial is None
 
 
 def test_minimal_polynomial_is_least_degree_member():
     rng = random.Random(30)
     for _ in range(150):
         p = Presentation([random_zero_const_poly(rng, 4, 8) for _ in range(rng.randint(1, 3))])
-        mp = minimal_polynomial(p)
+        mp = torsion_data(p).minimal_polynomial
         if mp is None:
             assert p.relators == ()
             continue
@@ -52,15 +48,15 @@ def test_minimal_polynomial_invariant_under_presentation_changes():
     for _ in range(100):
         relators = [random_zero_const_poly(rng, 4, 8) for _ in range(rng.randint(1, 3))]
         p = Presentation(relators)
-        mp = minimal_polynomial(p)
+        mp = torsion_data(p).minimal_polynomial
         shuffled = relators[:]
         rng.shuffle(shuffled)
-        assert minimal_polynomial(Presentation(shuffled)) == mp
+        assert torsion_data(Presentation(shuffled)).minimal_polynomial == mp
         # a redundant member changes nothing
         extra = IntPoly()
         for r in relators:
             extra = extra + r * random_zero_const_poly(rng, 2, 4)
-        assert minimal_polynomial(Presentation(relators + [extra])) == mp
+        assert torsion_data(Presentation(relators + [extra])).minimal_polynomial == mp
 
 
 def test_prop_divisibility_of_members():
@@ -69,7 +65,7 @@ def test_prop_divisibility_of_members():
     rng = random.Random(32)
     for _ in range(100):
         p = Presentation([random_zero_const_poly(rng, 4, 6) for _ in range(rng.randint(1, 2))])
-        mp = minimal_polynomial(p)
+        mp = torsion_data(p).minimal_polynomial
         if mp is None:
             continue
         g = IntPoly()
@@ -115,7 +111,7 @@ def test_torsion_minimality_and_certificates():
         checked += 1
         assert data.torsion_witness.verify(p)
         assert data.exponent_witness.verify(p)
-        assert data.torsion_exponent == minimal_polynomial(p).degree
+        assert data.torsion_exponent == canonical_basis(p).elements[0].degree
         # exhaustive: no smaller multiplier admits a monic multiple
         for k in range(1, data.torsion):
             assert monic_multiple_search(p, k) is None
@@ -206,7 +202,7 @@ def test_torsion_finite_implies_monic_primitive():
         p = Presentation([random_zero_const_poly(rng, 4, 6) for _ in range(rng.randint(1, 2))])
         data = torsion_data(p)
         if data.torsion is not None:
-            assert content_split(minimal_polynomial(p)).primitive.is_monic()
+            assert content_split(canonical_basis(p).elements[0]).primitive.is_monic()
 
 
 def test_ring_invariants_aggregate():
@@ -269,7 +265,7 @@ def test_relation_from_member_random_members():
     done = 0
     while done < 60:
         p = Presentation([random_zero_const_poly(rng, 4, 6) for _ in range(rng.randint(1, 2))])
-        mp = minimal_polynomial(p)
+        mp = torsion_data(p).minimal_polynomial
         if mp is None or not content_split(mp).primitive.is_monic():
             continue
         g = IntPoly()

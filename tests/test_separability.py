@@ -192,8 +192,7 @@ def test_torsion_consistency_on_separable_instances():
         from finsep.intarith import squarefree
         assert squarefree(data.torsion).is_squarefree
         # torsion exponent equals the algebraic degree here
-        from finsep.invariants import minimal_polynomial
-        assert data.torsion_exponent == minimal_polynomial(p).degree
+        assert data.torsion_exponent == canonical_basis(p).elements[0].degree
 
 
 def test_separable_exactly_when_content_squarefree_and_torsion_finite():

@@ -525,6 +525,10 @@ def test_member_documents_agree_with_the_library(relators, g, hs):
     assert docs[2]["member"] is True
 
 
+_CANONICAL_SPLIT = ("minimal content is the content of the minimal polynomial, "
+                    "whose lead is positive")
+
+
 def test_forged_invariants_are_invalid():
     doc = _document("invariants", [IntPoly((0, 0, 2)), IntPoly((0, 0, 0, 1))])
     assert _verify(doc)["all_ok"] is True
@@ -535,7 +539,8 @@ def test_forged_invariants_are_invalid():
                             "algebraic degree is the degree of the minimal polynomial"]
     doc = _document("invariants", [IntPoly((0, 0, 2)), IntPoly((0, 0, 0, 1))])
     doc["minimal_content"] += 1
-    assert _failed(doc) == ["minimal content * primitive is the minimal polynomial"]
+    assert _failed(doc) == ["minimal content * primitive is the minimal polynomial",
+                            _CANONICAL_SPLIT]
 
 
 def test_a_raised_torsion_exponent_is_invalid():
@@ -584,7 +589,8 @@ def test_a_negated_torsion_is_invalid():
         _negate_witness(doc[witness])
     doc.update(torsion=-1, minimal_content=-6,
                minimal_primitive=_negated(doc["minimal_primitive"]))
-    assert _failed(doc) == ["torsion and minimal content are positive",
+    assert _failed(doc) == [_CANONICAL_SPLIT,
+                            "torsion and minimal content are positive",
                             "exponent witness k*phi is the minimal polynomial"]
 
 
@@ -594,6 +600,25 @@ def test_a_minimal_polynomial_outside_the_ideal_is_invalid():
     doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
     doc.update(minimal_polynomial=_poly_doc(0, 6, 6), minimal_primitive=_poly_doc(0, 1, 1))
     assert _failed(doc) == ["exponent witness k*phi is the minimal polynomial"]
+
+
+def test_a_minimal_content_short_of_the_content_is_invalid():
+    # 3 * (2x^2 - 2x) is still 6x^2 - 6x, but 3 is not its content
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    assert doc["minimal_content"] == 6
+    doc.update(minimal_content=3, minimal_primitive=_poly_doc(0, -2, 2))
+    assert _failed(doc) == [_CANONICAL_SPLIT]
+
+
+def test_a_negated_minimal_polynomial_is_invalid():
+    # -6x^2 + 6x lies in V, as its exponent witness -6 * (x^2 - x) says,
+    # and is 6 times its primitive part, but its lead is negative
+    doc = _document("invariants", [IntPoly((0, -1, 0, 1)), IntPoly((0, -6, 6))])
+    _negate_witness(doc["exponent_witness"])
+    doc.update(minimal_polynomial=_negated(doc["minimal_polynomial"]),
+               minimal_primitive=_negated(doc["minimal_primitive"]))
+    assert doc["minimal_polynomial"]["coeffs"][-1] == -6
+    assert _failed(doc) == [_CANONICAL_SPLIT]
 
 
 @pytest.mark.parametrize("edit", [
