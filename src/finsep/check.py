@@ -284,6 +284,12 @@ def _decide(doc: dict, relators, read) -> list:
     return checks + _verdict(doc, relators, separable, k, read)
 
 
+# the keys of an invariants document, the fields of ``RingInvariants``
+_INVARIANTS = ("algebraic_degree", "minimal_polynomial", "minimal_content",
+               "minimal_primitive", "torsion", "torsion_exponent",
+               "torsion_witness", "exponent_witness")
+
+
 def _invariants(doc: dict, relators, read) -> list:
     """The torsion and exponent witnesses of a finite torsion, and what
     they bound: the exponent is the degree of a monic phi over some k, and
@@ -295,7 +301,11 @@ def _invariants(doc: dict, relators, read) -> list:
     canonical one: no common factor moves into the primitive part, and no
     sign flips both.  An infinite torsion and minimality (no monic phi
     below the exponent and no member of V below the minimal polynomial,
-    which need the basis in the document) carry no certificate."""
+    which need the basis in the document) carry no certificate.  Without a
+    nonzero relator every invariant is null."""
+    if not relators:
+        return [("the presentation has no nonzero relator and every invariant is null",
+                 all(doc[key] is None for key in _INVARIANTS))]
     if doc["torsion_witness"] is None:
         return []
     k, phi, checks = _relation(doc["torsion_witness"], "torsion witness",

@@ -67,17 +67,12 @@ def bezout(values) -> tuple[int, list[int]]:
     values = list(values)
     if not any(values):
         raise AllZeroError("bezout needs at least one nonzero value")
-    g, cofactors = 0, []
-    for v in values:
-        if g == 0:
-            # first contributing value: g = sign(v) * v
-            s = 1 if v > 0 else (-1 if v < 0 else 0)
-            cofactors = [0] * len(cofactors) + [s]
-            g = abs(v)
-            continue
-        d, x, y = xgcd(g, v)
-        cofactors = [c * x for c in cofactors] + [y]
-        g = d
+    # xgcd(0, v) is (|v|, 0, sign v), so the fold starts from g = 0
+    g, cofactors = 0, [0] * len(values)
+    for i, v in enumerate(values):
+        g, x, y = xgcd(g, v)
+        cofactors = [c * x for c in cofactors]
+        cofactors[i] += y
     if sum(c * v for c, v in zip(cofactors, values)) != g:
         raise SelfCheckError("bezout cofactors do not recombine to the gcd")
     return g, cofactors

@@ -7,12 +7,12 @@ equality, hashing and formatting).  ``IntPoly`` holds plain ints and
 carries all the arithmetic; ``RatPoly`` holds ``fractions.Fraction``, the
 shape of a rational gcd and its cofactors.
 
-The rational gcd (``gcd_q``) runs on integers only.  Its Euclid is the
-primitive polynomial remainder sequence (Collins 1967, Brown 1971): each
-step takes a pseudo-remainder and divides the whole row (remainder,
-cofactor of a, cofactor of b) by the gcd of all its coefficients.  Every
-integer row is then a nonzero scalar multiple of the row the Euclid over
-Q reaches at the same step, so one division by the lead of the last
+The rational gcd (``gcd_q``) runs on integers only.  It is one primitive
+polynomial remainder sequence (Collins 1967, Brown 1971) over rows
+(polynomial, cofactor of each input), folded from the zero row: each step
+takes a pseudo-remainder and divides the whole row by the gcd of all its
+coefficients.  Every integer row is then a nonzero scalar multiple of the
+row the same fold over Q reaches, so one division by the lead of the last
 remainder gives exactly the Q result; ``Fraction`` enters only there.
 """
 
@@ -313,28 +313,6 @@ def _comb(c: int, u, q, v) -> list:
     return _trim(out)
 
 
-def _euclid_z(a, b) -> tuple[list, list, list]:
-    """Extended Euclid over Z: (r, s, t) with s*a + t*b == r.
-
-    r is the last nonzero remainder of the primitive remainder sequence of
-    a and b (zero when both are).  The rows start as (a, 1, 0) and
-    (b, 0, 1); a step replaces (r0, s0, t0) by c*(r0, s0, t0) - q*(r1, s1,
-    t1), the pseudo-remainder row, and divides it by the gcd of all its
-    coefficients.  Each row stays a nonzero scalar multiple of the row of
-    the Euclid over Q, so (r, s, t) / lead(r) is that Euclid's answer.
-    """
-    r0, s0, t0 = list(a), [1], []
-    r1, s1, t1 = list(b), [], [1]
-    while r1:
-        c, q, r = _pseudo_divide(r0, r1)
-        s, t = _comb(c, s0, q, s1), _comb(c, t0, q, t1)
-        g = gcd(*r, *s, *t)
-        if g != 1:
-            r, s, t = ([x // g for x in row] for row in (r, s, t))
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
-    return r0, s0, t0
-
-
 def clear_denominators(polys) -> tuple[int, tuple[IntPoly, ...]]:
     """(l, l * polys) for the least positive l that makes every one integral."""
     polys = list(polys)
@@ -362,42 +340,39 @@ class RationalGcd:
 def gcd_q(polys) -> RationalGcd:
     """Monic rational gcd of integer polynomials with Bezout cofactors.
 
-    The inputs are folded in one at a time, on integers: the state is g
-    and cofactors c_i over Z with sum(c_i * p_i) == g.  Folding in p takes
-    (r, u, v) = _euclid_z(g, p); every c_i becomes u*c_i, p's own cofactor
-    gains v, and g becomes r.  The state stays a nonzero scalar multiple
-    of the state of the same fold over Q.  It starts as lead(p)*(p/lead(p),
-    1/lead(p)).  When g is s times the Q state's gcd g', the Euclid's
-    first rows (g, 1, 0) and (p, 0, 1), read as cofactors of g' and p, are
-    s*(g', 1, 0) and (p, 0, 1): scalar multiples of the Q Euclid's first
-    rows.  A Euclid step is linear in its two rows and its quotient scales
-    with them, so every later row is a scalar multiple of the Q row of the
-    same step, and so is the folded state; dividing it by the gcd of its
-    coefficients keeps that.  The Q fold's gcd is monic, so dividing g
-    and every c_i by lead(g), the one common denominator, gives exactly
-    the Q fold's gamma and cofactors.
+    One primitive remainder sequence runs on integer rows [g, c_1, ...,
+    c_m] with g == sum(c_i * p_i).  It starts from the zero row and folds
+    each input's unit row [p_i, 0, ..., 1, ..., 0] in by Euclid steps until
+    that row's g is used up.  A step takes the pseudo-remainder c*g0 ==
+    q*g1 + r and the row c*row0 - q*row1, divided by the gcd of all its
+    coefficients.  The zero row's pseudo-remainder is itself, so the first
+    nonzero input takes its place, and a zero input changes nothing.
+
+    Each row is a nonzero scalar multiple of the row that the same fold
+    over Q reaches at the same step.  The integer step is c times the Q
+    step row0 - (q/c)*row1, and that step is linear in its two rows with a
+    quotient that scales with them, so multiples of the Q rows give a
+    multiple of the next Q row; dividing a row by the gcd of its
+    coefficients keeps that.  The Q fold's gcd is monic, so dividing the
+    last row by lead(g), its one common denominator, gives exactly that
+    fold's gamma and cofactors.
     """
     polys = list(polys)
-    if not any(not p.is_zero() for p in polys):
-        raise ZeroPolynomialError("gcd_q needs at least one nonzero polynomial")
-    g = IntPoly()
-    cofactors = [IntPoly() for _ in polys]
+    row0 = [[] for _ in range(len(polys) + 1)]
     for i, p in enumerate(polys):
-        if p.is_zero():
-            continue
-        if g.is_zero():
-            g, cofactors[i] = p, IntPoly((1,))
-            continue
-        g, u, v = (_intpoly(row) for row in _euclid_z(g.coeffs, p.coeffs))
-        cofactors = [u * c for c in cofactors]
-        cofactors[i] = cofactors[i] + v
-        common = gcd(*g.coeffs, *(x for c in cofactors for x in c.coeffs))
-        if common != 1:
-            g = _intpoly([x // common for x in g.coeffs])
-            cofactors = [_intpoly([x // common for x in c.coeffs]) for c in cofactors]
-    lead, zero = g.lead, Fraction(0)
-    gamma, *cofactors = (_ratpoly([Fraction(x, lead) if x else zero for x in p.coeffs])
-                         for p in (g, *cofactors))
+        row1 = [list(p.coeffs), *([1] if j == i else [] for j in range(len(polys)))]
+        while row1[0]:
+            c, q, r = _pseudo_divide(row0[0], row1[0])
+            row = [r, *(_comb(c, u, q, v) for u, v in zip(row0[1:], row1[1:]))]
+            common = gcd(*(x for part in row for x in part))
+            if common > 1:
+                row = [[x // common for x in part] for part in row]
+            row0, row1 = row1, row
+    if not row0[0]:
+        raise ZeroPolynomialError("gcd_q needs at least one nonzero polynomial")
+    lead, zero = row0[0][-1], Fraction(0)
+    gamma, *cofactors = (_ratpoly([Fraction(x, lead) if x else zero for x in part])
+                         for part in row0)
     l = lcm(*(c.denominator for cof in cofactors for c in cof.coeffs))
     return RationalGcd(gamma, tuple(cofactors), l)
 

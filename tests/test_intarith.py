@@ -56,6 +56,7 @@ def test_gcd_list_invariant_under_permutation_and_sign():
 def test_bezout_examples():
     assert bezout([3, 2]) == (1, [1, -1])
     assert bezout([5]) == (5, [1])
+    assert bezout([0, -4, 6]) == (2, [0, 1, 1])
     g, c = bezout([6, 10, 15])
     assert g == 1
     assert 6 * c[0] + 10 * c[1] + 15 * c[2] == 1

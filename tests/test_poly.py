@@ -90,6 +90,39 @@ def _euclid_gcd_oracle(a: list, b: list) -> list:
     return [x / a[-1] for x in a] if a else []
 
 
+def _shifted_minus(u: list, k: Fraction, v: list, shift: int) -> list:
+    """u - k * x**shift * v on ascending Fraction lists, trimmed."""
+    out = u + [Fraction(0)] * (len(v) + shift - len(u))
+    for i, x in enumerate(v, shift):
+        out[i] -= k * x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_fold_oracle(polys) -> list:
+    """[gamma, *cofactors] as Fraction lists, by the plain Euclid fold over
+    Q: rows [g, c_1, ..., c_m] with g == sum(c_i * p_i) start from the zero
+    row, each input's unit row is folded in by exact division steps until
+    its g is used up, and the last row is divided by its lead.  Independent
+    of gcd_q's integer rows; None when every input is zero."""
+    n = len(polys)
+    row0 = [[] for _ in range(n + 1)]
+    for i, p in enumerate(polys):
+        row1 = [[Fraction(c) for c in p.coeffs],
+                *([Fraction(1)] if j == i else [] for j in range(n))]
+        while row1[0]:
+            row = row0
+            while len(row[0]) >= len(row1[0]):
+                k, shift = row[0][-1] / row1[0][-1], len(row[0]) - len(row1[0])
+                row = [_shifted_minus(u, k, v, shift) for u, v in zip(row, row1)]
+            row0, row1 = row1, row
+    if not row0[0]:
+        return None
+    lead = row0[0][-1]
+    return [[x / lead for x in part] for part in row0]
+
+
 def _cleared(p: RatPoly) -> IntPoly:
     """l * p over Z, for the least positive l that clears p's denominators."""
     return clear_denominators([p])[1][0]
@@ -137,6 +170,32 @@ def test_gcd_q_examples():
 def test_gcd_q_all_zero():
     with pytest.raises(ZeroPolynomialError):
         gcd_q([IntPoly(), IntPoly()])
+    with pytest.raises(ZeroPolynomialError):
+        gcd_q([])
+
+
+def test_gcd_q_is_the_euclid_fold_over_q():
+    # gamma and every cofactor equal, exactly, those of the same fold run
+    # over Q, on lists of 1-6 inputs, zero inputs among them, most sharing
+    # a common factor so that gamma is not 1
+    rng = random.Random(54)
+    for _ in range(300):
+        common = random_intpoly(rng, max_degree=2, max_coeff=5, nonzero=True)
+        polys = []
+        for _ in range(rng.randint(1, 6)):
+            p = random_intpoly(rng, max_degree=4, max_coeff=9)
+            if rng.random() < 0.15:
+                p = IntPoly()
+            elif rng.random() < 0.7:
+                p = p * common
+            polys.append(p.shift(1).scale(rng.choice((1, 2, 3, 6, 12))))
+        oracle = _gcd_fold_oracle(polys)
+        if oracle is None:
+            with pytest.raises(ZeroPolynomialError):
+                gcd_q(polys)
+            continue
+        res = gcd_q(polys)
+        assert [list(p.coeffs) for p in (res.gamma, *res.cofactors)] == oracle
 
 
 def test_gcd_q_properties_random():

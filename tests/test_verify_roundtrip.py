@@ -393,6 +393,29 @@ def test_invariants_documents_with_finite_torsion_verify(relators):
         assert "torsion is the torsion witness k" in {c["name"] for c in report["checks"]}
 
 
+_NO_RELATOR = "the presentation has no nonzero relator and every invariant is null"
+
+
+def test_a_no_relator_invariants_document_verifies():
+    for relators in ([], [IntPoly()]):
+        doc = _document("invariants", relators)
+        assert list(doc)[3:] == list(check._INVARIANTS)  # every invariant is checked
+        report = _verify(doc)
+        assert report["all_ok"] is True
+        assert [c["name"] for c in report["checks"]] == [
+            _NO_RELATOR, "every polynomial text is its coefficients formatted"]
+
+
+def test_a_forged_no_relator_invariants_document_is_invalid():
+    doc = _document("invariants", [])
+    doc["torsion"] = 1
+    assert _failed(doc) == [_NO_RELATOR]
+    # a correct record with its relators emptied
+    doc = _document("invariants", [IntPoly((0, -1, 1))])
+    doc["relators"] = []
+    assert _failed(doc) == [_NO_RELATOR]
+
+
 def _poly_doc(*coeffs) -> dict:
     """A JSON integer polynomial, its text matching its coefficients."""
     return {"coeffs": list(coeffs), "text": format_poly(IntPoly(coeffs))}
